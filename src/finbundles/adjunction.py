@@ -23,6 +23,7 @@ from .algebra import (
     NotEquivariant,
     equivariance_witness,
     group_bundle_groupoid,
+    pullback_action,
     sigma,
     sigma_mor,
     trivial_action,
@@ -117,22 +118,17 @@ def tensor(w: TorsorWitness, a: ActionObject) -> TensorResult:
     if P.algebra != a.algebra:
         raise AlgebraMismatch("tensor needs a common algebra")
     alg = P.algebra
-    group = isinstance(alg, FinGroup)
     prod = action_product(P, a)
     triples = []
     for g in range(alg.order):
         for (p, av) in prod.pairs:
-            if group:
+            if alg.src.table[g] == P.anchor.table[p] and alg.tgt.table[g] == a.anchor.table[av]:
                 triples.append((g, p, av))
-            else:
-                if alg.src.table[g] == P.anchor.table[p] and alg.tgt.table[g] == a.anchor.table[av]:
-                    triples.append((g, p, av))
     dom = FinSet(len(triples))
     t1, t2 = [], []
     for (g, p, av) in triples:
-        gi = alg.inv[g] if group else alg.inv.table[g]
         t1.append(prod.index(P.act[g][p], av))
-        t2.append(prod.index(p, a.act[gi][av]))
+        t2.append(prod.index(p, a.act[alg.inverse(g)][av]))
     coeq = coequalizer(FinFn(dom, prod.obj.carrier, tuple(t1)),
                        FinFn(dom, prod.obj.carrier, tuple(t2)))
     orb = sigma(prod.obj)
@@ -154,14 +150,6 @@ class EvaluationResult:
     tensor: TensorResult
 
 
-def _trivial_point(alg, triv_carrier_size: int, anchor_obj: int, value: int) -> int:
-    """Index of a value inside a trivial-action carrier (which is
-    objects x value pairs in the groupoid case)."""
-    if isinstance(alg, FinGroup):
-        return value
-    return anchor_obj * triv_carrier_size + value
-
-
 def evaluation(w: TorsorWitness, a: ActionObject) -> EvaluationResult:
     """The evaluation map out of the product with the tensor, for torsors
     over a point: (p', class of p (x) a) -> psi(p', p).a.  Independence of
@@ -171,16 +159,14 @@ def evaluation(w: TorsorWitness, a: ActionObject) -> EvaluationResult:
     assert w.bundle.base.size == 1, "evaluation is defined for torsors over a point"
     t = tensor(w, a)
     P = w.bundle.action
-    alg = P.algebra
-    group = isinstance(alg, FinGroup)
-    triv = trivial_action(alg, t.carrier)
+    triv = trivial_action(P.algebra, t.carrier)
     dom_prod = action_product(P, triv)
     members: dict[int, list[int]] = {}
     for idx, cls in enumerate(t.quotient_map.table):
         members.setdefault(cls, []).append(idx)
     table = []
     for (p, tv) in dom_prod.pairs:
-        cls = tv if group else tv % t.carrier.size
+        cls = tv % t.carrier.size
         values = set()
         for m in members[cls]:
             p0, a0 = t.product.pairs[m]
@@ -207,12 +193,7 @@ def transpose_down(w: TorsorWitness, a: ActionObject, f: FinFn) -> EquivariantMa
     dom_prod = action_product(P, triv_z)
     table = []
     for (p, zv) in dom_prod.pairs:
-        if isinstance(alg, FinGroup):
-            z = zv
-            tv = f.table[z]
-        else:
-            z = zv % f.dom.size
-            tv = P.anchor.table[p] * t.carrier.size + f.table[z]
+        tv = P.anchor.table[p] * t.carrier.size + f.table[zv % f.dom.size]
         table.append(ev.fn.table[ev.domain.index(p, tv)])
     fn = FinFn(dom_prod.obj.carrier, a.carrier, tuple(table))
     return EquivariantMap(dom_prod.obj, a, fn)
@@ -227,23 +208,23 @@ def transpose_up(w: TorsorWitness, a: ActionObject, g) -> FinFn:
     t = tensor(w, a)
     P = w.bundle.action
     alg = P.algebra
-    group = isinstance(alg, FinGroup)
     if isinstance(g, EquivariantMap):
         g_map = g
     else:
-        z = _z_size_from(g.dom.size, P, group)
+        z = _z_size_from(g.dom.size, P)
         dom_prod = action_product(P, trivial_action(alg, z))
         witness = equivariance_witness(dom_prod.obj, a, g)
         if witness is not None:
             raise NotEquivariant("map does not commute with the actions", witness)
         g_map = EquivariantMap(dom_prod.obj, a, g)
-    dom_prod = action_product(P, trivial_action(alg, _z_of(g_map, P, group)))
+    z = _z_size_from(g_map.fn.dom.size, P)
+    dom_prod = action_product(P, trivial_action(alg, z))
     assert dom_prod.obj == g_map.dom, "map must come from the product with a trivial factor"
-    z_size = _z_of(g_map, P, group).size
+    z_size = z.size
     table = [0] * z_size
     seen = [set() for _ in range(z_size)]
     for (p, zv) in dom_prod.pairs:
-        z = zv if group else zv % z_size
+        z = zv % z_size
         cls = t.class_of(p, g_map.fn.table[dom_prod.index(p, zv)])
         seen[z].add(cls)
     for z in range(z_size):
@@ -252,16 +233,11 @@ def transpose_up(w: TorsorWitness, a: ActionObject, g) -> FinFn:
     return FinFn(FinSet(z_size), t.carrier, tuple(table))
 
 
-def _z_size_from(n: int, P: ActionObject, group: bool) -> FinSet:
-    # the product with a trivial factor has carrier |P| * |Z| in both the
-    # plain and the anchored case (each carrier point pairs with each
-    # trivial point at its own anchor)
+def _z_size_from(n: int, P: ActionObject) -> FinSet:
+    # the product with a trivial factor has carrier |P| * |Z|: each
+    # carrier point pairs with each trivial point at its own anchor
     total = P.carrier.size
     return FinSet(n // total) if total else FinSet(0)
-
-
-def _z_of(g_map: EquivariantMap, P: ActionObject, group: bool) -> FinSet:
-    return _z_size_from(g_map.fn.dom.size, P, group)
 
 
 # The bundle -> adjunction direction ----------------------------------------
@@ -272,7 +248,6 @@ def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
     its induced projection, the counit is fibrewise evaluation."""
     b = w.bundle
     alg = b.action.algebra
-    group = isinstance(alg, FinGroup)
     X = b.base
     dom = SliceCategory(X)
     cod = ActionCategory(alg)
@@ -280,20 +255,7 @@ def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
 
     def left_data(o: SliceObject):
         pb = pullback(b.proj, o.proj)
-        act = []
-        for g in range(alg.order):
-            row = []
-            for (p, wv) in pb.pairs:
-                v = P.act[g][p]
-                row.append(None if v is None else pb.index(v, wv))
-            act.append(tuple(row))
-        if group:
-            obj = ActionObject(alg, pb.carrier, tuple(act))
-        else:
-            anchor = FinFn(pb.carrier, alg.objects,
-                           tuple(P.anchor.table[p] for (p, _) in pb.pairs))
-            obj = ActionObject(alg, pb.carrier, tuple(act), anchor)
-        return obj, pb
+        return pullback_action(pb, P), pb
 
     left_data = _memo(left_data)
 
@@ -365,7 +327,6 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
     """Orbit quotient left adjoint to the trivial-action functor."""
     dom = ActionCategory(alg)
     cod = SliceCategory(TERMINAL)
-    group = isinstance(alg, FinGroup)
 
     def as_slice(s: FinSet) -> SliceObject:
         return SliceObject(s, TERMINAL, FinFn.constant(s, TERMINAL, 0))
@@ -380,34 +341,24 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
         return trivial_action(alg, v.total)
 
     def right_mor(m: Mor):
+        # trivial-action points (o, x) are indexed o * |X| + x
         rd, rc = right_obj(m.dom), right_obj(m.cod)
-        if group:
-            fn = FinFn(rd.carrier, rc.carrier, m.fn.table)
-        else:
-            n_to = m.cod.total.size
-            table = tuple((k // m.dom.total.size) * n_to + m.fn.table[k % m.dom.total.size]
-                          for k in range(rd.carrier.size))
-            fn = FinFn(rd.carrier, rc.carrier, table)
-        return Mor(rd, rc, fn)
+        n_from, n_to = m.dom.total.size, m.cod.total.size
+        table = tuple((k // n_from) * n_to + m.fn.table[k % n_from]
+                      for k in range(rd.carrier.size))
+        return Mor(rd, rc, FinFn(rd.carrier, rc.carrier, table))
 
     def unit_at(a: ActionObject):
         orb = sigma(a)
         rla = right_obj(left_obj(a))
-        if group:
-            fn = FinFn(a.carrier, rla.carrier, orb.q.table)
-        else:
-            table = tuple(a.anchor.table[p] * orb.quotient.size + orb.q.table[p]
-                          for p in range(a.carrier.size))
-            fn = FinFn(a.carrier, rla.carrier, table)
-        return Mor(a, rla, fn)
+        table = tuple(a.anchor.table[p] * orb.quotient.size + orb.q.table[p]
+                      for p in range(a.carrier.size))
+        return Mor(a, rla, FinFn(a.carrier, rla.carrier, table))
 
     def counit_at(v: SliceObject):
         lrv = left_obj(right_obj(v))
         orb = sigma(right_obj(v))
-        if group:
-            table = orb.reps
-        else:
-            table = tuple(r % v.total.size for r in orb.reps)
+        table = tuple(r % v.total.size for r in orb.reps)
         return Mor(lrv, v, FinFn(lrv.total, v.total, table))
 
     return AdjunctionPresentation("sigma(|alg|=%d)" % alg.order, dom, cod,
@@ -727,9 +678,7 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
             arrow = pres.left_obj(o).arrow.fn
             x_size = pres.dom.base.size
             for k in range(orb.quotient.size):
-                rep = orb.reps[k]
-                xval = arrow.table[rep] % x_size if not isinstance(
-                    pres.cod.base_cat.algebra, FinGroup) else arrow.table[rep]
+                xval = arrow.table[orb.reps[k]] % x_size
                 if o.proj.table[comp.table[k]] != xval:
                     if len(failures) < max_witnesses:
                         failures.append({"at": _obj_desc(pres.dom, o),
@@ -783,7 +732,6 @@ def factor_to_slice(pres: AdjunctionPresentation) -> AdjunctionPresentation:
     assert isinstance(dom, SliceCategory)
     assert isinstance(pres.cod, ActionCategory)
     alg = pres.cod.algebra
-    group = isinstance(alg, FinGroup)
     X = dom.base
     triv_x = trivial_action(alg, X)
     cod2 = SliceOverCategory(pres.cod, triv_x)
@@ -792,14 +740,9 @@ def factor_to_slice(pres: AdjunctionPresentation) -> AdjunctionPresentation:
         lo = pres.left_obj(o)
         orb = sigma(lo)
         comp = pres.over_iso_at(o)
-        table = []
-        for p in range(lo.carrier.size):
-            xval = o.proj.table[comp.table[orb.q.table[p]]]
-            if group:
-                table.append(xval)
-            else:
-                table.append(lo.anchor.table[p] * X.size + xval)
-        return pres.cod.mor(lo, triv_x, FinFn(lo.carrier, triv_x.carrier, tuple(table)))
+        table = tuple(lo.anchor.table[p] * X.size + o.proj.table[comp.table[orb.q.table[p]]]
+                      for p in range(lo.carrier.size))
+        return pres.cod.mor(lo, triv_x, FinFn(lo.carrier, triv_x.carrier, table))
 
     kappa = _memo(kappa)
 
@@ -921,7 +864,7 @@ class SliceGroupoidTranslation:
     groupoid: FinGroupoid
 
     def to_anchored(self, a: ActionObject, u: FinFn) -> ActionObject:
-        assert isinstance(a.algebra, FinGroup) and a.algebra == self.group
+        assert a.algebra == self.group
         assert u.dom == a.carrier and u.cod == self.base
         n = self.base.size
         act = []

@@ -1,5 +1,5 @@
-"""Internal groups and groupoids in finite sets, and their action
-categories.
+"""Internal groupoids in finite sets, and their action categories.  A
+group is run everywhere as the one-object groupoid with the same table.
 
 Groupoid orientation: src and tgt are chosen so that an arrow g acts on
 points anchored at src(g) and moves them to tgt(g); compose(a, b) means
@@ -10,16 +10,18 @@ consistently everywhere (actions, orbit quotients, division maps).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 from .finset import (
     FinFn,
     FinSet,
     IsoCertificate,
+    Pullback,
     TERMINAL,
     UnionFind,
     product,
+    pullback,
 )
 
 
@@ -73,19 +75,74 @@ class AlgebraMismatch(AlgebraError):
     pass
 
 
+def _cached_hash(self) -> int:
+    """Hash over the dataclass fields, computed once per object: algebras
+    and actions are memo keys that hold deep tables."""
+    h = self.__dict__.get("_hash")
+    if h is None:
+        h = hash(tuple(getattr(self, f.name) for f in fields(self)))
+        object.__setattr__(self, "_hash", h)
+    return h
+
+
+# Shape checks for tables read from JSON ------------------------------------
+
+def _size(value, what: str) -> int:
+    """A set size given as n, as {"size": n} or as a FinSet."""
+    if isinstance(value, FinSet):
+        return value.size
+    if isinstance(value, dict):
+        value = value.get("size")
+    if type(value) is not int or value < 0:
+        raise ValueError("%s is not a set size" % what)
+    return value
+
+
+def _indices(value, bound: int, what: str, nullable: bool = False) -> tuple:
+    """A list of indices below bound (None allowed where nullable)."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%s is not a list" % what)
+    for v in value:
+        if not (v is None and nullable) and (type(v) is not int or not 0 <= v < bound):
+            raise ValueError("%s entry %r is not an index below %d" % (what, v, bound))
+    return tuple(value)
+
+
+def _table(value, rows: int, cols: int, what: str, nullable: bool = False) -> tuple:
+    """A rows x cols table of indices below cols."""
+    if not isinstance(value, (list, tuple)) or len(value) != rows:
+        raise ValueError("%s does not have %d rows" % (what, rows))
+    table = tuple(_indices(row, cols, what, nullable) for row in value)
+    if any(len(row) != cols for row in table):
+        raise ValueError("%s rows do not have %d entries" % (what, cols))
+    return table
+
+
 @dataclass(frozen=True)
 class FinGroup:
+    """A group.  It also carries the groupoid interface of its one-object
+    groupoid, so every construction runs on it unchanged: one object,
+    the carrier as arrows, constant src and tgt, ident the unit and comp
+    the multiplication table."""
+
     carrier: FinSet
     mul: tuple[tuple[int, ...], ...]
     unit: int
     inv: tuple[int, ...]
 
+    __hash__ = _cached_hash
+
+    def __post_init__(self):
+        point = FinFn.constant(self.carrier, TERMINAL, 0)
+        for name, value in (("objects", TERMINAL), ("arrows", self.carrier),
+                            ("src", point), ("tgt", point),
+                            ("ident", FinFn(TERMINAL, self.carrier, (self.unit,))),
+                            ("comp", self.mul)):
+            object.__setattr__(self, name, value)
+
     @property
     def order(self) -> int:
         return self.carrier.size
-
-    def op(self, a: int, b: int) -> int:
-        return self.mul[a][b]
 
     def inverse(self, a: int) -> int:
         return self.inv[a]
@@ -97,22 +154,15 @@ class FinGroup:
 def validate_group(mul, unit: int, inv, labels=None) -> FinGroup:
     """Check the group axioms on candidate tables; each failure names a
     violating element or triple."""
-    n = len(mul)
+    n = len(mul) if isinstance(mul, (list, tuple)) else 0
     if n == 0:
-        raise ValueError("empty carrier is not a group")
-    mul = tuple(tuple(row) for row in mul)
-    inv = tuple(inv)
-    if any(len(row) != n for row in mul) or len(inv) != n:
-        raise ValueError("tables are not square of matching size")
-    if not (0 <= unit < n):
+        raise ValueError("mul is not a non-empty table (the empty carrier is not a group)")
+    mul = _table(mul, n, n, "mul")
+    inv = _indices(inv, n, "inv")
+    if len(inv) != n:
+        raise ValueError("inv does not have %d entries" % n)
+    if type(unit) is not int or not 0 <= unit < n:
         raise ValueError("unit index out of range")
-    for row in mul:
-        for v in row:
-            if not (0 <= v < n):
-                raise ValueError("mul entry out of range")
-    for v in inv:
-        if not (0 <= v < n):
-            raise ValueError("inv entry out of range")
     for a in range(n):
         if mul[unit][a] != a or mul[a][unit] != a:
             raise NoUnit("unit law fails", a)
@@ -138,39 +188,28 @@ class FinGroupoid:
     comp: tuple[tuple[int | None, ...], ...]
     inv: FinFn
 
+    __hash__ = _cached_hash
+
     @property
     def order(self) -> int:
         return self.arrows.size
 
-    def composable(self, a: int, b: int) -> bool:
-        return self.src.table[a] == self.tgt.table[b]
-
-    def op(self, a: int, b: int) -> int:
-        v = self.comp[a][b]
-        assert v is not None, "arrows are not composable"
-        return v
-
     def inverse(self, a: int) -> int:
         return self.inv.table[a]
-
-    def identity_at(self, o: int) -> int:
-        return self.ident.table[o]
 
 
 def validate_groupoid(objects, arrows, src, tgt, ident, comp, inv) -> FinGroupoid:
     """Check the groupoid axioms, including the composability domain of
     the partial composition table."""
-    n_obj = objects if isinstance(objects, int) else objects.size
-    n_arr = arrows if isinstance(arrows, int) else arrows.size
+    n_obj = _size(objects, "objects")
+    n_arr = _size(arrows, "arrows")
     obj_set = FinSet(n_obj)
     arr_set = FinSet(n_arr)
-    src_fn = FinFn(arr_set, obj_set, tuple(src))
-    tgt_fn = FinFn(arr_set, obj_set, tuple(tgt))
-    ident_fn = FinFn(obj_set, arr_set, tuple(ident))
-    inv_fn = FinFn(arr_set, arr_set, tuple(inv))
-    comp = tuple(tuple(row) for row in comp)
-    if len(comp) != n_arr or any(len(row) != n_arr for row in comp):
-        raise ValueError("composition table is not arrows x arrows")
+    src_fn = FinFn(arr_set, obj_set, _indices(src, n_obj, "src"))
+    tgt_fn = FinFn(arr_set, obj_set, _indices(tgt, n_obj, "tgt"))
+    ident_fn = FinFn(obj_set, arr_set, _indices(ident, n_arr, "ident"))
+    inv_fn = FinFn(arr_set, arr_set, _indices(inv, n_arr, "inv"))
+    comp = _table(comp, n_arr, n_arr, "comp", nullable=True)
     for a in range(n_arr):
         for b in range(n_arr):
             defined = comp[a][b] is not None
@@ -179,8 +218,6 @@ def validate_groupoid(objects, arrows, src, tgt, ident, comp, inv) -> FinGroupoi
                 raise BadComposability("composition defined on the wrong pairs", (a, b))
             if defined:
                 c = comp[a][b]
-                if not (0 <= c < n_arr):
-                    raise ValueError("comp entry out of range")
                 if src_fn.table[c] != src_fn.table[b] or tgt_fn.table[c] != tgt_fn.table[a]:
                     raise BadComposability("composite has wrong endpoints", (a, b))
     for o in range(n_obj):
@@ -266,12 +303,20 @@ def group_bundle_groupoid(g: FinGroup, x: FinSet) -> FinGroupoid:
                              inv=[g.inv[k // n] * n + (k % n) for k in range(n_arr)])
 
 
+@lru_cache(maxsize=None)
+def _anchor(carrier: FinSet, objects: FinSet, table: tuple[int, ...]) -> FinFn:
+    """Anchor maps are shared: few distinct ones occur, and the actions
+    that hold them are kept and compared as memo keys."""
+    return FinFn(carrier, objects, table)
+
+
 @dataclass(frozen=True)
 class ActionObject:
-    """A carrier acted on by a group, or by a groupoid via an anchor map.
+    """A carrier acted on by a groupoid via an anchor map to its objects.
 
-    act[g][p] is the result of g acting on p; in the groupoid case it is
-    None exactly when src(g) != anchor(p).
+    act[g][p] is the result of g acting on p; it is None exactly when
+    src(g) != anchor(p).  Over a one-object algebra (a group) the anchor
+    may be omitted: it is then the constant map to the one object.
     """
 
     algebra: FinGroup | FinGroupoid
@@ -279,17 +324,14 @@ class ActionObject:
     act: tuple[tuple[int | None, ...], ...]
     anchor: FinFn | None = None
 
-    @property
-    def is_group(self) -> bool:
-        return isinstance(self.algebra, FinGroup)
+    __hash__ = _cached_hash
 
-    def anchor_of(self, p: int) -> int:
+    def __post_init__(self):
         if self.anchor is None:
-            return 0
-        return self.anchor.table[p]
-
-    def defined(self, g: int, p: int) -> bool:
-        return self.act[g][p] is not None
+            if self.algebra.objects.size != 1:
+                raise AnchorMismatch("groupoid actions need an anchor map")
+            object.__setattr__(self, "anchor",
+                               _anchor(self.carrier, TERMINAL, (0,) * self.carrier.size))
 
     def apply(self, g: int, p: int) -> int:
         v = self.act[g][p]
@@ -298,58 +340,37 @@ class ActionObject:
 
 
 def validate_action(alg, carrier: FinSet, act, anchor=None) -> ActionObject:
-    """Check the unit and associativity laws of a candidate action table,
-    and in the groupoid case the anchor bookkeeping."""
-    act = tuple(tuple(row) for row in act)
+    """Check a candidate action table: defined exactly where the arrow's
+    src is the point's anchor, moving anchors to tgt, with the unit and
+    associativity laws."""
     n = carrier.size
-    if len(act) != alg.order or any(len(row) != n for row in act):
-        raise ValueError("action table is not algebra x carrier")
-    if isinstance(alg, FinGroup):
-        if anchor is not None:
-            raise ValueError("group actions take no anchor")
-        for g in range(alg.order):
-            for p in range(n):
-                v = act[g][p]
-                if v is None or not (0 <= v < n):
-                    raise ValueError("action entry out of range")
-        for p in range(n):
-            if act[alg.unit][p] != p:
-                raise UnitLawFail("unit must act as the identity", p)
-        for g in range(alg.order):
-            for h in range(alg.order):
-                for p in range(n):
-                    if act[alg.mul[g][h]][p] != act[g][act[h][p]]:
-                        raise AssocLawFail("action is not associative", (g, h, p))
-        return ActionObject(alg, carrier, act)
-    if anchor is None:
-        raise AnchorMismatch("groupoid actions need an anchor map")
-    anchor = FinFn(carrier, alg.objects, tuple(anchor.table if isinstance(anchor, FinFn) else anchor))
+    act = _table(act, alg.order, n, "action table", nullable=True)
+    obj = ActionObject(alg, carrier, act, anchor)
+    if obj.anchor.dom != carrier or obj.anchor.cod != alg.objects:
+        raise ValueError("anchor must run carrier -> objects")
+    anchor = obj.anchor.table
+    src, tgt = alg.src.table, alg.tgt.table
     for g in range(alg.order):
         for p in range(n):
             v = act[g][p]
-            should = alg.src.table[g] == anchor.table[p]
-            if (v is not None) != should:
+            if (v is not None) != (src[g] == anchor[p]):
                 raise AnchorMismatch("action defined on the wrong pairs", (g, p))
-            if v is not None:
-                if not (0 <= v < n):
-                    raise ValueError("action entry out of range")
-                if anchor.table[v] != alg.tgt.table[g]:
-                    raise AnchorMismatch("acting must move the anchor to tgt", (g, p))
+            if v is not None and anchor[v] != tgt[g]:
+                raise AnchorMismatch("acting must move the anchor to tgt", (g, p))
     for p in range(n):
-        e = alg.ident.table[anchor.table[p]]
-        if act[e][p] != p:
+        if act[alg.ident.table[anchor[p]]][p] != p:
             raise UnitLawFail("identity arrows must act as the identity", p)
     for g in range(alg.order):
         for h in range(alg.order):
-            if alg.comp[g][h] is None:
-                continue
             gh = alg.comp[g][h]
+            if gh is None:
+                continue
             for p in range(n):
                 if act[h][p] is None:
                     continue
                 if act[gh][p] != act[g][act[h][p]]:
                     raise AssocLawFail("action is not associative", (g, h, p))
-    return ActionObject(alg, carrier, act, anchor)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -365,15 +386,15 @@ class EquivariantMap:
 
 
 def equivariance_witness(a: ActionObject, b: ActionObject, fn: FinFn):
-    """None if fn is equivariant (and anchor-preserving), else a witness."""
+    """None if fn is equivariant and anchor-preserving, else a witness."""
     if a.algebra != b.algebra:
         raise AlgebraMismatch("objects live over different algebras")
     if fn.dom != a.carrier or fn.cod != b.carrier:
         raise ValueError("map endpoints do not match the carriers")
-    if a.anchor is not None:
-        for p in range(a.carrier.size):
-            if b.anchor.table[fn.table[p]] != a.anchor.table[p]:
-                return ("anchor", p)
+    a_anchor, b_anchor = a.anchor.table, b.anchor.table
+    for p, v in enumerate(fn.table):
+        if b_anchor[v] != a_anchor[p]:
+            return ("anchor", p)
     for g in range(a.algebra.order):
         row = a.act[g]
         for p in range(a.carrier.size):
@@ -385,46 +406,38 @@ def equivariance_witness(a: ActionObject, b: ActionObject, fn: FinFn):
 
 
 def trivial_action(alg, x: FinSet) -> ActionObject:
-    """Every arrow acts as the identity.  In the groupoid case the carrier
-    is objects x X with first-component anchor, and an arrow moves the
-    object coordinate from src to tgt."""
-    if isinstance(alg, FinGroup):
-        act = tuple(tuple(range(x.size)) for _ in range(alg.order))
-        return ActionObject(alg, x, act)
+    """Every arrow acts as the identity: the carrier is objects x X with
+    first-component anchor, and an arrow moves the object coordinate from
+    src to tgt.  The point (o, x) has index o * |X| + x, so over one
+    object it is x itself."""
     prod = product(alg.objects, x)
-    anchor = prod.p1
+    n = x.size
     act = []
-    for g in range(alg.order):
-        s, t = alg.src.table[g], alg.tgt.table[g]
-        row = []
-        for k in range(prod.carrier.size):
-            o, xi = prod.split(k)
-            row.append(prod.index(t, xi) if o == s else None)
+    for s, t in zip(alg.src.table, alg.tgt.table):
+        row = [None] * prod.carrier.size
+        row[s * n:(s + 1) * n] = range(t * n, (t + 1) * n)
         act.append(tuple(row))
-    return ActionObject(alg, prod.carrier, tuple(act), anchor)
+    return ActionObject(alg, prod.carrier, tuple(act), prod.p1)
+
+
+def arrows_action(gpd) -> ActionObject:
+    """The arrow carrier anchored at tgt, acted on by post-composition."""
+    src, tgt = gpd.src.table, gpd.tgt.table
+    act = tuple(tuple(gpd.comp[g][a] if src[g] == tgt[a] else None
+                      for a in range(gpd.order))
+                for g in range(gpd.order))
+    return ActionObject(gpd, gpd.arrows, act, gpd.tgt)
 
 
 def self_action(g: FinGroup) -> ActionObject:
-    """The group acting on itself by multiplication."""
-    return ActionObject(g, g.carrier, g.mul)
-
-
-def arrows_action(gpd: FinGroupoid) -> ActionObject:
-    """The arrow carrier anchored at tgt, acted on by post-composition."""
-    act = []
-    for g in range(gpd.order):
-        row = []
-        for a in range(gpd.order):
-            row.append(gpd.comp[g][a] if gpd.src.table[g] == gpd.tgt.table[a] else None)
-        act.append(tuple(row))
-    return ActionObject(gpd, gpd.arrows, tuple(act), gpd.tgt)
+    """The group acting on itself by multiplication: the arrows action of
+    its one-object groupoid."""
+    return arrows_action(g)
 
 
 def terminal_action(alg) -> ActionObject:
-    """The terminal object: a point for groups; the object set with the
-    tgt-translation action for groupoids."""
-    if isinstance(alg, FinGroup):
-        return trivial_action(alg, TERMINAL)
+    """The terminal object: the object set, anchored by the identity, on
+    which an arrow moves src to tgt (a point for a group)."""
     act = []
     for g in range(alg.order):
         row = [alg.tgt.table[g] if alg.src.table[g] == o else None
@@ -445,20 +458,12 @@ def sigma(a: ActionObject) -> Orbits:
     """Orbit quotient with its canonical surjection; classes are numbered
     by least representative."""
     uf = UnionFind(a.carrier.size)
-    for g in range(a.algebra.order):
-        row = a.act[g]
-        for p in range(a.carrier.size):
-            if row[p] is not None:
-                uf.union(p, row[p])
-    classes = uf.classes()
-    quotient = FinSet(len(classes))
-    table = [0] * a.carrier.size
-    reps = []
-    for k, members in enumerate(classes):
-        reps.append(members[0])
-        for m in members:
-            table[m] = k
-    return Orbits(quotient, FinFn(a.carrier, quotient, tuple(table)), tuple(reps))
+    for row in a.act:
+        for p, v in enumerate(row):
+            if v is not None:
+                uf.union(p, v)
+    quotient, table, reps = uf.quotient()
+    return Orbits(quotient, FinFn(a.carrier, quotient, table), reps)
 
 
 def sigma_mor(dom: ActionObject, cod: ActionObject, fn: FinFn) -> FinFn:
@@ -466,6 +471,34 @@ def sigma_mor(dom: ActionObject, cod: ActionObject, fn: FinFn) -> FinFn:
     od, oc = sigma(dom), sigma(cod)
     return FinFn(od.quotient, oc.quotient,
                  tuple(oc.q.table[fn.table[r]] for r in od.reps))
+
+
+def pullback_action(pb: Pullback, a: ActionObject, b: ActionObject | None = None
+                    ) -> ActionObject:
+    """The action on a pullback of carriers, anchored through the first
+    factor: diagonal when b acts on the second factor, on the first
+    factor alone when b is None.  ValueError when the pairs are not
+    closed under the action (legs that are not equivariant)."""
+    alg = a.algebra
+    pairs = pb.pairs
+    fixed = range(pb.g.dom.size)
+    act = []
+    for g in range(alg.order):
+        ra = a.act[g]
+        rb = fixed if b is None else b.act[g]
+        row = []
+        for (i, j) in pairs:
+            v, w = ra[i], rb[j]
+            if v is None or w is None:
+                row.append(None)
+                continue
+            try:
+                row.append(pb.index(v, w))
+            except KeyError:
+                raise ValueError("pullback carrier is not closed under the action")
+        act.append(tuple(row))
+    anchor = tuple(a.anchor.table[i] for (i, _) in pairs)
+    return ActionObject(alg, pb.carrier, tuple(act), _anchor(pb.carrier, alg.objects, anchor))
 
 
 @dataclass(frozen=True)
@@ -489,36 +522,12 @@ class ActionProduct:
 
 @lru_cache(maxsize=None)
 def action_product(a: ActionObject, b: ActionObject) -> ActionProduct:
-    """The categorical product: plain pairs with the diagonal action for
-    groups, anchored pairs (a pullback over the object set) for groupoids."""
+    """The categorical product: the pairs with equal anchors (the pullback
+    over the object set) with the diagonal action."""
     if a.algebra != b.algebra:
         raise AlgebraMismatch("product needs a common algebra")
-    if a.is_group:
-        pairs = tuple((i, j) for i in range(a.carrier.size) for j in range(b.carrier.size))
-        anchor = None
-    else:
-        pairs = tuple((i, j) for i in range(a.carrier.size) for j in range(b.carrier.size)
-                      if a.anchor.table[i] == b.anchor.table[j])
-    carrier = FinSet(len(pairs))
-    index = {p: k for k, p in enumerate(pairs)}
-    act = []
-    for g in range(a.algebra.order):
-        row = []
-        for (i, j) in pairs:
-            if a.act[g][i] is None or b.act[g][j] is None:
-                row.append(None)
-            else:
-                row.append(index[(a.act[g][i], b.act[g][j])])
-        act.append(tuple(row))
-    if a.is_group:
-        obj = ActionObject(a.algebra, carrier, tuple(act))
-    else:
-        anchor = FinFn(carrier, a.algebra.objects,
-                       tuple(a.anchor.table[i] for (i, _) in pairs))
-        obj = ActionObject(a.algebra, carrier, tuple(act), anchor)
-    p1 = FinFn(carrier, a.carrier, tuple(i for (i, _) in pairs))
-    p2 = FinFn(carrier, b.carrier, tuple(j for (_, j) in pairs))
-    return ActionProduct(obj, pairs, p1, p2)
+    pb = pullback(a.anchor, b.anchor)
+    return ActionProduct(pullback_action(pb, a, b), pb.pairs, pb.p1, pb.p2)
 
 
 @dataclass(frozen=True)
@@ -534,8 +543,11 @@ class UntwistIso:
 
 
 def untwist_iso(a: ActionObject) -> UntwistIso:
+    """Stated for one-object algebras (groups), where the trivial action
+    on the carrier has the carrier itself as its points."""
     g = a.algebra
-    assert isinstance(g, FinGroup), "untwisting is stated for group actions"
+    if g.objects.size != 1:
+        raise ValueError("untwisting is stated for one-object algebras")
     triv = trivial_action(g, a.carrier)
     left = action_product(triv, self_action(g))
     right = action_product(a, self_action(g))
@@ -544,7 +556,7 @@ def untwist_iso(a: ActionObject) -> UntwistIso:
         fwd_table.append(right.index(a.act[h][p], h))
     bwd_table = []
     for (p, h) in right.pairs:
-        bwd_table.append(left.index(a.act[g.inv[h]][p], h))
+        bwd_table.append(left.index(a.act[g.inverse(h)][p], h))
     fwd = FinFn(left.obj.carrier, right.obj.carrier, tuple(fwd_table))
     bwd = FinFn(right.obj.carrier, left.obj.carrier, tuple(bwd_table))
     cert = IsoCertificate(fwd, bwd)
@@ -556,123 +568,80 @@ def untwist_iso(a: ActionObject) -> UntwistIso:
 
 # Exhaustive enumeration of actions ----------------------------------------
 
-def _closure(alg_mul, rows: dict[int, tuple[int, ...]], n: int):
-    """Close a partial assignment of action rows under the multiplication
-    table; None signals a conflict."""
-    rows = dict(rows)
-    changed = True
-    while changed:
-        changed = False
-        items = list(rows.items())
-        for ga, ra in items:
-            for gb, rb in items:
-                gc = alg_mul[ga][gb]
-                rc = tuple(ra[rb[p]] for p in range(n))
+def _close(comp, rows: dict[int, tuple[int, ...]], todo: list[int]) -> bool:
+    """Close a partial assignment of action rows under composition, in
+    place; False signals a conflict.  rows must already be closed apart
+    from the arrows in todo.  Each row taken from todo is composed on
+    both sides with every row present, so every pair of rows is checked
+    once both are known.  A row on n points has n + 1 entries: the index
+    n stands for "undefined" and every row fixes it, so rows compose as
+    plain tables."""
+    while todo:
+        ga = todo.pop()
+        ra = rows[ga]
+        for gb, rb in list(rows.items()):
+            for gx, rx, gy, ry in ((ga, ra, gb, rb), (gb, rb, ga, ra)):
+                gc = comp[gx][gy]
+                if gc is None:
+                    continue
+                rc = tuple(map(rx.__getitem__, ry))
                 old = rows.get(gc)
                 if old is None:
                     rows[gc] = rc
-                    changed = True
+                    todo.append(gc)
                 elif old != rc:
-                    return None
-    return rows
-
-
-def all_group_actions(g: FinGroup, carrier: FinSet):
-    """Every action table of g on the carrier, by constraint propagation:
-    the unit row is forced and assigned rows force the rows of products.
-    Rows are permutations because every group element is invertible.
-    """
-    n = carrier.size
-    perms = [tuple(p) for p in itertools.permutations(range(n))]
-
-    def rec(rows):
-        rows = _closure(g.mul, rows, n)
-        if rows is None:
-            return
-        missing = [e for e in range(g.order) if e not in rows]
-        if not missing:
-            yield ActionObject(g, carrier, tuple(rows[e] for e in range(g.order)))
-            return
-        e = missing[0]
-        for r in perms:
-            nxt = dict(rows)
-            nxt[e] = r
-            yield from rec(nxt)
-
-    yield from rec({g.unit: tuple(range(n))})
-
-
-def all_groupoid_actions(gpd: FinGroupoid, carrier: FinSet):
-    """Every anchored action of the groupoid on the carrier: all anchor
-    maps, then all arrow-wise fibre bijections consistent with
-    composition."""
-    n = carrier.size
-    n_obj = gpd.objects.size
-    for anchor_table in itertools.product(range(n_obj), repeat=n) if n_obj else ([()] if n == 0 else []):
-        fibers = {o: [p for p in range(n) if anchor_table[p] == o] for o in range(n_obj)}
-        if any(len(fibers[gpd.src.table[a]]) != len(fibers[gpd.tgt.table[a]])
-               for a in range(gpd.order)):
-            continue
-        yield from _groupoid_actions_for_anchor(gpd, carrier, anchor_table, fibers)
-
-
-def _groupoid_actions_for_anchor(gpd, carrier, anchor_table, fibers):
-    n = carrier.size
-
-    def closure(rows):
-        rows = dict(rows)
-        changed = True
-        while changed:
-            changed = False
-            items = list(rows.items())
-            for ga, ra in items:
-                for gb, rb in items:
-                    gc = gpd.comp[ga][gb]
-                    if gc is None:
-                        continue
-                    rc = tuple(ra[rb[p]] if rb[p] is not None else None for p in range(n))
-                    old = rows.get(gc)
-                    if old is None:
-                        rows[gc] = rc
-                        changed = True
-                    elif old != rc:
-                        return None
-        return rows
-
-    ident_rows = {}
-    for o in range(gpd.objects.size):
-        e = gpd.ident.table[o]
-        ident_rows[e] = tuple(p if anchor_table[p] == o else None for p in range(n))
-
-    def rec(rows):
-        rows = closure(rows)
-        if rows is None:
-            return
-        missing = [a for a in range(gpd.order) if a not in rows]
-        if not missing:
-            act = tuple(rows[a] for a in range(gpd.order))
-            yield ActionObject(gpd, carrier, act,
-                               FinFn(carrier, gpd.objects, anchor_table))
-            return
-        a = missing[0]
-        src_f = fibers[gpd.src.table[a]]
-        tgt_f = fibers[gpd.tgt.table[a]]
-        for image in itertools.permutations(tgt_f):
-            row = [None] * n
-            for p, v in zip(src_f, image):
-                row[p] = v
-            nxt = dict(rows)
-            nxt[a] = tuple(row)
-            yield from rec(nxt)
-
-    yield from rec(ident_rows)
+                    return False
+    return True
 
 
 def all_actions(alg, carrier: FinSet):
-    if isinstance(alg, FinGroup):
-        yield from all_group_actions(alg, carrier)
-    else:
-        yield from all_groupoid_actions(alg, carrier)
+    """Every action of the algebra on the carrier: every anchor map whose
+    fibres have equal sizes at the two ends of each arrow, then every
+    assignment of fibre bijections to arrows consistent with composition,
+    by constraint propagation from the identity rows."""
+    n = carrier.size
+    n_obj = alg.objects.size
+    for anchor_table in itertools.product(range(n_obj), repeat=n):
+        fibers = [[p for p in range(n) if anchor_table[p] == o] for o in range(n_obj)]
+        if any(len(fibers[s]) != len(fibers[t])
+               for s, t in zip(alg.src.table, alg.tgt.table)):
+            continue
+        yield from _actions_for_anchor(alg, carrier, anchor_table, fibers)
+
+
+def _actions_for_anchor(alg, carrier: FinSet, anchor_table, fibers):
+    n = carrier.size
+    anchor = FinFn(carrier, alg.objects, anchor_table)
+    ident_rows = {alg.ident.table[o]: tuple(p if anchor_table[p] == o else n
+                                            for p in range(n)) + (n,)
+                  for o in range(alg.objects.size)}
+
+    def undefined_to_none(row):
+        head = row[:n]
+        return head if n not in head else tuple(None if v == n else v for v in head)
+
+    def rec(rows, todo):
+        if not _close(alg.comp, rows, todo):
+            return
+        missing = [a for a in range(alg.order) if a not in rows]
+        if not missing:
+            act = tuple(undefined_to_none(rows[a]) for a in range(alg.order))
+            yield ActionObject(alg, carrier, act, anchor)
+            return
+        a = missing[0]
+        src_f = fibers[alg.src.table[a]]
+        for image in itertools.permutations(fibers[alg.tgt.table[a]]):
+            row = [n] * (n + 1)
+            for p, v in zip(src_f, image):
+                row[p] = v
+            yield from rec({**rows, a: tuple(row)}, [a])
+
+    yield from rec(ident_rows, list(ident_rows))
+
+
+def all_group_actions(g: FinGroup, carrier: FinSet):
+    """Every action table of the group on the carrier (all_actions)."""
+    return all_actions(g, carrier)
 
 
 def equivariant_maps(a: ActionObject, b: ActionObject):
@@ -708,18 +677,18 @@ def groupoid_from_json(data) -> FinGroupoid:
 
 
 def action_to_json(a: ActionObject, algebra_ref) -> dict:
+    """Group actions leave out their constant anchor."""
     out = {"algebra": algebra_ref,
            "carrier": a.carrier.size,
            "act": [list(r) for r in a.act]}
-    if a.anchor is not None:
+    if not isinstance(a.algebra, FinGroup):
         out["anchor"] = list(a.anchor.table)
     return out
 
 
 def action_from_json(data, alg) -> ActionObject:
-    carrier = FinSet(data["carrier"] if isinstance(data["carrier"], int)
-                     else data["carrier"]["size"])
+    carrier = FinSet(_size(data["carrier"], "carrier"))
     anchor = data.get("anchor")
     if anchor is not None:
-        anchor = FinFn(carrier, alg.objects, tuple(anchor))
+        anchor = FinFn(carrier, alg.objects, _indices(anchor, alg.objects.size, "anchor"))
     return validate_action(alg, carrier, data["act"], anchor)

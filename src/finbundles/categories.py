@@ -15,10 +15,10 @@ from typing import Any, Callable
 from .finset import FinFn, FinSet, SliceObject, all_functions, pullback
 from .algebra import (
     ActionObject,
-    FinGroup,
     action_product,
     all_actions,
     equivariance_witness,
+    pullback_action,
     terminal_action,
 )
 
@@ -158,11 +158,7 @@ class ActionCategory:
 
     def bang(self, o: ActionObject) -> Mor:
         term = self.terminal()
-        if isinstance(self.algebra, FinGroup):
-            fn = FinFn.constant(o.carrier, term.carrier, 0)
-        else:
-            fn = FinFn(o.carrier, term.carrier, o.anchor.table)
-        return Mor(o, term, fn)
+        return Mor(o, term, FinFn(o.carrier, term.carrier, o.anchor.table))
 
     def is_iso(self, m: Mor) -> bool:
         return m.fn.is_bijection()
@@ -181,25 +177,7 @@ class ActionCategory:
         assert m1.cod == m2.cod
         a, b = m1.dom, m2.dom
         pb = pullback(m1.fn, m2.fn)
-        act = []
-        for g in range(self.algebra.order):
-            row = []
-            for (i, j) in pb.pairs:
-                if a.act[g][i] is None or b.act[g][j] is None:
-                    row.append(None)
-                else:
-                    try:
-                        row.append(pb.index(a.act[g][i], b.act[g][j]))
-                    except KeyError:
-                        # only reachable for non-equivariant legs
-                        raise ValueError("pullback carrier is not closed under the action")
-            act.append(tuple(row))
-        if a.anchor is None:
-            obj = ActionObject(self.algebra, pb.carrier, tuple(act))
-        else:
-            anchor = FinFn(pb.carrier, self.algebra.objects,
-                           tuple(a.anchor.table[i] for (i, _) in pb.pairs))
-            obj = ActionObject(self.algebra, pb.carrier, tuple(act), anchor)
+        obj = pullback_action(pb, a, b)
 
         def mediate(n1: Mor, n2: Mor) -> Mor:
             assert n1.dom == n2.dom

@@ -39,18 +39,21 @@ class ValidationError(Exception):
         self.error = error
 
 
-def _load_json(path: Path):
+def _load_json(path: Path) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(path, str(exc))
+    if not isinstance(data, dict):
+        raise ParseError(path, "not a JSON object")
+    return data
 
 
 def load_fixtures(fixtures_dir: Path):
     """Read groups, groupoids and bundles from the fixture layout.  A
-    fixture that parses but fails validation becomes a failed check entry
-    instead of aborting the run."""
+    fixture that parses but fails validation, and a missing directory of
+    the layout, become failed check entries instead of aborting the run."""
     groups, groupoids, bundles, failures = {}, {}, {}, []
 
     def record(path, exc):
@@ -59,6 +62,11 @@ def load_fixtures(fixtures_dir: Path):
                          "witness": getattr(exc, "witness", None)
                          or getattr(exc, "detail", None)})
 
+    dirs = [fixtures_dir] if not fixtures_dir.is_dir() else [
+        fixtures_dir / sub for sub in ("groups", "groupoids", "bundles")]
+    for path in dirs:
+        if not path.is_dir():
+            record(path, NotADirectoryError("no such fixture directory"))
     for path in sorted((fixtures_dir / "groups").glob("*.json")):
         try:
             groups[path.stem] = group_from_json(_load_json(path))
@@ -72,7 +80,9 @@ def load_fixtures(fixtures_dir: Path):
     for path in sorted((fixtures_dir / "bundles").glob("*.json")):
         try:
             data = _load_json(path)
-            ref = data["action"]["algebra"]
+            ref = data["action"]["algebra"] if isinstance(data["action"], dict) else None
+            if not isinstance(ref, str):
+                raise ValueError("the bundle's action names no algebra")
             kind, _, name = ref.partition("/")
             alg = groups[name] if kind == "groups" else groupoids[name]
             bundles[path.stem] = bundle_from_json(data, alg)

@@ -264,11 +264,20 @@ class UnionFind:
                 x, y = y, x
             self.parent[y] = x
 
-    def classes(self) -> list[list[int]]:
-        members: dict[int, list[int]] = {}
+    def quotient(self) -> tuple[FinSet, tuple[int, ...], tuple[int, ...]]:
+        """The classes as a quotient set, the class of every element and
+        the least member of every class.  The root of a class is its
+        least member, so classes come out numbered by least member."""
+        table: list[int] = []
+        reps: list[int] = []
         for x in range(len(self.parent)):
-            members.setdefault(self.find(x), []).append(x)
-        return [members[r] for r in sorted(members)]
+            root = self.find(x)
+            if root == x:
+                table.append(len(reps))
+                reps.append(x)
+            else:
+                table.append(table[root])
+        return FinSet(len(reps)), tuple(table), tuple(reps)
 
 
 @dataclass(frozen=True)
@@ -291,18 +300,10 @@ def coequalizer(f: FinFn, g: FinFn) -> Coequalizer:
     if f.dom != g.dom or f.cod != g.cod:
         raise DomMismatch("coequalizer needs a parallel pair", (f, g))
     uf = UnionFind(f.cod.size)
-    for x in range(f.dom.size):
-        uf.union(f.table[x], g.table[x])
-    classes = uf.classes()
-    quotient = FinSet(len(classes))
-    index = {}
-    reps = []
-    for k, members in enumerate(classes):
-        reps.append(members[0])
-        for m in members:
-            index[m] = k
-    q = FinFn(f.cod, quotient, tuple(index[v] for v in range(f.cod.size)))
-    return Coequalizer(quotient, q, tuple(reps))
+    for a, b in zip(f.table, g.table):
+        uf.union(a, b)
+    quotient, table, reps = uf.quotient()
+    return Coequalizer(quotient, FinFn(f.cod, quotient, table), reps)
 
 
 @dataclass(frozen=True)

@@ -21,10 +21,10 @@ from .finset import (
 from .algebra import (
     ActionObject,
     AlgebraError,
-    FinGroup,
     action_product,
+    all_actions,
+    arrows_action,
     equivariance_witness,
-    self_action,
     sigma,
     trivial_action,
     validate_group,
@@ -34,6 +34,7 @@ from .categories import action_family, slice_family
 from .torsor import (
     Bundle,
     DescentDatum,
+    DivisionLawFail,
     TorsorError,
     canonical_descent_datum,
     descent_pullbacks,
@@ -126,13 +127,13 @@ def verify_checks(groups, groupoids, bundles, bounds: Bounds) -> list[dict]:
 
 
 def untwist_check(groups, max_order: int, max_carrier: int) -> dict:
-    from .algebra import all_group_actions, untwist_iso
+    from .algebra import untwist_iso
 
     count = 0
     failures = []
     for name, g in sorted_groups(groups, max_order):
         for n in range(max_carrier + 1):
-            for a in all_group_actions(g, FinSet(n)):
+            for a in all_actions(g, FinSet(n)):
                 try:
                     untwist_iso(a)
                 except (AlgebraError, ValueError) as exc:
@@ -147,8 +148,6 @@ def untwist_check(groups, max_order: int, max_carrier: int) -> dict:
 def sigma_frobenius_check(groups, max_order: int, max_x: int, max_carrier: int) -> dict:
     """The canonical comparison from orbits of a trivially-twisted product
     onto the plain product of the set with the orbits is a bijection."""
-    from .algebra import all_group_actions
-
     count = 0
     failures = []
     for name, g in sorted_groups(groups, max_order):
@@ -156,7 +155,7 @@ def sigma_frobenius_check(groups, max_order: int, max_x: int, max_carrier: int) 
             x = FinSet(nx)
             gx = trivial_action(g, x)
             for n in range(max_carrier + 1):
-                for a in all_group_actions(g, FinSet(n)):
+                for a in all_actions(g, FinSet(n)):
                     prod = action_product(gx, a)
                     orb_prod = sigma(prod.obj)
                     orb_a = sigma(a)
@@ -189,7 +188,7 @@ def psi_laws_check(groups, max_order: int, max_base: int) -> dict:
             for w in enum.witnesses:
                 try:
                     division_map(w)
-                except AssertionError as exc:
+                except DivisionLawFail as exc:
                     failures.append({"group": name, "base": nx, "error": str(exc)})
                 count += 1
     return {"check": "psi_laws", "torsors": count,
@@ -280,15 +279,8 @@ def bundle_roundtrip_cert(w, bundle2: Bundle) -> FinFn:
 
 def stable_slice_objects(alg, x: FinSet) -> list[ActionObject]:
     """The slicing objects of the standard stable-reciprocity family: the
-    trivial action on the base and the canonical self/arrow action."""
-    from .algebra import arrows_action
-
-    out = [trivial_action(alg, x)]
-    if isinstance(alg, FinGroup):
-        out.append(self_action(alg))
-    else:
-        out.append(arrows_action(alg))
-    return out
+    trivial action on the base and the arrows (self) action."""
+    return [trivial_action(alg, x), arrows_action(alg)]
 
 
 def theorem_torsor_checks(w, bounds: Bounds) -> dict:
@@ -313,10 +305,8 @@ def theorem_torsor_checks(w, bounds: Bounds) -> dict:
     stable = check_stably_frobenius(pres, stable_slice_objects(alg, x),
                                     dom_objs, cod_objs)
     results["stable"] = stable["passed"]
-    if isinstance(alg, FinGroup):
-        results["tensor_self"] = _tensor_self_iso_ok(w, tensor(w, self_action(alg)))
-        results["tensor_trivial"] = all(
-            _tensor_trivial_iso_ok(w, ny) for ny in range(4))
+    results["tensor_self"] = _tensor_self_iso_ok(w, tensor(w, arrows_action(alg)))
+    results["tensor_trivial"] = all(_tensor_trivial_iso_ok(w, ny) for ny in range(4))
     return {"check": "theorem_roundtrip",
             "group_order": alg.order, "base": x.size,
             "carrier": b.action.carrier.size,
@@ -335,10 +325,9 @@ def _tensor_trivial_iso_ok(w, y_size: int) -> bool:
     target = product(b.base, y)
     seen = set()
     for k in range(t.carrier.size):
-        p, yv = t.rep_pair(k)
-        if not isinstance(alg, FinGroup):
-            yv = yv % y_size if y_size else 0
-        code = target.index(b.proj.table[p], yv)
+        p, oy = t.rep_pair(k)
+        # the trivial action's point (o, y) has index o * |Y| + y
+        code = target.index(b.proj.table[p], oy % y_size)
         if code in seen:
             return False
         seen.add(code)
@@ -350,14 +339,14 @@ def _tensor_trivial_iso_ok(w, y_size: int) -> bool:
 
 
 def _tensor_self_iso_ok(w, t) -> bool:
-    """tensor with the self action is the carrier again, over the base:
+    """tensor with the arrows action is the carrier again, over the base:
     the class of p (x) g corresponds to g^(-1).p."""
     b = w.bundle
     g = b.action.algebra
     table = [None] * t.carrier.size
     for k in range(t.carrier.size):
         p, h = t.rep_pair(k)
-        table[k] = b.action.act[g.inv[h]][p]
+        table[k] = b.action.act[g.inverse(h)][p]
     fn = FinFn(t.carrier, b.action.carrier, tuple(table))
     if not fn.is_bijection():
         return False
@@ -406,9 +395,13 @@ def corollary_checks(groups, bounds: Bounds) -> list[dict]:
     eligible = [(name, pres) for name, pres in presentations
                 if pres.cod.algebra.order >= 2]
     corrupted = []
-    for style in range(1, 6):
-        name, pres = eligible[(style - 1) % len(eligible)]
-        corrupted.append((name + "/corrupt%d" % style, corrupt_counit(pres, style)))
+    if not eligible:
+        checks.append({"check": "corollary_negative_controls", "passed": False,
+                       "reason": "no presentation over a nontrivial algebra is in bounds"})
+    else:
+        for style in range(1, 6):
+            name, pres = eligible[(style - 1) % len(eligible)]
+            corrupted.append((name + "/corrupt%d" % style, corrupt_counit(pres, style)))
     for name, pres in presentations + corrupted:
         x = pres.dom.base
         alg = pres.cod.algebra

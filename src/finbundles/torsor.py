@@ -26,6 +26,8 @@ from .finset import (
 from .algebra import (
     ActionObject,
     FinGroup,
+    _indices,
+    _size,
     all_actions,
     equivariance_witness,
     validate_action,
@@ -47,6 +49,10 @@ class NotFreeTransitive(TorsorError):
 
 
 class CocycleFail(TorsorError):
+    pass
+
+
+class DivisionLawFail(TorsorError):
     pass
 
 
@@ -130,33 +136,30 @@ class DivisionReport:
 
 
 def division_map(w: TorsorWitness) -> DivisionReport:
-    """Verify the division-map laws on every defined pair; a failure here
-    would mean the witness itself is inconsistent, so it aborts."""
+    """Verify the division-map laws on every defined pair.  A failure
+    means the witness itself is inconsistent: DivisionLawFail names the
+    pair (p, q), or the arrow and pair (g, p, q), where a law fails."""
     a = w.bundle.action
     alg = a.algebra
-    group = isinstance(alg, FinGroup)
     n_checked = 0
     for (p, q) in w.pairs:
         d = w.psi(p, q)
-        assert a.apply(d, q) == p, "division must solve g.q = p"
-        if p == q:
-            expected = alg.unit if group else alg.ident.table[a.anchor_of(p)]
-            assert d == expected, "division on the diagonal must be the identity"
+        if a.act[d][q] != p:
+            raise DivisionLawFail("division must solve g.q = p", (p, q))
+        if p == q and d != alg.ident.table[a.anchor.table[p]]:
+            raise DivisionLawFail("division on the diagonal must be the identity", (p, q))
         n_checked += 1
     n_trans = 0
     for (p, q) in w.pairs:
         d = w.psi(p, q)
         for g, pp in _acting_pairs(a):
             if pp == p:
-                lhs = w.psi(a.apply(g, p), q)
-                rhs = alg.mul[g][d] if group else alg.comp[g][d]
-                assert lhs == rhs, "left translation law fails"
+                if w.psi(a.act[g][p], q) != alg.comp[g][d]:
+                    raise DivisionLawFail("left translation law fails", (g, p, q))
                 n_trans += 1
             if pp == q:
-                lhs = w.psi(p, a.apply(g, q))
-                gi = alg.inv[g] if group else alg.inv.table[g]
-                rhs = alg.mul[d][gi] if group else alg.comp[d][gi]
-                assert lhs == rhs, "right translation law fails"
+                if w.psi(p, a.act[g][q]) != alg.comp[d][alg.inverse(g)]:
+                    raise DivisionLawFail("right translation law fails", (g, p, q))
                 n_trans += 1
     return DivisionReport(w, n_checked, n_trans)
 
@@ -192,11 +195,8 @@ def equivariant_iso_over_base(w1: TorsorWitness, w2: TorsorWitness) -> FinFn | N
         fibers2[b2.proj.table[q]].append(q)
     candidates = []
     for x in range(b1.base.size):
-        rep = w1.reps[x]
-        anchor_needed = b1.action.anchor_of(rep)
-        opts = [q for q in fibers2[x]
-                if b2.action.anchor is None
-                or b2.action.anchor.table[q] == anchor_needed]
+        anchor_needed = b1.action.anchor.table[w1.reps[x]]
+        opts = [q for q in fibers2[x] if b2.action.anchor.table[q] == anchor_needed]
         if not opts:
             return None
         candidates.append(opts)
@@ -256,9 +256,8 @@ def _embed_fiber_action(a: ActionObject, points: tuple[int, ...], act, anchors):
         for local, p in enumerate(points):
             if row[local] is not None:
                 act[g][p] = points[row[local]]
-    if a.anchor is not None:
-        for local, p in enumerate(points):
-            anchors[p] = a.anchor.table[local]
+    for local, p in enumerate(points):
+        anchors[p] = a.anchor.table[local]
 
 
 def enumerate_torsors(alg, x: FinSet, carrier: FinSet, max_carrier: int = 8) -> TorsorEnumeration:
@@ -267,21 +266,20 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet, max_carrier: int = 8) -> 
     classes by exhaustive bijection search.
 
     Invariance forces the action to restrict to each projection fibre, so
-    candidates are assembled fibrewise from all actions on each fibre; a
-    fibre whose pair count cannot match the action-and-projection count is
-    pruned by cardinality before any table is built.
+    candidates are assembled fibrewise from all actions on each fibre.  A
+    fibre is pruned by cardinality before any table is built: dividing by
+    one of its points matches it with the arrows out of that point's
+    anchor, so it has as many points as some object has outgoing arrows.
     """
     if carrier.size > max_carrier:
         raise BoundsExceeded("carrier too large to enumerate", carrier.size)
-    group = isinstance(alg, FinGroup)
+    fiber_sizes = {alg.src.table.count(o) for o in range(alg.objects.size)}
     witnesses = []
     for proj_table in itertools.product(range(x.size), repeat=carrier.size):
         fibers: dict[int, list[int]] = {b: [] for b in range(x.size)}
         for p, b in enumerate(proj_table):
             fibers[b].append(p)
-        if any(not f for f in fibers.values()):
-            continue
-        if group and any(len(f) != alg.order for f in fibers.values()):
+        if any(len(f) not in fiber_sizes for f in fibers.values()):
             continue
         proj = FinFn(carrier, x, proj_table)
         choices = [[(tuple(f), a) for a in _fiber_torsor_actions(alg, len(f))]
@@ -291,11 +289,8 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet, max_carrier: int = 8) -> 
             anchors = [0] * carrier.size
             for points, fiber_action in combo:
                 _embed_fiber_action(fiber_action, points, act, anchors)
-            if group:
-                action = ActionObject(alg, carrier, tuple(tuple(r) for r in act))
-            else:
-                action = ActionObject(alg, carrier, tuple(tuple(r) for r in act),
-                                      FinFn(carrier, alg.objects, tuple(anchors)))
+            action = ActionObject(alg, carrier, tuple(tuple(r) for r in act),
+                                  FinFn(carrier, alg.objects, tuple(anchors)))
             try:
                 witnesses.append(is_principal_bundle(Bundle(action, x, proj)))
             except TorsorError:
@@ -421,20 +416,15 @@ def glue_descent_data(f: FinFn, d: DescentDatum) -> GluedSlice:
         for y in range(d.over.total.size):
             if p.table[y] == p1:
                 uf.union(y, _theta(shape, d.glue, w, y))
-    classes = uf.classes()
-    quotient = FinSet(len(classes))
-    cls_of = [0] * d.over.total.size
-    for k, members in enumerate(classes):
-        for m in members:
-            cls_of[m] = k
-    base_of = tuple(f.table[p.table[members[0]]] for members in classes)
+    quotient, cls_of, reps = uf.quotient()
+    base_of = tuple(f.table[p.table[rep]] for rep in reps)
     result = SliceObject(quotient, f.cod, FinFn(quotient, f.cod, base_of))
     pb = pullback(f, result.proj)
     fwd = FinFn(d.over.total, pb.carrier,
                 tuple(pb.index(p.table[y], cls_of[y]) for y in range(d.over.total.size)))
     bwd_table = []
     for (p0, c) in pb.pairs:
-        rep = classes[c][0]
+        rep = reps[c]
         y = _theta(shape, d.glue, shape.pp.index(p.table[rep], p0), rep)
         bwd_table.append(y)
     bwd = FinFn(pb.carrier, d.over.total, tuple(bwd_table))
@@ -456,5 +446,6 @@ def bundle_from_json(data, alg) -> Bundle:
     from .algebra import action_from_json
 
     action = action_from_json(data["action"], alg)
-    base = FinSet(data["base"] if isinstance(data["base"], int) else data["base"]["size"])
-    return Bundle(action, base, FinFn(action.carrier, base, tuple(data["proj"])))
+    base = FinSet(_size(data["base"], "base"))
+    proj = _indices(data["proj"], base.size, "proj")
+    return Bundle(action, base, FinFn(action.carrier, base, proj))

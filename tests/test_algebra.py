@@ -353,6 +353,8 @@ def test_sigma_frobenius_bijection_bounded():
 
 
 def test_one_object_groupoid_agrees_with_group():
+    from finbundles.algebra import all_actions, arrows_action
+
     z2 = GROUPS["z2"]
     gpd = group_to_groupoid(z2)
     a_group = self_action(z2)
@@ -362,6 +364,21 @@ def test_one_object_groupoid_agrees_with_group():
     pg = action_product(a_group, a_group)
     pgd = action_product(a_gpd, a_gpd)
     assert pg.pairs == pgd.pairs
+    # every small group runs exactly as its one-object groupoid
+    for name, g in sorted(GROUPS.items()):
+        if g.order > 4:
+            continue
+        gpd = group_to_groupoid(g)
+        assert arrows_action(gpd).act == self_action(g).act, name
+        for n in range(5):
+            x = FinSet(n)
+            as_group = [a.act for a in all_actions(g, x)]
+            as_groupoid = [a.act for a in all_actions(gpd, x)]
+            assert as_group == as_groupoid, (name, n)
+            # the trivial action's point (0, x) has index 0 * |X| + x
+            identity = tuple(0 * n + xi for xi in range(n))
+            assert trivial_action(g, x).act == (identity,) * g.order, (name, n)
+            assert trivial_action(gpd, x).act == (identity,) * g.order, (name, n)
 
 
 def test_terminal_action_groupoid():

@@ -1,9 +1,21 @@
+import hashlib
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
-from finbundles.cli import load_fixtures, main, run_theorem_suite, run_verify
+from hypothesis import given
+from hypothesis import strategies as st
+
+from finbundles.cli import (
+    load_fixtures,
+    main,
+    run_enumerate,
+    run_glue,
+    run_theorem_suite,
+    run_verify,
+)
 from finbundles.suites import Bounds
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -132,3 +144,97 @@ def test_reports_are_deterministic():
     r1.pop("elapsed_s")
     r2.pop("elapsed_s")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def _fixture_tree(root: Path, subdirs=("groups", "groupoids", "bundles")) -> Path:
+    for sub in subdirs:
+        (root / sub).mkdir(parents=True)
+    return root
+
+
+def test_missing_fixture_dir_is_a_failed_check(tmp_path, capsys):
+    missing = tmp_path / "nowhere"
+    for command in ("verify", "enumerate", "theorem"):
+        code = main([command, "--fixtures", str(missing), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1, command
+        assert not report["all_passed"]
+        failed = [c for c in report["checks"] if c["check"] == "fixture"]
+        assert [c["fixture"] for c in failed] == [str(missing)]
+        assert failed[0]["error"] == "NotADirectoryError"
+
+
+def test_missing_fixture_subdirectory_is_a_failed_check(tmp_path, capsys):
+    for sub in ("groups", "groupoids", "bundles"):
+        root = _fixture_tree(tmp_path / sub,
+                             [s for s in ("groups", "groupoids", "bundles") if s != sub])
+        code = main(["enumerate", "--fixtures", str(root), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1, sub
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["fixture"] for c in failed] == [str(root / sub)]
+
+
+def test_theorem_without_negative_controls_fails_without_crashing(tmp_path, capsys):
+    # no group of order >= 2 is in bounds, so no presentation can be
+    # corrupted into a negative control
+    for fixtures, bound in ((_fixture_tree(tmp_path / "empty"), "4"), (FIXTURES, "1")):
+        code = main(["theorem", "--fixtures", str(fixtures), "--bound-group", bound,
+                     "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["check"] for c in failed] == ["corollary_negative_controls"]
+
+
+def test_malformed_group_fixture_is_a_failed_check(tmp_path):
+    root = _fixture_tree(tmp_path / "fixtures")
+    for name, mul in (("scalar", 5), ("ragged", [[0, 1], [1]]),
+                      ("floats", [[0, 1], [1, 0.0]]), ("strings", [[0, "1"], ["1", 0]]),
+                      ("bools", [[0, True], [True, 0]])):
+        (root / "groups" / (name + ".json")).write_text(json.dumps(
+            {"order": 2, "mul": mul, "unit": 0, "inv": [0, 1]}))
+    groups, groupoids, bundles, failures = load_fixtures(root)
+    assert not groups
+    assert len(failures) == 5
+    assert {f["error"] for f in failures} == {"ValueError"}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12)
+
+
+@given(st.sampled_from(["order", "mul", "unit", "inv"]), JSON_VALUES)
+def test_any_json_value_in_a_group_field_gives_an_entry(field, value):
+    data = {"order": 2, "mul": [[0, 1], [1, 0]], "unit": 0, "inv": [0, 1]}
+    data[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        root = _fixture_tree(Path(tmp))
+        (root / "groups" / "g.json").write_text(json.dumps(data))
+        groups, groupoids, bundles, failures = load_fixtures(root)
+    assert len(groups) + len(failures) == 1
+    assert all(not f["passed"] for f in failures)
+
+
+# sha256 of each report at default bounds over fixtures/, without
+# elapsed_s, as recorded before groups were run as one-object groupoids.
+GOLDEN_REPORTS = {
+    "verify": (run_verify,
+               "a425f2f4b1d90fd88638cdb5e5c881649a10e030cba50baee74020563f4f93b7"),
+    "enumerate": (run_enumerate,
+                  "d432d6506ce305548ef63c62e494ac048865389b0f624a5c1903d25a22b41407"),
+    "glue": (run_glue,
+             "6fe33b030296de88e44ccd008f9885930fb8f7896496452dd3c744676d61aa4e"),
+}
+
+
+def test_reports_match_golden_digests():
+    for command, (run, digest) in GOLDEN_REPORTS.items():
+        report = run(FIXTURES, Bounds())
+        report.pop("elapsed_s")
+        body = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(body).hexdigest() == digest, command

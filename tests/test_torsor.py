@@ -348,3 +348,35 @@ def test_glue_pullback_certificate_sizes():
             glued = glue_descent_data(f, d)
             assert glued.cert.forward.dom == d.over.total
             assert glued.cert.forward.cod == glued.pullback.carrier
+
+
+def test_division_map_rejects_shifted_witness_without_asserts():
+    # the division laws are typed checks, so they still run under
+    # python -O, where assert statements are stripped
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = "\n".join([
+        "from finbundles import catalog",
+        "from finbundles.finset import TERMINAL",
+        "from finbundles.torsor import (DivisionLawFail, TorsorWitness,",
+        "                               division_map, trivial_torsor)",
+        "w = trivial_torsor(catalog.cyclic(3), TERMINAL)",
+        "shifted = TorsorWitness(w.bundle, w.pairs,",
+        "                        tuple((d + 1) % 3 for d in w.division), w.reps)",
+        "try:",
+        "    report = division_map(shifted)",
+        "except DivisionLawFail as exc:",
+        "    print('REJECTED', exc.witness)",
+        "else:",
+        "    print('ACCEPTED: %d pairs' % report.checked_pairs)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "REJECTED (0, 0)"
