@@ -53,4 +53,19 @@ from .adjunction import (
     transpose_up,
 )
 
+from . import adjunction, algebra, torsor
+
 __version__ = "0.1.0"
+
+# Every module-level cache.  They are unbounded and live as long as the
+# process; the caches of a presentation's components live and die with
+# the presentation.
+_MODULE_CACHES = (algebra.sigma, algebra.action_product, algebra._anchor,
+                  torsor._fiber_torsor_actions)
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache, so that the next run starts cold."""
+    for memo in _MODULE_CACHES:
+        memo.cache_clear()
+    adjunction._tensor_cache.clear()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cache
 
 from .finset import (
     FinFn,
@@ -303,7 +303,7 @@ def group_bundle_groupoid(g: FinGroup, x: FinSet) -> FinGroupoid:
                              inv=[g.inv[k // n] * n + (k % n) for k in range(n_arr)])
 
 
-@lru_cache(maxsize=None)
+@cache
 def _anchor(carrier: FinSet, objects: FinSet, table: tuple[int, ...]) -> FinFn:
     """Anchor maps are shared: few distinct ones occur, and the actions
     that hold them are kept and compared as memo keys."""
@@ -453,7 +453,7 @@ class Orbits:
     reps: tuple[int, ...]
 
 
-@lru_cache(maxsize=None)
+@cache
 def sigma(a: ActionObject) -> Orbits:
     """Orbit quotient with its canonical surjection; classes are numbered
     by least representative."""
@@ -520,7 +520,7 @@ class ActionProduct:
                      tuple(self.index(f.table[z], g.table[z]) for z in range(f.dom.size)))
 
 
-@lru_cache(maxsize=None)
+@cache
 def action_product(a: ActionObject, b: ActionObject) -> ActionProduct:
     """The categorical product: the pairs with equal anchors (the pullback
     over the object set) with the diagonal action."""

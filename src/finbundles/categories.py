@@ -225,9 +225,6 @@ class SliceOverCategory:
     def contains(self, o) -> bool:
         return isinstance(o, SlicedObj) and o.arrow.cod == self.anchor
 
-    def make_obj(self, obj, fn: FinFn) -> SlicedObj:
-        return SlicedObj(obj, self.base_cat.mor(obj, self.anchor, fn))
-
     def mor(self, dom: SlicedObj, cod: SlicedObj, fn: FinFn) -> Mor:
         inner = self.base_cat.mor(dom.obj, cod.obj, fn)
         composed = self.base_cat.compose(cod.arrow, inner)

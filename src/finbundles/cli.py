@@ -32,13 +32,6 @@ class ParseError(Exception):
         self.detail = detail
 
 
-class ValidationError(Exception):
-    def __init__(self, path, error):
-        super().__init__("%s: %s" % (path, error))
-        self.path = str(path)
-        self.error = error
-
-
 def _load_json(path: Path) -> dict:
     try:
         with open(path) as handle:

@@ -102,9 +102,6 @@ class FinFn:
     def is_surjection(self) -> bool:
         return len(set(self.table)) == self.cod.size
 
-    def is_injection(self) -> bool:
-        return len(set(self.table)) == self.dom.size
-
     def inverse(self) -> "FinFn":
         assert self.is_bijection(), "only bijections invert"
         table = [0] * self.cod.size

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 from .finset import (
     FinFn,
@@ -91,9 +91,6 @@ class TorsorWitness:
     def psi(self, p: int, q: int) -> int:
         """The unique algebra element moving q to p within a fibre."""
         return self.division[self._index[(p, q)]]
-
-    def same_fiber(self, p: int, q: int) -> bool:
-        return (p, q) in self._index
 
 
 def _acting_pairs(a: ActionObject):
@@ -233,7 +230,7 @@ class BoundsExceeded(TorsorError):
     pass
 
 
-@lru_cache(maxsize=None)
+@cache
 def _fiber_torsor_actions(alg, size: int):
     """Actions on a single fibre that already pass the predicate over a
     point.  The projection is invariant, so a candidate passes over the

@@ -16,7 +16,12 @@ from finbundles.algebra import (
     trivial_action,
     validate_action,
 )
-from finbundles.categories import action_family, slice_family
+from finbundles.categories import (
+    ActionCategory,
+    SliceCategory,
+    action_family,
+    slice_family,
+)
 from finbundles.torsor import (
     Bundle,
     enumerate_torsors,
@@ -671,3 +676,34 @@ def test_torsor_maps_induce_natural_transformations():
                 rhs = p1.cod.compose(p2.left_mor(mor), component(mor.dom))
                 assert lhs.fn == rhs.fn
         assert transform_to_torsor_map(p1, p2, component) == t
+
+
+# Family handling ----------------------------------------------------------------
+
+def test_check_triangles_counts_generator_families():
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    as_lists = check_triangles(pres, slice_family(TERMINAL, 2), action_family(z2, 2))
+    as_generators = check_triangles(pres, SliceCategory(TERMINAL).objects_upto(2),
+                                    ActionCategory(z2).objects_upto(2))
+    assert as_lists["objects"] == 7
+    assert as_generators == as_lists
+
+
+def test_check_frobenius_fails_on_an_empty_family():
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    for cod_objs, dom_objs in (([], slice_family(TERMINAL, 2)),
+                               (action_family(z2, 2), []), ([], [])):
+        rep = check_frobenius(pres, cod_objs, dom_objs)
+        assert rep["pairs"] == 0
+        assert not rep["passed"]
+
+
+def test_check_stably_frobenius_fails_with_no_slices():
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    rep = check_stably_frobenius(pres, iter([]), slice_family(TERMINAL, 2),
+                                 action_family(z2, 2))
+    assert rep["slices"] == 0
+    assert not rep["passed"]

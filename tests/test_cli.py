@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -238,3 +239,27 @@ def test_reports_match_golden_digests():
         report.pop("elapsed_s")
         body = json.dumps(report, sort_keys=True).encode()
         assert hashlib.sha256(body).hexdigest() == digest, command
+
+
+def test_theorem_under_python_O_matches_in_process_report():
+    # the law checks are typed checks, so python -O, which strips assert
+    # statements, must give the same report and still reject every
+    # corrupted control
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "finbundles.cli", "theorem",
+         "--fixtures", str(FIXTURES), "--bound-group", "2", "--bound-base", "1",
+         "--json"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    optimised = json.loads(proc.stdout)
+    in_process = run_theorem_suite(FIXTURES, Bounds(group_order=2, base=1))
+    optimised.pop("elapsed_s")
+    in_process.pop("elapsed_s")
+    assert optimised == in_process
+    controls = [c for c in optimised["checks"]
+                if "/corrupt" in c.get("presentation", "")]
+    assert len(controls) == 5
+    assert not any(c["criterion_passed"] for c in controls)
