@@ -54,6 +54,11 @@ class FrobeniusFail(AdjunctionError):
     pass
 
 
+class RoundTripFail(AdjunctionError):
+    """The comparison from a bundle's carrier onto its round trip is not
+    an isomorphism over the base; the witness says where it fails."""
+
+
 def _cached(fn):
     """fn itself when it is already a cache (a component handed on from
     another presentation), otherwise a cache of it."""
@@ -618,6 +623,8 @@ def check_stably_frobenius(pres: AdjunctionPresentation, slice_objs,
 
 def check_triangles(pres: AdjunctionPresentation, dom_objs, cod_objs,
                     max_witnesses: int = 3) -> dict:
+    """Both triangle identities at every family object; no object means
+    nothing was checked, which fails."""
     dom_objs = list(dom_objs)
     cod_objs = list(cod_objs)
     failures = []
@@ -633,14 +640,18 @@ def check_triangles(pres: AdjunctionPresentation, dom_objs, cod_objs,
         if composite.fn != pres.dom.identity(ra).fn:
             if len(failures) < max_witnesses:
                 failures.append({"triangle": "right", "at": _obj_desc(pres.cod, a)})
+    objects = len(dom_objs) + len(cod_objs)
     return {"check": "triangles", "presentation": pres.name,
-            "objects": len(dom_objs) + len(cod_objs),
-            "passed": not failures, "witnesses": failures}
+            "objects": objects,
+            "passed": objects > 0 and not failures, "witnesses": failures}
 
 
 def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors,
                      max_witnesses: int = 3) -> dict:
-    """Unit and counit naturality squares on families of morphisms."""
+    """Unit and counit naturality squares on families of morphisms; no
+    morphism means nothing was checked, which fails."""
+    dom_mors = list(dom_mors)
+    cod_mors = list(cod_mors)
     failures = []
     for m in dom_mors:
         lhs = pres.dom.compose(pres.unit_at(m.cod), m)
@@ -652,8 +663,10 @@ def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors,
         rhs = pres.cod.compose(pres.counit_at(n.cod), pres.left_mor(pres.right_mor(n)))
         if lhs.fn != rhs.fn and len(failures) < max_witnesses:
             failures.append({"square": "counit"})
+    morphisms = len(dom_mors) + len(cod_mors)
     return {"check": "naturality", "presentation": pres.name,
-            "passed": not failures, "witnesses": failures}
+            "morphisms": morphisms,
+            "passed": morphisms > 0 and not failures, "witnesses": failures}
 
 
 def _cod_action(lobj):
@@ -663,7 +676,8 @@ def _cod_action(lobj):
 def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
                     max_witnesses: int = 3) -> dict:
     """Verify the over-base comparison: the orbit quotient of each left
-    value maps bijectively and naturally onto the underlying object."""
+    value maps bijectively and naturally onto the underlying object.  No
+    object and no morphism means nothing was checked, which fails."""
     if pres.over_iso_at is None:
         raise NotOverBase("presentation carries no over-base comparison")
     failures = []
@@ -687,8 +701,7 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
                         failures.append({"at": _obj_desc(pres.dom, o),
                                          "reason": "projection mismatch"})
                     break
-    if dom_mors is None:
-        dom_mors = []
+    dom_mors = list(dom_mors or [])
     for m in dom_mors:
         lo = _cod_action(pres.left_obj(m.dom))
         lc = _cod_action(pres.left_obj(m.cod))
@@ -699,7 +712,8 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
         if lhs != rhs and len(failures) < max_witnesses:
             failures.append({"square": "over", "at": _obj_desc(pres.dom, m.dom)})
     return {"check": "over_base", "presentation": pres.name,
-            "objects": len(dom_objs), "passed": not failures,
+            "objects": len(dom_objs),
+            "passed": bool(dom_objs or dom_mors) and not failures,
             "witnesses": failures}
 
 

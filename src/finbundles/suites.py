@@ -33,19 +33,20 @@ from .algebra import (
 from .categories import action_family, slice_family
 from .torsor import (
     Bundle,
-    DescentDatum,
     DivisionLawFail,
     TorsorError,
     canonical_descent_datum,
-    descent_pullbacks,
+    descent_datum,
     division_map,
     enumerate_torsors,
     glue_descent_data,
+    intertwining_witness,
     is_principal_bundle,
     trivial_torsor,
 )
 from .adjunction import (
     AdjunctionError,
+    RoundTripFail,
     adjunction_to_bundle,
     bundle_to_adjunction,
     check_over_base,
@@ -200,25 +201,33 @@ def descent_roundtrip_check(max_total: int, max_base: int) -> dict:
     count = 0
     failures = []
     for nx in range(1, max_base + 1):
-        x = FinSet(nx)
         for np in range(1, max_total + 1):
-            p = FinSet(np)
-            for f in all_functions(p, x):
-                if not f.is_surjection():
-                    continue
-                for nz in range(max_total + 1):
-                    z = FinSet(nz)
-                    for zp in all_functions(z, x):
-                        s = SliceObject(z, x, zp)
-                        d = canonical_descent_datum(f, s)
-                        glued = glue_descent_data(f, d)
-                        if (glued.result.total.size != nz
-                                or sorted(glued.result.proj.table) != sorted(zp.table)):
-                            failures.append({"f": list(f.table), "z": nz})
-                        count += 1
+            for f in all_functions(FinSet(np), FinSet(nx)):
+                if f.is_surjection():
+                    cases, bad = descent_roundtrip(f, max_total)
+                    count += cases
+                    failures.extend(bad)
     return {"check": "descent_roundtrip", "cases": count,
             "bounds": {"total": max_total, "base": max_base},
             "passed": not failures, "witnesses": failures[:3]}
+
+
+def descent_roundtrip(f: FinFn, max_total: int) -> tuple[int, list[dict]]:
+    """Pull every slice over the base with at most max_total points back
+    along f and glue its canonical datum; the glued slice must have the
+    slice's fibre sizes again.  Returns the number of slices and one
+    witness, naming the slice's projection, per slice that fails."""
+    cases = 0
+    failures = []
+    for nz in range(max_total + 1):
+        z = FinSet(nz)
+        for zp in all_functions(z, f.cod):
+            glued = glue_descent_data(f, canonical_descent_datum(f, SliceObject(z, f.cod, zp)))
+            if (glued.result.total.size != nz
+                    or sorted(glued.result.proj.table) != sorted(zp.table)):
+                failures.append({"f": list(f.table), "z": nz, "proj": list(zp.table)})
+            cases += 1
+    return cases, failures
 
 
 # enumerate ------------------------------------------------------------------
@@ -264,16 +273,24 @@ def _factorial(n: int) -> int:
 
 def bundle_roundtrip_cert(w, bundle2: Bundle) -> FinFn:
     """The canonical comparison p -> (p, proj p) from the original carrier
-    onto the round-tripped one; checked bijective, equivariant and over
-    the base."""
+    onto the round-tripped one.  RoundTripFail names the first point
+    without a partner, the equivariance witness, or the first point whose
+    projection moves."""
     b = w.bundle
+    n, m = b.action.carrier.size, bundle2.action.carrier.size
+    if n != m:
+        raise RoundTripFail("the comparison is not a bijection",
+                            ("unmatched", m) if n > m else ("missed", n))
     # the round-tripped carrier is the fibre product of proj with the
     # identity, so its pairs are exactly (p, proj p) in carrier order
-    fn = FinFn(b.action.carrier, bundle2.action.carrier,
-               tuple(range(b.action.carrier.size)))
-    assert fn.is_bijection()
-    assert equivariance_witness(b.action, bundle2.action, fn) is None
-    assert fn.then(bundle2.proj) == b.proj
+    fn = FinFn(b.action.carrier, bundle2.action.carrier, tuple(range(n)))
+    witness = equivariance_witness(b.action, bundle2.action, fn)
+    if witness is not None:
+        raise RoundTripFail("the comparison is not equivariant", witness)
+    over = fn.then(bundle2.proj)
+    if over != b.proj:
+        moved = next((p for p in range(n) if over.table[p] != b.proj.table[p]), None)
+        raise RoundTripFail("the comparison is not over the base", moved)
     return fn
 
 
@@ -493,10 +510,17 @@ def negative_control_check(groups, bounds: Bounds) -> dict:
 def all_descent_data(f: FinFn, y_size: int):
     """Every descent datum along f with a total space of the given size:
     all slices over the total space whose fibre sizes match within each
-    fibre of f, with every coherent gluing family."""
+    fibre of f, with every coherent gluing family.  A family is fixed by a
+    bijection from the fibre over the least point of each fibre of f (its
+    root) to the fibre over every other point of it; the gluing from p1 to
+    p2 goes back to the root and out again."""
     p_size = f.dom.size
     y = FinSet(y_size)
-    for p_table in itertools.product(range(p_size), repeat=y_size) if p_size else ([()] if y_size == 0 else []):
+    base_fibers: dict[int, list[int]] = {}
+    for p in range(p_size):
+        base_fibers.setdefault(f.table[p], []).append(p)
+    others = [p for xval in sorted(base_fibers) for p in base_fibers[xval][1:]]
+    for p_table in itertools.product(range(p_size), repeat=y_size):
         fiber = {p: [yv for yv in range(y_size) if p_table[yv] == p]
                  for p in range(p_size)}
         ok = all(len(fiber[p1]) == len(fiber[p2])
@@ -505,61 +529,21 @@ def all_descent_data(f: FinFn, y_size: int):
         if not ok:
             continue
         over = SliceObject(y, f.dom, FinFn(y, f.dom, p_table))
-        base_fibers: dict[int, list[int]] = {}
-        for p in range(p_size):
-            base_fibers.setdefault(f.table[p], []).append(p)
-        choice_groups = []
-        for xval in sorted(base_fibers):
-            ps = base_fibers[xval]
-            root = ps[0]
-            for p in ps[1:]:
-                choice_groups.append((root, p))
-        options = [list(itertools.permutations(fiber[p])) for (_, p) in choice_groups]
+        options = [list(itertools.permutations(fiber[p])) for p in others]
         for combo in itertools.product(*options):
-            theta = {}
-            for (root, p), image in zip(choice_groups, combo):
-                theta[(root, p)] = dict(zip(fiber[root], image))
-            datum = _assemble_datum(f, over, fiber, base_fibers, theta)
-            if datum is not None:
-                yield datum
-
-
-def _assemble_datum(f, over, fiber, base_fibers, theta) -> DescentDatum | None:
-    """Extend root-to-point bijections to the full gluing family by
-    composition and package it as a certificate."""
-    from .finset import IsoCertificate
-
-    shape = descent_pullbacks(f, over)
-
-    def theta_at(p1, p2, yv):
-        root = base_fibers[f.table[p1]][0]
-        to_root = {v: k for k, v in theta[(root, p1)].items()} if p1 != root else None
-        y_root = yv if p1 == root else to_root[yv]
-        return y_root if p2 == root else theta[(root, p2)][y_root]
-
-    fwd = []
-    for (wv, k) in shape.pb1.pairs:
-        p1, p2 = shape.pp.pairs[wv]
-        fwd.append(shape.pb2.index(wv, theta_at(p1, p2, k)))
-    bwd = []
-    for (wv, k) in shape.pb2.pairs:
-        p1, p2 = shape.pp.pairs[wv]
-        bwd.append(shape.pb1.index(wv, theta_at(p2, p1, k)))
-    try:
-        glue = IsoCertificate(FinFn(shape.pb1.carrier, shape.pb2.carrier, tuple(fwd)),
-                              FinFn(shape.pb2.carrier, shape.pb1.carrier, tuple(bwd)))
-    except ValueError:
-        return None
-    return DescentDatum(over, glue)
+            # image[p][i] is the point over p glued to the i-th point over
+            # its root; slot inverts it
+            image = {ps[0]: fiber[ps[0]] for ps in base_fibers.values()}
+            image.update(zip(others, combo))
+            slot = {p: {yv: i for i, yv in enumerate(pts)} for p, pts in image.items()}
+            yield descent_datum(f, over, lambda p1, p2, yv: image[p2][slot[p1][yv]])
 
 
 def glue_checks(bounds: Bounds, max_p: int = 4, max_y: int = 4) -> list[dict]:
     checks = []
     for nx in range(1, bounds.base + 1):
-        x = FinSet(nx)
         for np in range(1, max_p + 1):
-            p = FinSet(np)
-            for f in all_functions(p, x):
+            for f in all_functions(FinSet(np), FinSet(nx)):
                 if not f.is_surjection():
                     continue
                 count = 0
@@ -567,49 +551,21 @@ def glue_checks(bounds: Bounds, max_p: int = 4, max_y: int = 4) -> list[dict]:
                 for ny in range(max_y + 1):
                     for d in all_descent_data(f, ny):
                         glued = glue_descent_data(f, d)
-                        pb2 = glued.pullback
-                        if pb2.carrier.size != d.over.total.size:
+                        if glued.pullback.carrier.size != d.over.total.size:
                             failures.append({"f": list(f.table), "y": ny})
-                        if not _cert_intertwines(f, d, glued):
+                        witness = intertwining_witness(d, glued)
+                        if witness is not None:
                             failures.append({"f": list(f.table), "y": ny,
-                                             "reason": "glue mismatch"})
+                                             "reason": "glue mismatch",
+                                             "at": list(witness)})
                         count += 1
-                arises = _essential_surjectivity(f, max_y)
-                checks.append({"check": "descent_gluing", "f": list(f.table),
-                               "base": nx, "data": count,
-                               "essentially_surjective": arises,
-                               "passed": not failures and arises})
+                _, roundtrip_failures = descent_roundtrip(f, max_y)
+                arises = not roundtrip_failures
+                check = {"check": "descent_gluing", "f": list(f.table),
+                         "base": nx, "data": count,
+                         "essentially_surjective": arises,
+                         "passed": not failures and arises}
+                if not check["passed"]:
+                    check["witnesses"] = (failures + roundtrip_failures)[:3]
+                checks.append(check)
     return checks
-
-
-def _cert_intertwines(f, d, glued) -> bool:
-    """The comparison certificate must carry the datum's gluing to the
-    canonical gluing of the pulled-back result."""
-    shape = descent_pullbacks(f, d.over)
-    canon = canonical_descent_datum(f, glued.result)
-    for (wv, k) in shape.pb1.pairs:
-        p1, p2 = shape.pp.pairs[wv]
-        k2 = shape.pb2.pairs[d.glue.forward.table[shape.pb1.index(wv, k)]][1]
-        lhs = glued.cert.forward.table[k2]
-        rhs_pair = glued.pullback.pairs[glued.cert.forward.table[k]]
-        rhs = glued.pullback.index(p2, rhs_pair[1])
-        if lhs != rhs:
-            return False
-    return True
-
-
-def _essential_surjectivity(f, max_y: int) -> bool:
-    x = f.cod
-    for nz in range(max_y + 1):
-        z = FinSet(nz)
-        for zp in all_functions(z, x):
-            if nz * f.dom.size > 24:
-                continue
-            s = SliceObject(z, x, zp)
-            d = canonical_descent_datum(f, s)
-            glued = glue_descent_data(f, d)
-            if glued.result.total.size != nz:
-                return False
-            if sorted(glued.result.proj.table) != sorted(zp.table):
-                return False
-    return True

@@ -371,33 +371,39 @@ def validate_descent_datum(f: FinFn, d: DescentDatum) -> DescentShape:
     return shape
 
 
+def descent_datum(f: FinFn, over: SliceObject, transport) -> DescentDatum:
+    """The datum over the slice whose glue sends a point y over p1 to
+    transport(p1, p2, y) over p2, for every fibrewise pair (p1, p2) of f.
+    The backward map transports from p2 to p1.  This is the one place that
+    writes the certificate's indices into the pullbacks pb1 and pb2; an
+    inconsistent transport raises ValueError from IsoCertificate."""
+    shape = descent_pullbacks(f, over)
+    pairs = shape.pp.pairs
+    fwd = tuple(shape.pb2.index(w, transport(*pairs[w], y)) for (w, y) in shape.pb1.pairs)
+    bwd = tuple(shape.pb1.index(w, transport(pairs[w][1], pairs[w][0], y))
+                for (w, y) in shape.pb2.pairs)
+    glue = IsoCertificate(FinFn(shape.pb1.carrier, shape.pb2.carrier, fwd),
+                          FinFn(shape.pb2.carrier, shape.pb1.carrier, bwd))
+    return DescentDatum(over, glue)
+
+
 def canonical_descent_datum(f: FinFn, s: SliceObject) -> DescentDatum:
     """The datum obtained by pulling a slice over the base back along f:
     the glue transports (p1, z) to (p2, z)."""
-    assert s.base == f.cod
     pb = pullback(f, s.proj)
     over = SliceObject(pb.carrier, f.dom, pb.p1)
-    shape = descent_pullbacks(f, over)
-    fwd = []
-    for (w, k) in shape.pb1.pairs:
-        p1, p2 = shape.pp.pairs[w]
-        _, z = pb.pairs[k]
-        fwd.append(shape.pb2.index(w, pb.index(p2, z)))
-    bwd = []
-    for (w, k) in shape.pb2.pairs:
-        p1, p2 = shape.pp.pairs[w]
-        _, z = pb.pairs[k]
-        bwd.append(shape.pb1.index(w, pb.index(p1, z)))
-    glue = IsoCertificate(FinFn(shape.pb1.carrier, shape.pb2.carrier, tuple(fwd)),
-                          FinFn(shape.pb2.carrier, shape.pb1.carrier, tuple(bwd)))
-    return DescentDatum(over, glue)
+    return descent_datum(f, over, lambda p1, p2, y: pb.index(p2, pb.pairs[y][1]))
 
 
 @dataclass(frozen=True)
 class GluedSlice:
+    """The glued slice, its pullback along f, the certificate from the
+    datum's total space onto that pullback, and the datum's shape."""
+
     result: SliceObject
     pullback: Pullback
     cert: IsoCertificate
+    shape: DescentShape
 
 
 def glue_descent_data(f: FinFn, d: DescentDatum) -> GluedSlice:
@@ -426,7 +432,24 @@ def glue_descent_data(f: FinFn, d: DescentDatum) -> GluedSlice:
         bwd_table.append(y)
     bwd = FinFn(pb.carrier, d.over.total, tuple(bwd_table))
     cert = IsoCertificate(fwd, bwd)
-    return GluedSlice(result, pb, cert)
+    return GluedSlice(result, pb, cert, shape)
+
+
+def intertwining_witness(d: DescentDatum, glued: GluedSlice):
+    """None when the glued certificate carries the datum's gluing to the
+    canonical gluing of the glued slice: a point y over p1 and its
+    transport over p2 land in the same class.  Otherwise the first
+    (p1, p2, y) where they do not.  The datum must live over the same
+    slice as the one that was glued."""
+    shape = glued.shape
+    to_pb = glued.cert.forward.table
+    pb = glued.pullback
+    for k, (w, y) in enumerate(shape.pb1.pairs):
+        p1, p2 = shape.pp.pairs[w]
+        y2 = shape.pb2.pairs[d.glue.forward.table[k]][1]
+        if to_pb[y2] != pb.index(p2, pb.pairs[to_pb[y]][1]):
+            return (p1, p2, y)
+    return None
 
 
 # JSON forms -----------------------------------------------------------------

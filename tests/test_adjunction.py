@@ -31,6 +31,7 @@ from finbundles.torsor import (
 from finbundles.adjunction import (
     FrobeniusFail,
     NotOverBase,
+    RoundTripFail,
     adjunction_to_bundle,
     bundle_to_adjunction,
     check_frobenius,
@@ -707,3 +708,92 @@ def test_check_stably_frobenius_fails_with_no_slices():
                                  action_family(z2, 2))
     assert rep["slices"] == 0
     assert not rep["passed"]
+
+
+def test_check_triangles_fails_on_empty_families():
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    rep = check_triangles(pres, [], [])
+    assert rep["objects"] == 0
+    assert not rep["passed"]
+
+
+def test_check_naturality_counts_morphisms_and_fails_on_empty_families():
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    rep = check_naturality(pres, [], [])
+    assert rep["morphisms"] == 0
+    assert not rep["passed"]
+    mors = dom_mors(pres.dom, slice_family(TERMINAL, 2), 40)
+    rep = check_naturality(pres, iter(mors), iter([]))
+    assert rep["morphisms"] == len(mors) > 0
+    assert rep["passed"]
+
+
+def test_check_over_base_fails_on_an_empty_family():
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    rep = check_over_base(pres, [])
+    assert rep["objects"] == 0
+    assert not rep["passed"]
+
+
+def test_bundle_roundtrip_cert_names_a_witness():
+    z2 = GROUPS["z2"]
+    w = trivial_torsor(z2, TERMINAL)
+    two, three = FinSet(2), FinSet(3)
+    cases = [
+        # the trivial action: the comparison is not equivariant at g = 1, p = 0
+        (Bundle(trivial_action(z2, two), TERMINAL, FinFn.constant(two, TERMINAL, 0)),
+         (1, 0)),
+        # a third point on the round trip has no preimage
+        (Bundle(trivial_action(z2, three), TERMINAL, FinFn.constant(three, TERMINAL, 0)),
+         ("missed", 2)),
+    ]
+    for b2, witness in cases:
+        with pytest.raises(RoundTripFail) as exc:
+            bundle_roundtrip_cert(w, b2)
+        assert exc.value.witness == witness
+    with pytest.raises(RoundTripFail) as exc:
+        bundle_roundtrip_cert(trivial_torsor(z2, three), w.bundle)
+    assert exc.value.witness == ("unmatched", 2)
+    # the same action with its two fibres over swapped base points
+    w2 = trivial_torsor(z2, two)
+    b2 = Bundle(w2.bundle.action, two, FinFn(w2.bundle.action.carrier, two, (1, 1, 0, 0)))
+    with pytest.raises(RoundTripFail) as exc:
+        bundle_roundtrip_cert(w2, b2)
+    assert exc.value.witness == 0
+
+
+def test_bundle_roundtrip_cert_rejects_without_asserts():
+    # the round-trip comparison is a typed check, so it still runs under
+    # python -O, where assert statements are stripped
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = "\n".join([
+        "from finbundles import catalog",
+        "from finbundles.algebra import trivial_action",
+        "from finbundles.finset import FinFn, FinSet, TERMINAL",
+        "from finbundles.torsor import Bundle, trivial_torsor",
+        "from finbundles.adjunction import RoundTripFail",
+        "from finbundles.suites import bundle_roundtrip_cert",
+        "z2 = catalog.cyclic(2)",
+        "b2 = Bundle(trivial_action(z2, FinSet(2)), TERMINAL,",
+        "            FinFn.constant(FinSet(2), TERMINAL, 0))",
+        "try:",
+        "    fn = bundle_roundtrip_cert(trivial_torsor(z2, TERMINAL), b2)",
+        "except RoundTripFail as exc:",
+        "    print('REJECTED', exc.witness)",
+        "else:",
+        "    print('ACCEPTED', fn.table)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "REJECTED (1, 0)"

@@ -263,3 +263,22 @@ def test_theorem_under_python_O_matches_in_process_report():
                 if "/corrupt" in c.get("presentation", "")]
     assert len(controls) == 5
     assert not any(c["criterion_passed"] for c in controls)
+
+
+def test_glue_under_python_O_matches_in_process_report():
+    # the gluing checks are typed checks, so python -O, which strips
+    # assert statements, must give the same report
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "finbundles.cli", "glue",
+         "--fixtures", str(FIXTURES), "--bound-base", "1", "--json"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    optimised = json.loads(proc.stdout)
+    in_process = run_glue(FIXTURES, Bounds(base=1))
+    optimised.pop("elapsed_s")
+    in_process.pop("elapsed_s")
+    assert optimised == in_process
+    assert optimised["all_passed"]

@@ -24,11 +24,13 @@ from finbundles.torsor import (
     NotFreeTransitive,
     NotSurjective,
     canonical_descent_datum,
+    descent_datum,
     descent_pullbacks,
     division_map,
     enumerate_torsors,
     equivariant_iso_over_base,
     glue_descent_data,
+    intertwining_witness,
     is_principal_bundle,
     trivial_torsor,
     validate_descent_datum,
@@ -380,3 +382,77 @@ def test_division_map_rejects_shifted_witness_without_asserts():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "REJECTED (0, 0)"
+
+
+def test_all_descent_data_matches_counting_formula():
+    # a datum along f on n points is a slice whose fibres over the k_x
+    # points of f's fibre over x all have m_x points, with sum k_x m_x = n,
+    # plus a bijection from the fibre over one of those points to each of
+    # the others: n!/prod_x m_x!^k_x slices times prod_x m_x!^(k_x - 1)
+    # gluings, so n!/prod_x m_x! data for each choice of (m_x)
+    from math import factorial, prod
+
+    from finbundles.suites import all_descent_data
+
+    for nx in (1, 2):
+        for np in range(1, 5):
+            for table in itertools.product(range(nx), repeat=np):
+                if set(table) != set(range(nx)):
+                    continue
+                k = [table.count(x) for x in range(nx)]
+                f = FinFn(FinSet(np), FinSet(nx), table)
+                for n in range(5):
+                    expected = sum(factorial(n) // prod(factorial(mx) for mx in m)
+                                   for m in itertools.product(range(n + 1), repeat=nx)
+                                   if sum(kx * mx for kx, mx in zip(k, m)) == n)
+                    assert sum(1 for _ in all_descent_data(f, n)) == expected, (table, n)
+
+
+def test_intertwining_witness_names_the_first_mismatch():
+    # two points over each point of a two-to-one map, glued by the
+    # identity and by the swap; the identity gluing's certificate does not
+    # carry the swap, first at the transport of point 0 from 0 to 1
+    f = FinFn(FinSet(2), TERMINAL, (0, 0))
+    y = SliceObject(FinSet(4), FinSet(2), FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1)))
+    identity = descent_datum(f, y, lambda p1, p2, v: 2 * p2 + v % 2)
+    swap = descent_datum(f, y, lambda p1, p2, v: 2 * p2 + (v % 2 if p1 == p2 else 1 - v % 2))
+    glued = glue_descent_data(f, identity)
+    assert glued.result.total.size == 2
+    assert intertwining_witness(identity, glued) is None
+    assert intertwining_witness(swap, glued) == (0, 1, 0)
+    assert intertwining_witness(swap, glue_descent_data(f, swap)) is None
+
+
+def test_descent_datum_rejects_a_transport_that_is_not_invertible():
+    f = FinFn(FinSet(2), TERMINAL, (0, 0))
+    y = SliceObject(FinSet(4), FinSet(2), FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1)))
+    with pytest.raises(ValueError):
+        descent_datum(f, y, lambda p1, p2, v: 2 * p2)
+
+
+def test_descent_roundtrip_failure_names_the_slice(monkeypatch):
+    from finbundles import suites
+
+    f = FinFn(FinSet(3), FinSet(2), (0, 0, 1))
+    assert suites.descent_roundtrip(f, 1) == (3, [])
+    # a broken gluing that forgets the datum and glues the empty slice's
+    real = suites.glue_descent_data
+    empty = SliceObject(FinSet(0), FinSet(2), FinFn(FinSet(0), FinSet(2), ()))
+    monkeypatch.setattr(suites, "glue_descent_data",
+                        lambda f, d: real(f, canonical_descent_datum(f, empty)))
+    assert suites.descent_roundtrip(f, 1) == (3, [
+        {"f": [0, 0, 1], "z": 1, "proj": [0]},
+        {"f": [0, 0, 1], "z": 1, "proj": [1]},
+    ])
+
+
+def test_failed_gluing_check_reports_its_witnesses(monkeypatch):
+    from finbundles import suites
+
+    monkeypatch.setattr(suites, "intertwining_witness", lambda d, glued: (0, 1, 0))
+    first = suites.glue_checks(suites.Bounds(base=1), max_p=1, max_y=2)[0]
+    assert first["data"] == 3
+    assert not first["passed"]
+    assert first["essentially_surjective"]
+    assert first["witnesses"] == [
+        {"f": [0], "y": ny, "reason": "glue mismatch", "at": [0, 1, 0]} for ny in range(3)]
