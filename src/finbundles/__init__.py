@@ -7,11 +7,8 @@ from .finset import (
     IsoCertificate,
     SliceObject,
     coequalizer,
-    is_bijection,
-    is_surjection,
     product,
     pullback,
-    pullback_adjunction,
 )
 from .algebra import (
     ActionObject,
@@ -43,14 +40,11 @@ from .adjunction import (
     check_frobenius,
     check_stably_frobenius,
     corollary_slice_criterion,
-    evaluation,
     factor_to_slice,
     frobenius_canonical_map,
     slice_adjunction,
     slice_groupoid_equivalence,
     tensor,
-    transpose_down,
-    transpose_up,
 )
 
 from . import adjunction, algebra, torsor

@@ -1,12 +1,15 @@
 """Adjunction presentations between slice and action categories, the
-tensor/evaluation construction, both directions of the bundle <->
-adjunction correspondence, and the Frobenius reciprocity checkers.
+tensor construction, both directions of the bundle <-> adjunction
+correspondence, and the Frobenius reciprocity checkers.
 
 A presentation is a pair of computable functors with per-object unit and
-counit components.  Categories of actions have unboundedly many objects,
-so every law (triangle identities, naturality, reciprocity, over-base
-comparisons) is verified on an explicit finite family and the reports
-carry the family bounds used.
+counit components.  These fix the adjunction: the hom-set bijection sends
+f: o -> R a to counit_at(a) . L f and g: L o -> a to R g . unit_at(o).
+
+Categories of actions have unboundedly many objects, so every law
+(triangle identities, naturality, reciprocity, over-base comparisons) is
+verified on an explicit finite family and the reports carry the family
+bounds used.
 """
 
 from __future__ import annotations
@@ -14,15 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .finset import FinFn, FinSet, IsoCertificate, SliceObject, TERMINAL, pullback
+from .finset import (
+    BaseMismatch,
+    FinFn,
+    FinSet,
+    IsoCertificate,
+    SliceObject,
+    TERMINAL,
+    pullback,
+)
 from .algebra import (
     ActionObject,
     AlgebraMismatch,
-    EquivariantMap,
     FinGroup,
     FinGroupoid,
-    NotEquivariant,
-    equivariance_witness,
     group_bundle_groupoid,
     pullback_action,
     sigma,
@@ -88,7 +96,7 @@ class AdjunctionPresentation:
         return "AdjunctionPresentation(%s)" % self.name
 
 
-# Tensor and evaluation ------------------------------------------------------
+# Tensor ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TensorResult:
@@ -146,104 +154,6 @@ def tensor(w: TorsorWitness, a: ActionObject) -> TensorResult:
                           IsoCertificate(fwd, bwd))
     _tensor_cache[key] = result
     return result
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    fn: FinFn
-    equivariant: EquivariantMap
-    domain: object
-    tensor: TensorResult
-
-
-def evaluation(w: TorsorWitness, a: ActionObject) -> EvaluationResult:
-    """The evaluation map out of the product with the tensor, for torsors
-    over a point: (p', class of p (x) a) -> psi(p', p).a.  Independence of
-    the representative is checked exhaustively."""
-    from .algebra import action_product
-
-    assert w.bundle.base.size == 1, "evaluation is defined for torsors over a point"
-    t = tensor(w, a)
-    P = w.bundle.action
-    triv = trivial_action(P.algebra, t.carrier)
-    dom_prod = action_product(P, triv)
-    members: dict[int, list[int]] = {}
-    for idx, cls in enumerate(t.quotient_map.table):
-        members.setdefault(cls, []).append(idx)
-    table = []
-    for (p, tv) in dom_prod.pairs:
-        cls = tv % t.carrier.size
-        values = set()
-        for m in members[cls]:
-            p0, a0 = t.product.pairs[m]
-            values.add(a.apply(w.psi(p, p0), a0))
-        assert len(values) == 1, "evaluation depends on the representative"
-        table.append(values.pop())
-    fn = FinFn(dom_prod.obj.carrier, a.carrier, tuple(table))
-    return EvaluationResult(fn, EquivariantMap(dom_prod.obj, a, fn), dom_prod, t)
-
-
-def transpose_down(w: TorsorWitness, a: ActionObject, f: FinFn) -> EquivariantMap:
-    """Send a plain map into the tensor to the equivariant map out of the
-    product with the torsor."""
-    from .finset import CodMismatch
-    from .algebra import action_product
-
-    t = tensor(w, a)
-    if f.cod != t.carrier:
-        raise CodMismatch("map must land in the tensor carrier", f.cod)
-    ev = evaluation(w, a)
-    P = w.bundle.action
-    alg = P.algebra
-    triv_z = trivial_action(alg, f.dom)
-    dom_prod = action_product(P, triv_z)
-    table = []
-    for (p, zv) in dom_prod.pairs:
-        tv = P.anchor.table[p] * t.carrier.size + f.table[zv % f.dom.size]
-        table.append(ev.fn.table[ev.domain.index(p, tv)])
-    fn = FinFn(dom_prod.obj.carrier, a.carrier, tuple(table))
-    return EquivariantMap(dom_prod.obj, a, fn)
-
-
-def transpose_up(w: TorsorWitness, a: ActionObject, g) -> FinFn:
-    """The inverse transpose: factor an equivariant map out of the product
-    through the tensor quotient.  A raw map is accepted and checked for
-    equivariance first."""
-    from .algebra import action_product, equivariance_witness
-
-    t = tensor(w, a)
-    P = w.bundle.action
-    alg = P.algebra
-    if isinstance(g, EquivariantMap):
-        g_map = g
-    else:
-        z = _z_size_from(g.dom.size, P)
-        dom_prod = action_product(P, trivial_action(alg, z))
-        witness = equivariance_witness(dom_prod.obj, a, g)
-        if witness is not None:
-            raise NotEquivariant("map does not commute with the actions", witness)
-        g_map = EquivariantMap(dom_prod.obj, a, g)
-    z = _z_size_from(g_map.fn.dom.size, P)
-    dom_prod = action_product(P, trivial_action(alg, z))
-    assert dom_prod.obj == g_map.dom, "map must come from the product with a trivial factor"
-    z_size = z.size
-    table = [0] * z_size
-    seen = [set() for _ in range(z_size)]
-    for (p, zv) in dom_prod.pairs:
-        z = zv % z_size
-        cls = t.class_of(p, g_map.fn.table[dom_prod.index(p, zv)])
-        seen[z].add(cls)
-    for z in range(z_size):
-        assert len(seen[z]) == 1, "factorisation through the quotient is not constant"
-        table[z] = seen[z].pop()
-    return FinFn(FinSet(z_size), t.carrier, tuple(table))
-
-
-def _z_size_from(n: int, P: ActionObject) -> FinSet:
-    # the product with a trivial factor has carrier |P| * |Z|: each
-    # carrier point pairs with each trivial point at its own anchor
-    total = P.carrier.size
-    return FinSet(n // total) if total else FinSet(0)
 
 
 # The bundle -> adjunction direction ----------------------------------------
@@ -425,17 +335,25 @@ def fixedpoints_presentation(g: FinGroup) -> AdjunctionPresentation:
 
 
 def pullback_presentation(f: FinFn) -> AdjunctionPresentation:
-    """Base change along a map of finite sets, as a presentation."""
-    from .finset import pullback_adjunction
-
-    adj = pullback_adjunction(f)
+    """Base change along a map of finite sets: post-composition with f,
+    left adjoint to pullback along f.  A slice over the wrong base raises
+    BaseMismatch."""
     dom = SliceCategory(f.dom)
     cod = SliceCategory(f.cod)
 
-    star = cache(adj.star)
+    def check_base(s: SliceObject, base: FinSet):
+        if s.base != base:
+            raise BaseMismatch("slice lives over the wrong base", (s.base, base))
+
+    @cache
+    def star(s: SliceObject):
+        check_base(s, f.cod)
+        pb = pullback(f, s.proj)
+        return SliceObject(pb.carrier, f.dom, pb.p1), pb
 
     def left_obj(s):
-        return adj.sigma(s)
+        check_base(s, f.dom)
+        return SliceObject(s.total, f.cod, s.proj.then(f))
 
     def left_mor(m: Mor):
         return Mor(left_obj(m.dom), left_obj(m.cod), m.fn)
@@ -450,39 +368,17 @@ def pullback_presentation(f: FinFn) -> AdjunctionPresentation:
         return Mor(so, sc, FinFn(so.total, sc.total, table))
 
     def unit_at(s):
-        fn = adj.unit_at(s)
-        return Mor(s, right_obj(left_obj(s)), fn)
+        ro, pb = star(left_obj(s))
+        table = tuple(pb.index(s.proj.table[z], z) for z in range(s.total.size))
+        return Mor(s, ro, FinFn(s.total, ro.total, table))
 
     def counit_at(s):
-        fn = adj.counit_at(s)
-        return Mor(left_obj(right_obj(s)), s, fn)
+        ro, pb = star(s)
+        return Mor(left_obj(ro), s, pb.p2)
 
     return AdjunctionPresentation("basechange(%s)" % (f.table,), dom, cod,
                                   left_obj, left_mor, right_obj, right_mor,
                                   unit_at, counit_at)
-
-
-def compose_presentations(outer: AdjunctionPresentation,
-                          inner: AdjunctionPresentation,
-                          name: str | None = None) -> AdjunctionPresentation:
-    assert inner.cod == outer.dom, "presentations do not compose"
-    dom, cod = inner.dom, outer.cod
-
-    def unit_at(o):
-        lo = inner.left_obj(o)
-        return dom.compose(inner.right_mor(outer.unit_at(lo)), inner.unit_at(o))
-
-    def counit_at(a):
-        ra = outer.right_obj(a)
-        return cod.compose(outer.counit_at(a), outer.left_mor(inner.counit_at(ra)))
-
-    return AdjunctionPresentation(
-        name or "%s;%s" % (inner.name, outer.name), dom, cod,
-        lambda o: outer.left_obj(inner.left_obj(o)),
-        lambda m: outer.left_mor(inner.left_mor(m)),
-        lambda a: inner.right_obj(outer.right_obj(a)),
-        lambda m: inner.right_mor(outer.right_mor(m)),
-        unit_at, counit_at)
 
 
 def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresentation:
@@ -803,44 +699,6 @@ def factor_to_slice(pres: AdjunctionPresentation) -> AdjunctionPresentation:
     return AdjunctionPresentation("factored(%s)" % pres.name, dom, cod2,
                                   left_obj, left_mor, right_obj, right_mor,
                                   unit_at, counit_at, pres.over_iso_at)
-
-
-def slice_forget_presentation(action_cat: ActionCategory, anchor: ActionObject
-                              ) -> AdjunctionPresentation:
-    """Forgetting the structure morphism, left adjoint to pairing with the
-    anchor object."""
-    dom = SliceOverCategory(action_cat, anchor)
-    cod = action_cat
-
-    def left_obj(o2: SlicedObj):
-        return o2.obj
-
-    def left_mor(m: Mor):
-        return Mor(m.dom.obj, m.cod.obj, m.fn)
-
-    prod = cache(lambda a: action_cat.product(a, anchor))
-
-    def right_obj(a: ActionObject):
-        pr = prod(a)
-        return SlicedObj(pr.obj, pr.p2)
-
-    def right_mor(n: Mor):
-        pr_a, pr_b = prod(n.dom), prod(n.cod)
-        leg = action_cat.compose(n, pr_a.p1)
-        return Mor(right_obj(n.dom), right_obj(n.cod),
-                   pr_b.pair(leg, pr_a.p2).fn)
-
-    def unit_at(o2: SlicedObj):
-        pr = prod(o2.obj)
-        med = pr.pair(action_cat.identity(o2.obj), o2.arrow)
-        return Mor(o2, right_obj(o2.obj), med.fn)
-
-    def counit_at(a: ActionObject):
-        pr = prod(a)
-        return Mor(left_obj(right_obj(a)), a, pr.p1.fn)
-
-    return AdjunctionPresentation("forget-slice", dom, cod, left_obj, left_mor,
-                                  right_obj, right_mor, unit_at, counit_at)
 
 
 def corollary_slice_criterion(pres: AdjunctionPresentation, dom_objs, cod_objs,

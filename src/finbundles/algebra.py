@@ -639,11 +639,6 @@ def _actions_for_anchor(alg, carrier: FinSet, anchor_table, fibers):
     yield from rec(ident_rows, list(ident_rows))
 
 
-def all_group_actions(g: FinGroup, carrier: FinSet):
-    """Every action table of the group on the carrier (all_actions)."""
-    return all_actions(g, carrier)
-
-
 def equivariant_maps(a: ActionObject, b: ActionObject):
     """Brute-force enumeration of the hom set of the action category."""
     from .finset import all_functions

@@ -66,9 +66,6 @@ class SliceCategory:
     def carrier(self, o: SliceObject) -> FinSet:
         return o.total
 
-    def contains(self, o) -> bool:
-        return isinstance(o, SliceObject) and o.base == self.base
-
     def mor(self, dom: SliceObject, cod: SliceObject, fn: FinFn) -> Mor:
         assert fn.dom == dom.total and fn.cod == cod.total
         assert fn.then(cod.proj) == dom.proj, "map does not commute with projections"
@@ -137,9 +134,6 @@ class ActionCategory:
 
     def carrier(self, o: ActionObject) -> FinSet:
         return o.carrier
-
-    def contains(self, o) -> bool:
-        return isinstance(o, ActionObject) and o.algebra == self.algebra
 
     def mor(self, dom: ActionObject, cod: ActionObject, fn: FinFn) -> Mor:
         witness = equivariance_witness(dom, cod, fn)
@@ -222,9 +216,6 @@ class SliceOverCategory:
     def carrier(self, o: SlicedObj) -> FinSet:
         return self.base_cat.carrier(o.obj)
 
-    def contains(self, o) -> bool:
-        return isinstance(o, SlicedObj) and o.arrow.cod == self.anchor
-
     def mor(self, dom: SlicedObj, cod: SlicedObj, fn: FinFn) -> Mor:
         inner = self.base_cat.mor(dom.obj, cod.obj, fn)
         composed = self.base_cat.compose(cod.arrow, inner)
@@ -258,28 +249,6 @@ class SliceOverCategory:
             return Mor(m1.dom, obj, pb.mediate(inner1, inner2).fn)
 
         return CatProduct(obj, Mor(obj, a, pb.p1.fn), Mor(obj, b, pb.p2.fn), pair)
-
-    def pullback(self, m1: Mor, m2: Mor) -> CatPullback:
-        assert m1.cod == m2.cod
-        inner1 = self.base_cat.mor(m1.dom.obj, m1.cod.obj, m1.fn)
-        inner2 = self.base_cat.mor(m2.dom.obj, m2.cod.obj, m2.fn)
-        pb = self.base_cat.pullback(inner1, inner2)
-        obj = SlicedObj(pb.obj, self.base_cat.compose(m1.dom.arrow, pb.p1))
-
-        def mediate(n1: Mor, n2: Mor) -> Mor:
-            assert n1.dom == n2.dom
-            i1 = self.base_cat.mor(n1.dom.obj, m1.dom.obj, n1.fn)
-            i2 = self.base_cat.mor(n2.dom.obj, m2.dom.obj, n2.fn)
-            return Mor(n1.dom, obj, pb.mediate(i1, i2).fn)
-
-        return CatPullback(obj, Mor(obj, m1.dom, pb.p1.fn), Mor(obj, m2.dom, pb.p2.fn),
-                           mediate)
-
-    def homs(self, a: SlicedObj, b: SlicedObj):
-        for m in self.base_cat.homs(a.obj, b.obj):
-            composed = self.base_cat.compose(b.arrow, m)
-            if composed.fn == a.arrow.fn:
-                yield Mor(a, b, m.fn)
 
     def objects_over(self, base_objs, hom_cap: int | None = None):
         """Slice objects built from a family of base objects; the cap

@@ -35,6 +35,11 @@ class BaseMismatch(FinSetError):
     pass
 
 
+class NotBijective(FinSetError):
+    """The witness is the first two points with one image, or
+    ("missed", y) for the first point y that nothing reaches."""
+
+
 @dataclass(frozen=True)
 class FinSet:
     """A finite set: the index range 0..size-1, optionally labelled."""
@@ -85,7 +90,8 @@ class FinFn:
 
     def then(self, other: "FinFn") -> "FinFn":
         """Diagram-order composite: apply self first, then other."""
-        assert self.cod == other.dom, "composition mismatch"
+        if self.cod != other.dom:
+            raise CodMismatch("composition mismatch", (self.cod, other.dom))
         return FinFn(self.dom, other.cod, tuple(other.table[v] for v in self.table))
 
     @staticmethod
@@ -103,24 +109,14 @@ class FinFn:
         return len(set(self.table)) == self.cod.size
 
     def inverse(self) -> "FinFn":
-        assert self.is_bijection(), "only bijections invert"
-        table = [0] * self.cod.size
+        table = [None] * self.cod.size
         for i, v in enumerate(self.table):
+            if table[v] is not None:
+                raise NotBijective("only bijections invert", (table[v], i))
             table[v] = i
+        if None in table:
+            raise NotBijective("only bijections invert", ("missed", table.index(None)))
         return FinFn(self.cod, self.dom, tuple(table))
-
-
-def is_bijection(f: FinFn) -> bool:
-    return f.is_bijection()
-
-
-def is_surjection(f: FinFn) -> bool:
-    return f.is_surjection()
-
-
-def compose(f: FinFn, g: FinFn) -> FinFn:
-    """Algebraic composite f after g."""
-    return g.then(f)
 
 
 def all_functions(dom: FinSet, cod: FinSet):
@@ -182,8 +178,10 @@ class Product:
 
     def tuple_map(self, f: FinFn, g: FinFn) -> FinFn:
         """The pairing <f, g> into the product."""
-        assert f.dom == g.dom
-        assert f.cod == self.left and g.cod == self.right
+        if f.dom != g.dom:
+            raise DomMismatch("pairing needs legs with one domain", (f.dom, g.dom))
+        if f.cod != self.left or g.cod != self.right:
+            raise CodMismatch("pairing legs must land in the factors", (f.cod, g.cod))
         return FinFn(f.dom, self.carrier,
                      tuple(self.index(f.table[z], g.table[z]) for z in range(f.dom.size)))
 
@@ -220,8 +218,10 @@ class Pullback:
 
     def mediate(self, u: FinFn, v: FinFn) -> FinFn:
         """The unique map into the pullback induced by a cone (u, v)."""
-        assert u.dom == v.dom
-        assert u.cod == self.f.dom and v.cod == self.g.dom
+        if u.dom != v.dom:
+            raise DomMismatch("a cone needs legs with one domain", (u.dom, v.dom))
+        if u.cod != self.f.dom or v.cod != self.g.dom:
+            raise CodMismatch("cone legs must land in the cospan", (u.cod, v.cod))
         table = []
         for z in range(u.dom.size):
             if self.f.table[u.table[z]] != self.g.table[v.table[z]]:
@@ -285,7 +285,8 @@ class Coequalizer:
 
     def factor(self, h: FinFn) -> FinFn:
         """Factor a coequalizing map h through q."""
-        assert h.dom == self.q.dom
+        if h.dom != self.q.dom:
+            raise DomMismatch("map must leave the coequalized set", (h.dom, self.q.dom))
         table = tuple(h.table[r] for r in self.reps)
         u = FinFn(self.quotient, h.cod, table)
         if self.q.then(u) != h:
@@ -301,46 +302,6 @@ def coequalizer(f: FinFn, g: FinFn) -> Coequalizer:
         uf.union(a, b)
     quotient, table, reps = uf.quotient()
     return Coequalizer(quotient, FinFn(f.cod, quotient, table), reps)
-
-
-@dataclass(frozen=True)
-class PullbackAdjunction:
-    """Base change along f: post-composition left adjoint to pullback.
-
-    sigma sends a slice over f.dom to one over f.cod; star pulls a slice
-    over f.cod back to f.dom.  unit_at/counit_at give the per-object
-    comparison maps; the triangle identities hold on every input.
-    """
-
-    f: FinFn
-
-    def _check_over(self, s: SliceObject, base: FinSet):
-        if s.base != base:
-            raise BaseMismatch("slice lives over the wrong base", (s.base, base))
-
-    def sigma(self, s: SliceObject) -> SliceObject:
-        self._check_over(s, self.f.dom)
-        return SliceObject(s.total, self.f.cod, s.proj.then(self.f))
-
-    def star(self, s: SliceObject) -> tuple[SliceObject, Pullback]:
-        self._check_over(s, self.f.cod)
-        pb = pullback(self.f, s.proj)
-        return SliceObject(pb.carrier, self.f.dom, pb.p1), pb
-
-    def unit_at(self, s: SliceObject) -> FinFn:
-        self._check_over(s, self.f.dom)
-        _, pb = self.star(self.sigma(s))
-        table = tuple(pb.index(s.proj.table[z], z) for z in range(s.total.size))
-        return FinFn(s.total, pb.carrier, table)
-
-    def counit_at(self, s: SliceObject) -> FinFn:
-        self._check_over(s, self.f.cod)
-        _, pb = self.star(s)
-        return pb.p2
-
-
-def pullback_adjunction(f: FinFn) -> PullbackAdjunction:
-    return PullbackAdjunction(f)
 
 
 # JSON value forms ---------------------------------------------------------

@@ -309,10 +309,12 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet, max_carrier: int = 8) -> 
 @dataclass(frozen=True)
 class DescentDatum:
     """An object over the total space of a surjection, with a gluing
-    isomorphism between its two pullbacks to the fibrewise pairs."""
+    isomorphism between its two pullbacks to the fibrewise pairs, and the
+    shape (those pullbacks) the gluing was built on."""
 
     over: SliceObject
     glue: IsoCertificate
+    shape: DescentShape
 
 
 @dataclass(frozen=True)
@@ -344,7 +346,9 @@ def validate_descent_datum(f: FinFn, d: DescentDatum) -> DescentShape:
     shape for reuse."""
     if d.over.base != f.dom:
         raise ValueError("datum must live over the total space of f")
-    shape = descent_pullbacks(f, d.over)
+    shape = d.shape
+    if shape.pp.f != f or shape.pb1.g != d.over.proj:
+        raise ValueError("datum's shape was built along another map or slice")
     if (d.glue.forward.dom != shape.pb1.carrier
             or d.glue.forward.cod != shape.pb2.carrier):
         raise ValueError("glue endpoints do not match the canonical pullbacks")
@@ -384,7 +388,7 @@ def descent_datum(f: FinFn, over: SliceObject, transport) -> DescentDatum:
                 for (w, y) in shape.pb2.pairs)
     glue = IsoCertificate(FinFn(shape.pb1.carrier, shape.pb2.carrier, fwd),
                           FinFn(shape.pb2.carrier, shape.pb1.carrier, bwd))
-    return DescentDatum(over, glue)
+    return DescentDatum(over, glue, shape)
 
 
 def canonical_descent_datum(f: FinFn, s: SliceObject) -> DescentDatum:

@@ -18,7 +18,7 @@ from finbundles.algebra import (
     NoInverse,
     NotAssociative,
     NoUnit,
-    all_group_actions,
+    all_actions,
     self_action,
     sigma,
     trivial_action,
@@ -171,7 +171,7 @@ def test_criterion_03_untwist():
     cases = 0
     for name, g in sorted_groups(GROUPS, 6):
         for n in range(5):
-            for a in all_group_actions(g, FinSet(n)):
+            for a in all_actions(g, FinSet(n)):
                 u = untwist_iso(a)
                 assert u.cert.forward.is_bijection()
                 cases += 1

@@ -18,7 +18,7 @@ from finbundles.algebra import (
     NoUnit,
     UnitLawFail,
     action_product,
-    all_group_actions,
+    all_actions,
     discrete_groupoid,
     equivariant_maps,
     group_to_groupoid,
@@ -307,7 +307,7 @@ def test_untwist_exhaustive_small():
     for name in ("z1", "z2", "z3", "z4", "v4"):
         g = GROUPS[name]
         for n in range(4):
-            for a in all_group_actions(g, FinSet(n)):
+            for a in all_actions(g, FinSet(n)):
                 u = untwist_iso(a)
                 assert u.forward.fn.is_bijection()
 
@@ -316,7 +316,7 @@ def test_sigma_adjunction_hom_bijection():
     # equivariant maps into a trivial action correspond to plain maps
     # out of the orbit set
     z2 = GROUPS["z2"]
-    for a in all_group_actions(z2, FinSet(3)):
+    for a in all_actions(z2, FinSet(3)):
         orb = sigma(a)
         for n in range(3):
             x = FinSet(n)
@@ -339,7 +339,7 @@ def test_sigma_frobenius_bijection_bounded():
             x = FinSet(nx)
             gx = trivial_action(g, x)
             for n in range(5):
-                for a in all_group_actions(g, FinSet(n)):
+                for a in all_actions(g, FinSet(n)):
                     prod = action_product(gx, a)
                     orb_prod = sigma(prod.obj)
                     orb_a = sigma(a)
@@ -353,7 +353,7 @@ def test_sigma_frobenius_bijection_bounded():
 
 
 def test_one_object_groupoid_agrees_with_group():
-    from finbundles.algebra import all_actions, arrows_action
+    from finbundles.algebra import arrows_action
 
     z2 = GROUPS["z2"]
     gpd = group_to_groupoid(z2)
@@ -396,12 +396,33 @@ def test_equivariant_map_rejects_non_equivariant():
 
 
 def test_action_enumeration_counts_match_hom_counts():
-    # actions on n points are homomorphisms into the symmetric group
-    assert len(list(all_group_actions(GROUPS["z2"], FinSet(2)))) == 2
-    assert len(list(all_group_actions(GROUPS["z3"], FinSet(3)))) == 3
-    assert len(list(all_group_actions(GROUPS["z4"], FinSet(4)))) == 16
-    assert len(list(all_group_actions(GROUPS["v4"], FinSet(4)))) == 52
-    assert len(list(all_group_actions(GROUPS["s3"], FinSet(3)))) == 10
+    # actions on n labelled points are homomorphisms G -> S_n, counted by
+    # sum_n |Hom(G, S_n)| x^n/n! = exp(sum_{H <= G} x^[G:H]/[G:H]);
+    # differentiating gives h_n = sum_H (n-1)!/(n-d)! h_(n-d), d = [G:H].
+    # The subgroups are read off the multiplication table by brute force.
+    from itertools import combinations
+    from math import factorial
+
+    def subgroups(g):
+        return [sub for size in range(1, g.order + 1) if g.order % size == 0
+                for sub in combinations(range(g.order), size)
+                if all(g.mul[a][b] in sub for a in sub for b in sub)]
+
+    def hom_counts(g, top):
+        indices = [g.order // len(sub) for sub in subgroups(g)]
+        h = [1]
+        for n in range(1, top + 1):
+            h.append(sum(factorial(n - 1) // factorial(n - d) * h[n - d]
+                         for d in indices if d <= n))
+        return h
+
+    assert hom_counts(GROUPS["v4"], 6)[6] == 1216
+    for name, top in (("z2", 6), ("z3", 6), ("v4", 6), ("z4", 6), ("z6", 5), ("s3", 5)):
+        g = GROUPS[name]
+        expected = hom_counts(g, top)
+        for n in range(top + 1):
+            found = sum(1 for _ in all_actions(g, FinSet(n)))
+            assert found == expected[n], (name, n, found, expected[n])
 
 
 def test_json_fixture_forms_roundtrip():
@@ -430,7 +451,7 @@ def test_json_fixture_forms_roundtrip():
 @given(st.sampled_from(sorted(GROUPS)), st.integers(0, 3), st.data())
 def test_untwist_certificates_on_sampled_actions(name, n, data):
     g = GROUPS[name]
-    actions = list(all_group_actions(g, FinSet(n))) if g.order <= 4 else [
+    actions = list(all_actions(g, FinSet(n))) if g.order <= 4 else [
         trivial_action(g, FinSet(n)), self_action(g)]
     a = data.draw(st.sampled_from(actions))
     u = untwist_iso(a)

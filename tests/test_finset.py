@@ -9,15 +9,16 @@ from finbundles.finset import (
     FinFn,
     FinSet,
     IsoCertificate,
+    NotBijective,
     SliceObject,
     TERMINAL,
     all_functions,
     coequalizer,
-    compose,
     product,
     pullback,
-    pullback_adjunction,
 )
+from finbundles.adjunction import check_frobenius, check_triangles, pullback_presentation
+from finbundles.categories import slice_family
 
 small_sets = st.integers(min_value=0, max_value=4).map(FinSet)
 nonempty_sets = st.integers(min_value=1, max_value=4).map(FinSet)
@@ -226,83 +227,120 @@ def test_is_bijection_surjection():
     assert not skew.is_bijection()
 
 
+def test_inverse_names_the_first_failure():
+    with pytest.raises(NotBijective) as exc:
+        FinFn(FinSet(3), FinSet(3), (2, 0, 2)).inverse()
+    assert exc.value.witness == (0, 2)
+    with pytest.raises(NotBijective) as exc:
+        FinFn(FinSet(2), FinSet(3), (0, 2)).inverse()
+    assert exc.value.witness == ("missed", 1)
+    swap = FinFn(FinSet(2), FinSet(2), (1, 0))
+    assert swap.inverse() == swap
+
+
+def test_mismatched_legs_raise_typed_errors():
+    two, three = FinSet(2), FinSet(3)
+    with pytest.raises(CodMismatch):
+        FinFn(two, three, (0, 1)).then(FinFn.identity(two))
+    prod = product(two, two)
+    with pytest.raises(DomMismatch):
+        prod.tuple_map(FinFn.identity(two), FinFn(three, two, (0, 1, 1)))
+    with pytest.raises(CodMismatch):
+        prod.tuple_map(FinFn.identity(two), FinFn(two, three, (0, 1)))
+    pb = pullback(FinFn.identity(two), FinFn.identity(two))
+    with pytest.raises(DomMismatch):
+        pb.mediate(FinFn.identity(two), FinFn(three, two, (0, 1, 1)))
+    with pytest.raises(CodMismatch):
+        pb.mediate(FinFn.identity(two), FinFn(two, three, (0, 1)))
+    c = coequalizer(FinFn.identity(two), FinFn.identity(two))
+    with pytest.raises(DomMismatch):
+        c.factor(FinFn.identity(three))
+
+
+def test_finset_checks_run_without_asserts():
+    # every structural check of finset is a typed check, so it still runs
+    # under python -O, where assert statements are stripped
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    script = "\n".join([
+        "from finbundles.finset import FinFn, FinSet, FinSetError, pullback",
+        "two, three = FinSet(2), FinSet(3)",
+        "pb = pullback(FinFn.identity(two), FinFn.identity(two))",
+        "cases = [lambda: FinFn(two, three, (0, 1)).then(FinFn.identity(two)),",
+        "         lambda: FinFn.constant(two, two, 0).inverse(),",
+        "         lambda: pb.mediate(FinFn.identity(two), FinFn(three, two, (0, 1, 1)))]",
+        "for case in cases:",
+        "    try:",
+        "        out = case()",
+        "    except FinSetError as exc:",
+        "        print('REJECTED', type(exc).__name__, exc.witness)",
+        "    else:",
+        "        print('ACCEPTED', out)",
+    ])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "REJECTED CodMismatch (FinSet(size=3, labels=None), FinSet(size=2, labels=None))",
+        "REJECTED NotBijective (0, 1)",
+        "REJECTED DomMismatch (FinSet(size=2, labels=None), FinSet(size=3, labels=None))",
+    ]
+
+
+# Base change along f is stated once, as adjunction.pullback_presentation.
+
 def test_pullback_adjunction_identity_is_identity_up_to_iso():
-    f = FinFn.identity(FinSet(3))
-    adj = pullback_adjunction(f)
+    pres = pullback_presentation(FinFn.identity(FinSet(3)))
     s = SliceObject(FinSet(2), FinSet(3), FinFn(FinSet(2), FinSet(3), (0, 2)))
-    assert adj.sigma(s) == s
-    starred, pb = adj.star(s)
-    assert starred.total.size == s.total.size
-    IsoCertificate(adj.unit_at(s), adj.counit_at(s))
+    assert pres.left_obj(s) == s
+    assert pres.right_obj(s).total.size == s.total.size
+    IsoCertificate(pres.unit_at(s).fn, pres.counit_at(s).fn)
 
 
 def test_pullback_adjunction_point_gives_fiber():
-    point = FinFn(TERMINAL, FinSet(2), (1,))
-    adj = pullback_adjunction(point)
+    pres = pullback_presentation(FinFn(TERMINAL, FinSet(2), (1,)))
     s = SliceObject(FinSet(3), FinSet(2), FinFn(FinSet(3), FinSet(2), (0, 1, 1)))
-    starred, _ = adj.star(s)
-    assert starred.total.size == 2
+    assert pres.right_obj(s).total.size == 2
 
 
 def test_pullback_adjunction_base_mismatch():
-    f = FinFn(FinSet(2), FinSet(3), (0, 1))
-    adj = pullback_adjunction(f)
+    pres = pullback_presentation(FinFn(FinSet(2), FinSet(3), (0, 1)))
     wrong = SliceObject(FinSet(1), FinSet(4), FinFn(FinSet(1), FinSet(4), (0,)))
     with pytest.raises(BaseMismatch):
-        adj.sigma(wrong)
+        pres.left_obj(wrong)
     with pytest.raises(BaseMismatch):
-        adj.star(wrong)
-
-
-def _slices_over(base, max_total):
-    for n in range(max_total + 1):
-        for proj in all_functions(FinSet(n), base):
-            yield SliceObject(FinSet(n), base, proj)
+        pres.right_obj(wrong)
+    with pytest.raises(BaseMismatch):
+        pres.unit_at(wrong)
 
 
 def test_pullback_adjunction_triangle_identities():
-    for base_pair in (((2, 2), (0, 1)), ((3, 2), (0, 0, 1)), ((2, 3), (2, 0))):
-        (nd, nc), table = base_pair
+    for (nd, nc), table in (((2, 2), (0, 1)), ((3, 2), (0, 0, 1)), ((2, 3), (2, 0))):
         f = FinFn(FinSet(nd), FinSet(nc), table)
-        adj = pullback_adjunction(f)
-        for s in _slices_over(f.dom, 4):
-            sig = adj.sigma(s)
-            unit = adj.unit_at(s)
-            counit = adj.counit_at(sig)
-            assert unit.then(counit) == FinFn.identity(s.total)
-        for s in _slices_over(f.cod, 4):
-            starred, pb = adj.star(s)
-            unit = adj.unit_at(starred)
-            counit = adj.counit_at(s)
-            # the starred unit lands in star(sigma(star s)); transport along
-            # star of the counit and compare with the identity
-            _, pb2 = adj.star(adj.sigma(starred))
-            table2 = tuple(pb.index(pb2.pairs[v][0], counit.table[pb2.pairs[v][1]])
-                           for v in range(pb2.carrier.size))
-            star_counit = FinFn(pb2.carrier, pb.carrier, table2)
-            assert unit.then(star_counit) == FinFn.identity(starred.total)
+        pres = pullback_presentation(f)
+        rep = check_triangles(pres, slice_family(f.dom, 4), slice_family(f.cod, 4))
+        assert rep["passed"], rep
 
 
 def test_pullback_adjunction_frobenius_bijection():
     # reciprocity for base change, checked exhaustively at small size
     for table, nd, nc in (((0, 1), 2, 2), ((0, 0, 1), 3, 2), ((1, 0), 2, 3)):
         f = FinFn(FinSet(nd), FinSet(nc), table)
-        adj = pullback_adjunction(f)
-        for v in _slices_over(f.cod, 3):
-            starred, pbv = adj.star(v)
-            for w in _slices_over(f.dom, 3):
-                prod = pullback(starred.proj, w.proj)
-                target = pullback(v.proj, adj.sigma(w).proj)
-                fn = FinFn(prod.carrier, target.carrier,
-                           tuple(target.index(pbv.pairs[a][1], b)
-                                 for (a, b) in prod.pairs))
-                assert fn.is_bijection()
+        pres = pullback_presentation(f)
+        rep = check_frobenius(pres, slice_family(f.cod, 3), slice_family(f.dom, 3))
+        assert rep["passed"], rep
 
 
 @given(finfns())
 def test_compose_identity_laws(f):
-    assert compose(f, FinFn.identity(f.dom)) == f
-    assert compose(FinFn.identity(f.cod), f) == f
+    assert FinFn.identity(f.dom).then(f) == f
+    assert f.then(FinFn.identity(f.cod)) == f
 
 
 def test_iso_certificate_rejects_non_inverse():

@@ -251,7 +251,7 @@ def test_glue_swap_example():
     glue = IsoCertificate(
         FinFn(shape.pb1.carrier, shape.pb2.carrier, tuple(fwd)),
         FinFn(shape.pb2.carrier, shape.pb1.carrier, tuple(bwd)))
-    d = DescentDatum(y, glue)
+    d = DescentDatum(y, glue, shape)
     glued = glue_descent_data(f, d)
     # oracle, run by hand: 0 ~ swap(0) = 3 and 1 ~ swap(1) = 2
     assert glued.result.total.size == 2
@@ -263,7 +263,7 @@ def test_glue_rejects_non_surjection():
     y = SliceObject(FinSet(1), FinSet(1), FinFn.identity(FinSet(1)))
     d = canonical_descent_datum(FinFn.identity(FinSet(1)), y)
     with pytest.raises(NotSurjective):
-        glue_descent_data(f, DescentDatum(d.over, d.glue))
+        glue_descent_data(f, DescentDatum(d.over, d.glue, d.shape))
 
 
 def test_validate_descent_rejects_broken_cocycle():
@@ -289,7 +289,21 @@ def test_validate_descent_rejects_broken_cocycle():
         FinFn(shape.pb1.carrier, shape.pb2.carrier, tuple(fwd)),
         FinFn(shape.pb2.carrier, shape.pb1.carrier, tuple(bwd)))
     with pytest.raises(CocycleFail):
-        validate_descent_datum(f, DescentDatum(y, glue))
+        validate_descent_datum(f, DescentDatum(y, glue, shape))
+
+
+def test_validate_descent_rejects_a_datum_built_along_another_map():
+    # the swap and the identity on two points have the same fibrewise
+    # pairs, so only the map the shape was built along tells them apart
+    swap = FinFn(FinSet(2), FinSet(2), (1, 0))
+    s = SliceObject(FinSet(2), FinSet(2), FinFn(FinSet(2), FinSet(2), (0, 1)))
+    d = canonical_descent_datum(swap, s)
+    assert validate_descent_datum(swap, d) is d.shape
+    with pytest.raises(ValueError):
+        validate_descent_datum(FinFn.identity(FinSet(2)), d)
+    other = SliceObject(FinSet(2), FinSet(2), FinFn(FinSet(2), FinSet(2), (1, 0)))
+    with pytest.raises(ValueError):
+        validate_descent_datum(swap, DescentDatum(other, d.glue, d.shape))
 
 
 def test_descent_morphisms_biject_with_glued_morphisms():
