@@ -51,10 +51,10 @@ def main():
     print("stable reciprocity over %d slices:" % stable["slices"],
           stable["passed"])
 
-    t = tensor(w, self_action(g))
+    t = tensor(w.bundle.action, self_action(g))
     print("tensor with the group object has %d classes (carrier size %d)"
           % (t.carrier.size, w.bundle.action.carrier.size))
-    t2 = tensor(w, trivial_action(g, FinSet(3)))
+    t2 = tensor(w.bundle.action, trivial_action(g, FinSet(3)))
     print("tensor with a trivial 3-point action has %d classes" % t2.carrier.size)
 
     b2 = adjunction_to_bundle(pres, dom_objs, cod_objs)

@@ -21,16 +21,19 @@ from .finset import (
     BaseMismatch,
     FinFn,
     FinSet,
-    IsoCertificate,
+    FinSetError,
+    Pullback,
     SliceObject,
     TERMINAL,
     pullback,
 )
 from .algebra import (
     ActionObject,
-    AlgebraMismatch,
+    AnchorMismatch,
     FinGroup,
     FinGroupoid,
+    NotEquivariant,
+    action_product,
     group_bundle_groupoid,
     pullback_action,
     sigma,
@@ -100,11 +103,13 @@ class AdjunctionPresentation:
 
 @dataclass(frozen=True)
 class TensorResult:
+    """P (x) A with its quotient map from the anchored product, which
+    holds the pairs (p, a); a class is numbered by its least pair."""
+
     carrier: FinSet
     quotient_map: FinFn
-    product: object
+    product: Pullback
     reps: tuple[int, ...]
-    sigma_cert: IsoCertificate
 
     def class_of(self, p: int, a: int) -> int:
         return self.quotient_map.table[self.product.index(p, a)]
@@ -118,41 +123,16 @@ class TensorResult:
 _tensor_cache: dict = {}
 
 
-def tensor(w: TorsorWitness, a: ActionObject) -> TensorResult:
-    """The quotient of the (anchored) product of the torsor carrier with a
-    by the relation g.p (x) a = p (x) g^(-1).a, built as a coequalizer."""
-    key = (w, a)
+def tensor(P: ActionObject, a: ActionObject) -> TensorResult:
+    """The balanced product: the quotient of the anchored product of P
+    with a by (g.p, a) ~ (p, g^(-1).a).  That relation is the orbit
+    relation of the diagonal action, so the tensor is its orbit set."""
+    key = (P, a)
     result = _tensor_cache.get(key)
-    if result is not None:
-        return result
-    from .finset import coequalizer
-    from .algebra import action_product
-
-    P = w.bundle.action
-    if P.algebra != a.algebra:
-        raise AlgebraMismatch("tensor needs a common algebra")
-    alg = P.algebra
-    prod = action_product(P, a)
-    triples = []
-    for g in range(alg.order):
-        for (p, av) in prod.pairs:
-            if alg.src.table[g] == P.anchor.table[p] and alg.tgt.table[g] == a.anchor.table[av]:
-                triples.append((g, p, av))
-    dom = FinSet(len(triples))
-    t1, t2 = [], []
-    for (g, p, av) in triples:
-        t1.append(prod.index(P.act[g][p], av))
-        t2.append(prod.index(p, a.act[alg.inverse(g)][av]))
-    coeq = coequalizer(FinFn(dom, prod.obj.carrier, tuple(t1)),
-                       FinFn(dom, prod.obj.carrier, tuple(t2)))
-    orb = sigma(prod.obj)
-    fwd = FinFn(coeq.quotient, orb.quotient,
-                tuple(orb.q.table[r] for r in coeq.reps))
-    bwd = FinFn(orb.quotient, coeq.quotient,
-                tuple(coeq.q.table[r] for r in orb.reps))
-    result = TensorResult(coeq.quotient, coeq.q, prod, coeq.reps,
-                          IsoCertificate(fwd, bwd))
-    _tensor_cache[key] = result
+    if result is None:
+        obj, pb = action_product(P, a)
+        orb = sigma(obj)
+        result = _tensor_cache[key] = TensorResult(orb.quotient, orb.q, pb, orb.reps)
     return result
 
 
@@ -176,7 +156,7 @@ def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
 
     @cache
     def right_data(a: ActionObject):
-        t = tensor(w, a)
+        t = tensor(P, a)
         proj_table = tuple(b.proj.table[t.rep_pair(k)[0]] for k in range(t.carrier.size))
         return SliceObject(t.carrier, X, FinFn(t.carrier, X, proj_table)), t
 
@@ -416,7 +396,7 @@ def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
     lp2 = pres.left_mor(prod_d.p2)
     left_leg = pres.cod.compose(pres.counit_at(a), lp1)
     prod_c = pres.cod.product(a, pres.left_obj(wobj))
-    return prod_c.pair(left_leg, lp2)
+    return prod_c.mediate(left_leg, lp2)
 
 
 def _obj_desc(cat, o) -> str:
@@ -448,7 +428,7 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
             try:
                 m = frobenius_canonical_map(pres, a, wobj)
                 ok = pres.cod.is_iso(m)
-            except (AssertionError, ValueError, KeyError):
+            except (FinSetError, NotEquivariant, AnchorMismatch, ValueError):
                 ok = False
             if not ok and len(failures) < max_witnesses:
                 failures.append({"cod_obj": _obj_desc(pres.cod, a),

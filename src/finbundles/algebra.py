@@ -17,9 +17,11 @@ from .finset import (
     FinFn,
     FinSet,
     IsoCertificate,
+    NotInPullback,
     Pullback,
     TERMINAL,
     UnionFind,
+    all_functions,
     product,
     pullback,
 )
@@ -335,7 +337,8 @@ class ActionObject:
 
     def apply(self, g: int, p: int) -> int:
         v = self.act[g][p]
-        assert v is not None, "action undefined on this pair"
+        if v is None:
+            raise AnchorMismatch("arrow does not act on the point", (g, p))
         return v
 
 
@@ -494,40 +497,21 @@ def pullback_action(pb: Pullback, a: ActionObject, b: ActionObject | None = None
                 continue
             try:
                 row.append(pb.index(v, w))
-            except KeyError:
+            except NotInPullback:
                 raise ValueError("pullback carrier is not closed under the action")
         act.append(tuple(row))
     anchor = tuple(a.anchor.table[i] for (i, _) in pairs)
     return ActionObject(alg, pb.carrier, tuple(act), _anchor(pb.carrier, alg.objects, anchor))
 
 
-@dataclass(frozen=True)
-class ActionProduct:
-    obj: ActionObject
-    pairs: tuple[tuple[int, int], ...]
-    p1: FinFn
-    p2: FinFn
-
-    def index(self, i: int, j: int) -> int:
-        return self._index[(i, j)]
-
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: k for k, p in enumerate(self.pairs)})
-
-    def tuple_map(self, f: FinFn, g: FinFn) -> FinFn:
-        assert f.dom == g.dom
-        return FinFn(f.dom, self.obj.carrier,
-                     tuple(self.index(f.table[z], g.table[z]) for z in range(f.dom.size)))
-
-
 @cache
-def action_product(a: ActionObject, b: ActionObject) -> ActionProduct:
+def action_product(a: ActionObject, b: ActionObject) -> tuple[ActionObject, Pullback]:
     """The categorical product: the pairs with equal anchors (the pullback
-    over the object set) with the diagonal action."""
+    over the object set) with the diagonal action, and that pullback."""
     if a.algebra != b.algebra:
         raise AlgebraMismatch("product needs a common algebra")
     pb = pullback(a.anchor, b.anchor)
-    return ActionProduct(pullback_action(pb, a, b), pb.pairs, pb.p1, pb.p2)
+    return pullback_action(pb, a, b), pb
 
 
 @dataclass(frozen=True)
@@ -549,21 +533,15 @@ def untwist_iso(a: ActionObject) -> UntwistIso:
     if g.objects.size != 1:
         raise ValueError("untwisting is stated for one-object algebras")
     triv = trivial_action(g, a.carrier)
-    left = action_product(triv, self_action(g))
-    right = action_product(a, self_action(g))
-    fwd_table = []
-    for (p, h) in left.pairs:
-        fwd_table.append(right.index(a.act[h][p], h))
-    bwd_table = []
-    for (p, h) in right.pairs:
-        bwd_table.append(left.index(a.act[g.inverse(h)][p], h))
-    fwd = FinFn(left.obj.carrier, right.obj.carrier, tuple(fwd_table))
-    bwd = FinFn(right.obj.carrier, left.obj.carrier, tuple(bwd_table))
-    cert = IsoCertificate(fwd, bwd)
-    return UntwistIso(left.obj, right.obj,
-                      cert,
-                      EquivariantMap(left.obj, right.obj, fwd),
-                      EquivariantMap(right.obj, left.obj, bwd))
+    left, lpb = action_product(triv, self_action(g))
+    right, rpb = action_product(a, self_action(g))
+    fwd = FinFn(left.carrier, right.carrier,
+                tuple(rpb.index(a.act[h][p], h) for (p, h) in lpb.pairs))
+    bwd = FinFn(right.carrier, left.carrier,
+                tuple(lpb.index(a.act[g.inverse(h)][p], h) for (p, h) in rpb.pairs))
+    return UntwistIso(left, right, IsoCertificate(fwd, bwd),
+                      EquivariantMap(left, right, fwd),
+                      EquivariantMap(right, left, bwd))
 
 
 # Exhaustive enumeration of actions ----------------------------------------
@@ -641,8 +619,6 @@ def _actions_for_anchor(alg, carrier: FinSet, anchor_table, fibers):
 
 def equivariant_maps(a: ActionObject, b: ActionObject):
     """Brute-force enumeration of the hom set of the action category."""
-    from .finset import all_functions
-
     for fn in all_functions(a.carrier, b.carrier):
         if equivariance_witness(a, b, fn) is None:
             yield fn

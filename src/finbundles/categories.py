@@ -2,7 +2,9 @@
 slices of finite sets, action categories, and slices of either.
 
 Each category knows its objects, validates its morphisms, and can build
-products, pullbacks and exhaustive hom sets.  A morphism is always a Mor
+pullbacks and exhaustive hom sets; a product is the pullback of the two
+maps to the terminal object.  A morphism check that fails raises a typed
+error with a witness.  A morphism is always a Mor
 holding the map between underlying carriers; a morphism is invertible
 exactly when that map is a bijection.
 """
@@ -12,12 +14,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .finset import FinFn, FinSet, SliceObject, all_functions, pullback
+from .finset import (
+    CodMismatch,
+    DomMismatch,
+    FinFn,
+    FinSet,
+    FinSetError,
+    SliceObject,
+    all_functions,
+    pullback,
+)
 from .algebra import (
     ActionObject,
+    NotEquivariant,
     action_product,
     all_actions,
     equivariance_witness,
+    equivariant_maps,
     pullback_action,
     terminal_action,
 )
@@ -27,6 +40,11 @@ class FamilyTooLarge(Exception):
     pass
 
 
+class NotAMorphism(FinSetError):
+    """A map between carriers that does not commute with the structure
+    maps; the witness is the first point where the square fails."""
+
+
 @dataclass(frozen=True)
 class Mor:
     dom: Any
@@ -34,20 +52,44 @@ class Mor:
     fn: FinFn
 
 
-@dataclass(frozen=True)
-class CatProduct:
-    obj: Any
-    p1: Mor
-    p2: Mor
-    pair: Callable = None
+def _square_witness(fn: FinFn, dom_leg: FinFn, cod_leg: FinFn):
+    """None when fn then cod_leg is dom_leg, else the first point where
+    the two differ (the two codomains when only those differ)."""
+    composite = fn.then(cod_leg)
+    if composite == dom_leg:
+        return None
+    return next((z for z in range(fn.dom.size) if composite.table[z] != dom_leg.table[z]),
+                (composite.cod, dom_leg.cod))
+
+
+def _compose(m2: Mor, m1: Mor) -> Mor:
+    if m1.cod != m2.dom:
+        raise CodMismatch("composition mismatch", (m1.cod, m2.dom))
+    return Mor(m1.dom, m2.cod, m1.fn.then(m2.fn))
 
 
 @dataclass(frozen=True)
 class CatPullback:
+    """A pullback, and so a product (the pullback over the terminal
+    object): the object, its two projections and the mediating map of a
+    cone."""
+
     obj: Any
     p1: Mor
     p2: Mor
     mediate: Callable = None
+
+
+def _cat_pullback(obj, a, b, pb) -> CatPullback:
+    """The pullback in a category whose object obj sits over the pullback
+    pb of carriers, with a and b the objects the projections land in."""
+
+    def mediate(n1: Mor, n2: Mor) -> Mor:
+        if n1.dom != n2.dom:
+            raise DomMismatch("a cone needs legs with one domain", (n1.dom, n2.dom))
+        return Mor(n1.dom, obj, pb.mediate(n1.fn, n2.fn))
+
+    return CatPullback(obj, Mor(obj, a, pb.p1), Mor(obj, b, pb.p2), mediate)
 
 
 class SliceCategory:
@@ -67,16 +109,19 @@ class SliceCategory:
         return o.total
 
     def mor(self, dom: SliceObject, cod: SliceObject, fn: FinFn) -> Mor:
-        assert fn.dom == dom.total and fn.cod == cod.total
-        assert fn.then(cod.proj) == dom.proj, "map does not commute with projections"
+        if fn.dom != dom.total:
+            raise DomMismatch("map does not leave the domain object", (fn.dom, dom.total))
+        if fn.cod != cod.total:
+            raise CodMismatch("map does not land in the codomain object", (fn.cod, cod.total))
+        witness = _square_witness(fn, dom.proj, cod.proj)
+        if witness is not None:
+            raise NotAMorphism("map does not commute with the projections", witness)
         return Mor(dom, cod, fn)
 
     def identity(self, o: SliceObject) -> Mor:
         return Mor(o, o, FinFn.identity(o.total))
 
-    def compose(self, m2: Mor, m1: Mor) -> Mor:
-        assert m1.cod == m2.dom
-        return Mor(m1.dom, m2.cod, m1.fn.then(m2.fn))
+    compose = staticmethod(_compose)
 
     def terminal(self) -> SliceObject:
         return SliceObject(self.base, self.base, FinFn.identity(self.base))
@@ -87,26 +132,15 @@ class SliceCategory:
     def is_iso(self, m: Mor) -> bool:
         return m.fn.is_bijection()
 
-    def product(self, a: SliceObject, b: SliceObject) -> CatProduct:
-        pb = pullback(a.proj, b.proj)
-        obj = SliceObject(pb.carrier, self.base, pb.p1.then(a.proj))
-
-        def pair(m1: Mor, m2: Mor) -> Mor:
-            assert m1.dom == m2.dom
-            return Mor(m1.dom, obj, pb.mediate(m1.fn, m2.fn))
-
-        return CatProduct(obj, Mor(obj, a, pb.p1), Mor(obj, b, pb.p2), pair)
+    def product(self, a: SliceObject, b: SliceObject) -> CatPullback:
+        return self.pullback(self.bang(a), self.bang(b))
 
     def pullback(self, m1: Mor, m2: Mor) -> CatPullback:
-        assert m1.cod == m2.cod
+        if m1.cod != m2.cod:
+            raise CodMismatch("pullback needs a common codomain", (m1.cod, m2.cod))
         pb = pullback(m1.fn, m2.fn)
         obj = SliceObject(pb.carrier, self.base, pb.p1.then(m1.dom.proj))
-
-        def mediate(n1: Mor, n2: Mor) -> Mor:
-            assert n1.dom == n2.dom
-            return Mor(n1.dom, obj, pb.mediate(n1.fn, n2.fn))
-
-        return CatPullback(obj, Mor(obj, m1.dom, pb.p1), Mor(obj, m2.dom, pb.p2), mediate)
+        return _cat_pullback(obj, m1.dom, m2.dom, pb)
 
     def homs(self, a: SliceObject, b: SliceObject):
         for fn in all_functions(a.total, b.total):
@@ -137,15 +171,14 @@ class ActionCategory:
 
     def mor(self, dom: ActionObject, cod: ActionObject, fn: FinFn) -> Mor:
         witness = equivariance_witness(dom, cod, fn)
-        assert witness is None, "map is not equivariant: %r" % (witness,)
+        if witness is not None:
+            raise NotEquivariant("map does not commute with the actions", witness)
         return Mor(dom, cod, fn)
 
     def identity(self, o: ActionObject) -> Mor:
         return Mor(o, o, FinFn.identity(o.carrier))
 
-    def compose(self, m2: Mor, m1: Mor) -> Mor:
-        assert m1.cod == m2.dom
-        return Mor(m1.dom, m2.cod, m1.fn.then(m2.fn))
+    compose = staticmethod(_compose)
 
     def terminal(self) -> ActionObject:
         return terminal_action(self.algebra)
@@ -157,32 +190,20 @@ class ActionCategory:
     def is_iso(self, m: Mor) -> bool:
         return m.fn.is_bijection()
 
-    def product(self, a: ActionObject, b: ActionObject) -> CatProduct:
-        prod = action_product(a, b)
-
-        def pair(m1: Mor, m2: Mor) -> Mor:
-            assert m1.dom == m2.dom
-            return Mor(m1.dom, prod.obj, prod.tuple_map(m1.fn, m2.fn))
-
-        return CatProduct(prod.obj, Mor(prod.obj, a, prod.p1),
-                          Mor(prod.obj, b, prod.p2), pair)
+    def product(self, a: ActionObject, b: ActionObject) -> CatPullback:
+        # the pullback of the bangs, kept in the action_product cache
+        obj, pb = action_product(a, b)
+        return _cat_pullback(obj, a, b, pb)
 
     def pullback(self, m1: Mor, m2: Mor) -> CatPullback:
-        assert m1.cod == m2.cod
-        a, b = m1.dom, m2.dom
+        if m1.cod != m2.cod:
+            raise CodMismatch("pullback needs a common codomain", (m1.cod, m2.cod))
         pb = pullback(m1.fn, m2.fn)
-        obj = pullback_action(pb, a, b)
-
-        def mediate(n1: Mor, n2: Mor) -> Mor:
-            assert n1.dom == n2.dom
-            return Mor(n1.dom, obj, pb.mediate(n1.fn, n2.fn))
-
-        return CatPullback(obj, Mor(obj, a, pb.p1), Mor(obj, b, pb.p2), mediate)
+        return _cat_pullback(pullback_action(pb, m1.dom, m2.dom), m1.dom, m2.dom, pb)
 
     def homs(self, a: ActionObject, b: ActionObject):
-        for fn in all_functions(a.carrier, b.carrier):
-            if equivariance_witness(a, b, fn) is None:
-                yield Mor(a, b, fn)
+        for fn in equivariant_maps(a, b):
+            yield Mor(a, b, fn)
 
     def objects_upto(self, max_carrier: int):
         for n in range(max_carrier + 1):
@@ -217,17 +238,16 @@ class SliceOverCategory:
         return self.base_cat.carrier(o.obj)
 
     def mor(self, dom: SlicedObj, cod: SlicedObj, fn: FinFn) -> Mor:
-        inner = self.base_cat.mor(dom.obj, cod.obj, fn)
-        composed = self.base_cat.compose(cod.arrow, inner)
-        assert composed.fn == dom.arrow.fn, "map does not commute with the anchors"
+        self.base_cat.mor(dom.obj, cod.obj, fn)
+        witness = _square_witness(fn, dom.arrow.fn, cod.arrow.fn)
+        if witness is not None:
+            raise NotAMorphism("map does not commute with the structure maps", witness)
         return Mor(dom, cod, fn)
 
     def identity(self, o: SlicedObj) -> Mor:
         return Mor(o, o, self.base_cat.identity(o.obj).fn)
 
-    def compose(self, m2: Mor, m1: Mor) -> Mor:
-        assert m1.cod == m2.dom
-        return Mor(m1.dom, m2.cod, m1.fn.then(m2.fn))
+    compose = staticmethod(_compose)
 
     def terminal(self) -> SlicedObj:
         return SlicedObj(self.anchor, self.base_cat.identity(self.anchor))
@@ -238,17 +258,18 @@ class SliceOverCategory:
     def is_iso(self, m: Mor) -> bool:
         return m.fn.is_bijection()
 
-    def product(self, a: SlicedObj, b: SlicedObj) -> CatProduct:
+    def product(self, a: SlicedObj, b: SlicedObj) -> CatPullback:
         pb = self.base_cat.pullback(a.arrow, b.arrow)
         obj = SlicedObj(pb.obj, self.base_cat.compose(a.arrow, pb.p1))
 
-        def pair(m1: Mor, m2: Mor) -> Mor:
-            assert m1.dom == m2.dom
+        def mediate(m1: Mor, m2: Mor) -> Mor:
+            if m1.dom != m2.dom:
+                raise DomMismatch("a cone needs legs with one domain", (m1.dom, m2.dom))
             inner1 = self.base_cat.mor(m1.dom.obj, a.obj, m1.fn)
             inner2 = self.base_cat.mor(m2.dom.obj, b.obj, m2.fn)
             return Mor(m1.dom, obj, pb.mediate(inner1, inner2).fn)
 
-        return CatProduct(obj, Mor(obj, a, pb.p1.fn), Mor(obj, b, pb.p2.fn), pair)
+        return CatPullback(obj, Mor(obj, a, pb.p1.fn), Mor(obj, b, pb.p2.fn), mediate)
 
     def objects_over(self, base_objs, hom_cap: int | None = None):
         """Slice objects built from a family of base objects; the cap

@@ -4,8 +4,9 @@ everything else is built from.
 Conventions, fixed so repeated runs are bit-identical:
 
 - a set of size n is the index range 0..n-1; labels are display-only
-- pairs are row-major: (i, j) -> i * right.size + j
-- pullback carriers list their pairs in lexicographic order
+- pullback carriers list their pairs in lexicographic order; a product
+  is the pullback over the terminal set, so its pairs are row-major:
+  (i, j) -> i * right.size + j
 - quotient classes are numbered by least representative
 """
 
@@ -33,6 +34,11 @@ class DomMismatch(FinSetError):
 
 class BaseMismatch(FinSetError):
     pass
+
+
+class NotInPullback(FinSetError):
+    """The witness is the pair (a, b) that is not a point of the
+    pullback."""
 
 
 class NotBijective(FinSetError):
@@ -163,37 +169,6 @@ class SliceObject:
 
 
 @dataclass(frozen=True)
-class Product:
-    carrier: FinSet
-    left: FinSet
-    right: FinSet
-    p1: FinFn
-    p2: FinFn
-
-    def index(self, i: int, j: int) -> int:
-        return i * self.right.size + j
-
-    def split(self, k: int) -> tuple[int, int]:
-        return divmod(k, self.right.size)
-
-    def tuple_map(self, f: FinFn, g: FinFn) -> FinFn:
-        """The pairing <f, g> into the product."""
-        if f.dom != g.dom:
-            raise DomMismatch("pairing needs legs with one domain", (f.dom, g.dom))
-        if f.cod != self.left or g.cod != self.right:
-            raise CodMismatch("pairing legs must land in the factors", (f.cod, g.cod))
-        return FinFn(f.dom, self.carrier,
-                     tuple(self.index(f.table[z], g.table[z]) for z in range(f.dom.size)))
-
-
-def product(a: FinSet, b: FinSet) -> Product:
-    carrier = FinSet(a.size * b.size)
-    p1 = FinFn(carrier, a, tuple(k // b.size for k in range(carrier.size)))
-    p2 = FinFn(carrier, b, tuple(k % b.size for k in range(carrier.size)))
-    return Product(carrier, a, b, p1, p2)
-
-
-@dataclass(frozen=True)
 class Pullback:
     """The pullback of f and g: pairs (a, b) with f(a) = g(b), in
     lexicographic order."""
@@ -210,11 +185,10 @@ class Pullback:
         object.__setattr__(self, "_index", {p: k for k, p in enumerate(self.pairs)})
 
     def index(self, a: int, b: int) -> int:
-        return self._index[(a, b)]
-
-    @property
-    def slice(self) -> SliceObject:
-        return SliceObject(self.carrier, self.f.cod, self.p1.then(self.f))
+        try:
+            return self._index[(a, b)]
+        except KeyError:
+            raise NotInPullback("pair is not a point of the pullback", (a, b)) from None
 
     def mediate(self, u: FinFn, v: FinFn) -> FinFn:
         """The unique map into the pullback induced by a cone (u, v)."""
@@ -239,6 +213,12 @@ def pullback(f: FinFn, g: FinFn) -> Pullback:
     p1 = FinFn(carrier, f.dom, tuple(a for a, _ in pairs))
     p2 = FinFn(carrier, g.dom, tuple(b for _, b in pairs))
     return Pullback(carrier, pairs, p1, p2, f, g)
+
+
+def product(a: FinSet, b: FinSet) -> Pullback:
+    """The product as the pullback of the two maps to the terminal set:
+    its pairs are in row-major order, so (i, j) is at i * b.size + j."""
+    return pullback(FinFn.constant(a, TERMINAL, 0), FinFn.constant(b, TERMINAL, 0))
 
 
 class UnionFind:

@@ -157,19 +157,14 @@ def sigma_frobenius_check(groups, max_order: int, max_x: int, max_carrier: int) 
             gx = trivial_action(g, x)
             for n in range(max_carrier + 1):
                 for a in all_actions(g, FinSet(n)):
-                    prod = action_product(gx, a)
-                    orb_prod = sigma(prod.obj)
+                    prod, pb = action_product(gx, a)
+                    orb_prod = sigma(prod)
                     orb_a = sigma(a)
                     target = product(x, orb_a.quotient)
-                    seen = set()
-                    ok = True
-                    for k in range(orb_prod.quotient.size):
-                        xv, av = prod.pairs[orb_prod.reps[k]]
-                        t = target.index(xv, orb_a.q.table[av])
-                        if t in seen:
-                            ok = False
-                        seen.add(t)
-                    if not ok or len(seen) != target.carrier.size:
+                    comparison = FinFn(orb_prod.quotient, target.carrier, tuple(
+                        target.index(xv, orb_a.q.table[av])
+                        for xv, av in (pb.pairs[r] for r in orb_prod.reps)))
+                    if not comparison.is_bijection():
                         failures.append({"group": name, "x": nx, "carrier": n})
                     count += 1
     return {"check": "sigma_frobenius", "cases": count,
@@ -322,7 +317,7 @@ def theorem_torsor_checks(w, bounds: Bounds) -> dict:
     stable = check_stably_frobenius(pres, stable_slice_objects(alg, x),
                                     dom_objs, cod_objs)
     results["stable"] = stable["passed"]
-    results["tensor_self"] = _tensor_self_iso_ok(w, tensor(w, arrows_action(alg)))
+    results["tensor_self"] = _tensor_self_iso_ok(w, tensor(b.action, arrows_action(alg)))
     results["tensor_trivial"] = all(_tensor_trivial_iso_ok(w, ny) for ny in range(4))
     return {"check": "theorem_roundtrip",
             "group_order": alg.order, "base": x.size,
@@ -336,23 +331,14 @@ def _tensor_trivial_iso_ok(w, y_size: int) -> bool:
     orbit set: over a point the result is the plain set, in general it is
     the product with the base."""
     b = w.bundle
-    alg = b.action.algebra
     y = FinSet(y_size)
-    t = tensor(w, trivial_action(alg, y))
+    t = tensor(b.action, trivial_action(b.action.algebra, y))
     target = product(b.base, y)
-    seen = set()
-    for k in range(t.carrier.size):
-        p, oy = t.rep_pair(k)
-        # the trivial action's point (o, y) has index o * |Y| + y
-        code = target.index(b.proj.table[p], oy % y_size)
-        if code in seen:
-            return False
-        seen.add(code)
-    if len(seen) != target.carrier.size:
-        return False
-    if b.base.size == 1 and t.carrier.size != y_size:
-        return False
-    return True
+    # the trivial action's point (o, y) has index o * |Y| + y
+    pairs = map(t.rep_pair, range(t.carrier.size))
+    return FinFn(t.carrier, target.carrier,
+                 tuple(target.index(b.proj.table[p], oy % y_size) for p, oy in pairs)
+                 ).is_bijection()
 
 
 def _tensor_self_iso_ok(w, t) -> bool:

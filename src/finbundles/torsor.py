@@ -165,13 +165,7 @@ def trivial_torsor(g: FinGroup, x: FinSet) -> TorsorWitness:
     """The canonical torsor over x: carrier x * G with first projection
     and left multiplication on the group coordinate."""
     prod = product(x, g.carrier)
-    act = []
-    for h in range(g.order):
-        row = []
-        for k in range(prod.carrier.size):
-            x0, a = prod.split(k)
-            row.append(prod.index(x0, g.mul[h][a]))
-        act.append(tuple(row))
+    act = [tuple(prod.index(x0, g.mul[h][a]) for x0, a in prod.pairs) for h in range(g.order)]
     action = validate_action(g, prod.carrier, act)
     return is_principal_bundle(Bundle(action, x, prod.p1))
 

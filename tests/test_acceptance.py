@@ -288,7 +288,7 @@ def test_criterion_08_tensor_identities():
     count = 0
     for name, nx, w in _criterion_seven_torsors():
         g = w.bundle.action.algebra
-        t = tensor(w, self_action(g))
+        t = tensor(w.bundle.action, self_action(g))
         fwd = FinFn(t.carrier, w.bundle.action.carrier,
                     tuple(w.bundle.action.act[g.inv[h]][p]
                           for (p, h) in map(t.rep_pair, range(t.carrier.size))))
@@ -298,7 +298,7 @@ def test_criterion_08_tensor_identities():
             assert w.bundle.proj.table[fwd.table[k]] == w.bundle.proj.table[p]
         for ny in range(4):
             y = FinSet(ny)
-            t2 = tensor(w, trivial_action(g, y))
+            t2 = tensor(w.bundle.action, trivial_action(g, y))
             if nx == 1:
                 assert t2.carrier.size == ny
                 fwd2 = FinFn(t2.carrier, y,

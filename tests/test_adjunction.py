@@ -7,7 +7,9 @@ from finbundles.finset import (
     IsoCertificate,
     SliceObject,
     TERMINAL,
+    NotInPullback,
     all_functions,
+    coequalizer,
 )
 from finbundles.algebra import (
     EquivariantMap,
@@ -19,6 +21,7 @@ from finbundles.algebra import (
 )
 from finbundles.categories import (
     ActionCategory,
+    Mor,
     SliceCategory,
     action_family,
     slice_family,
@@ -57,6 +60,7 @@ from finbundles.suites import (
     Bounds,
     bundle_roundtrip_cert,
     stable_slice_objects,
+    theorem_torsor_checks,
 )
 
 GROUPS = catalog.groups(8)
@@ -78,15 +82,66 @@ def dom_mors(cat, objs, cap=200):
 def test_tensor_with_self_action_recovers_carrier():
     for name in ("z2", "z3"):
         w = trivial_torsor(GROUPS[name], TERMINAL)
-        t = tensor(w, self_action(GROUPS[name]))
+        t = tensor(w.bundle.action, self_action(GROUPS[name]))
         assert t.carrier.size == w.bundle.action.carrier.size
-        t.sigma_cert  # constructed means verified
+
+
+def balanced_coequalizer(P, a):
+    """The balanced product built as a coequalizer, without sigma: the
+    pairs with equal anchors, glued by (g.p, a) ~ (p, g^(-1).a) for every
+    arrow g from the anchor of p to the anchor of a."""
+    alg = P.algebra
+    pairs = [(p, av) for p in range(P.carrier.size) for av in range(a.carrier.size)
+             if P.anchor.table[p] == a.anchor.table[av]]
+    index = {pair: k for k, pair in enumerate(pairs)}
+    triples = [(g, p, av) for g in range(alg.order)
+               for p in range(P.carrier.size) for av in range(a.carrier.size)
+               if alg.src.table[g] == P.anchor.table[p]
+               and alg.tgt.table[g] == a.anchor.table[av]]
+    dom, cod = FinSet(len(triples)), FinSet(len(pairs))
+    moved = FinFn(dom, cod, tuple(index[(P.act[g][p], av)] for g, p, av in triples))
+    back = FinFn(dom, cod, tuple(index[(p, a.act[alg.inverse(g)][av])]
+                                 for g, p, av in triples))
+    return pairs, coequalizer(moved, back)
+
+
+def test_tensor_is_the_balanced_coequalizer():
+    # groups, the one-object groupoid of z2 and the pair groupoid, whose
+    # arrows between distinct objects also glue points
+    algebras = [GROUPS["z2"], GROUPS["z3"], GROUPOIDS["pair2"], GROUPOIDS["z2_loop"]]
+    cases = 0
+    for alg in algebras:
+        fibre = alg.src.table.count(0)
+        actions = [a for n in range(3) for a in all_actions(alg, FinSet(n))]
+        for nx in (1, 2):
+            enum = enumerate_torsors(alg, FinSet(nx), FinSet(fibre * nx))
+            assert enum.witnesses
+            for w in enum.witnesses:
+                for a in actions:
+                    t = tensor(w.bundle.action, a)
+                    pairs, coeq = balanced_coequalizer(w.bundle.action, a)
+                    assert list(t.product.pairs) == pairs
+                    assert t.quotient_map == coeq.q and t.reps == coeq.reps
+                    cases += 1
+    assert cases > 300
+
+
+def test_groupoid_torsors_pass_the_theorem_checks():
+    for name in ("pair2", "z2_loop"):
+        gd = GROUPOIDS[name]
+        fibre = gd.src.table.count(0)
+        for nx in (1, 2):
+            enum = enumerate_torsors(gd, FinSet(nx), FinSet(fibre * nx))
+            assert enum.witnesses
+            for w in enum.witnesses:
+                rep = theorem_torsor_checks(w, Bounds())
+                assert rep["passed"], (name, nx, rep["results"])
 
 
 def test_tensor_with_trivial_action_recovers_set():
     w = trivial_torsor(GROUPS["z3"], TERMINAL)
     for n in range(4):
-        t = tensor(w, trivial_action(GROUPS["z3"], FinSet(n)))
+        t = tensor(w.bundle.action, trivial_action(GROUPS["z3"], FinSet(n)))
         assert t.carrier.size == n
 
 
@@ -111,7 +166,7 @@ def test_tensor_with_free_four_point_action():
                     cls[(p, av)] = cls[other] = lo
                     changed = True
     oracle = len(set(cls.values()))
-    t = tensor(w, a)
+    t = tensor(w.bundle.action, a)
     assert t.carrier.size == oracle == 4
     assert sigma(a).quotient.size == 2
 
@@ -125,7 +180,7 @@ def test_evaluation_unit_laws():
     pres = bundle_to_adjunction(w)
     a = self_action(z3)
     eps = pres.counit_at(a)
-    t = tensor(w, a)
+    t = tensor(w.bundle.action, a)
     _, pb = pres.left_data(pres.right_obj(a))
     for p in range(w.bundle.action.carrier.size):
         for av in range(a.carrier.size):
@@ -146,7 +201,7 @@ def test_evaluation_representative_independence_bounded():
         for n in range(4):
             for a in all_actions(g, FinSet(n)):
                 eps = pres.counit_at(a)
-                t = tensor(w, a)
+                t = tensor(w.bundle.action, a)
                 _, pb = pres.left_data(pres.right_obj(a))
                 for k, (pprime, cls) in enumerate(pb.pairs):
                     for m, c in enumerate(t.quotient_map.table):
@@ -230,9 +285,80 @@ def test_error_paths():
     z2, z3 = GROUPS["z2"], GROUPS["z3"]
     w = trivial_torsor(z2, TERMINAL)
     with pytest.raises(AlgebraMismatch):
-        tensor(w, self_action(z3))
+        tensor(w.bundle.action, self_action(z3))
     with pytest.raises(NotOverBase):
         factor_to_slice(sigma_presentation(z2))
+
+
+def test_pullback_presentation_names_the_point_off_the_pullback():
+    # a map of slices over 2 that moves the fibre over 0 to the fibre over
+    # 1: its image under pullback along (0, 0, 1) would send the pair
+    # (0, 0) to (0, 0), which is not a point over the codomain
+    pres = pullback_presentation(FinFn(FinSet(3), FinSet(2), (0, 0, 1)))
+    one = FinSet(1)
+    over0 = SliceObject(one, FinSet(2), FinFn(one, FinSet(2), (0,)))
+    over1 = SliceObject(one, FinSet(2), FinFn(one, FinSet(2), (1,)))
+    with pytest.raises(NotInPullback) as exc:
+        pres.right_mor(Mor(over0, over1, FinFn.identity(one)))
+    assert exc.value.witness == (0, 0)
+
+
+CATEGORY_CHECKS = """
+from finbundles import catalog
+from finbundles.algebra import AlgebraError, arrows_action, self_action, trivial_action
+from finbundles.categories import (
+    ActionCategory, Mor, SliceCategory, SliceOverCategory, SlicedObj)
+from finbundles.finset import FinFn, FinSet, FinSetError, SliceObject
+
+z2 = catalog.groups(2)["z2"]
+acts = ActionCategory(z2)
+free, triv = self_action(z2), trivial_action(z2, FinSet(2))
+two = FinSet(2)
+slices = SliceCategory(two)
+split = SliceObject(two, two, FinFn(two, two, (0, 1)))
+over = SliceOverCategory(acts, triv)
+ident = acts.identity(triv)
+cases = [
+    lambda: acts.mor(triv, free, FinFn(two, two, (0, 0))),
+    lambda: slices.mor(split, split, FinFn(two, two, (0, 0))),
+    lambda: slices.mor(split, split, FinFn(two, FinSet(3), (0, 0))),
+    lambda: over.mor(SlicedObj(triv, ident),
+                     SlicedObj(triv, Mor(triv, triv, FinFn(two, two, (1, 0)))),
+                     FinFn.identity(two)),
+    lambda: acts.compose(acts.identity(free), ident),
+    lambda: arrows_action(catalog.groupoids()["pair2"]).apply(1, 0),
+]
+for case in cases:
+    try:
+        out = case()
+    except (AlgebraError, FinSetError) as exc:
+        print("REJECTED", type(exc).__name__, exc.witness)
+    else:
+        print("ACCEPTED", out)
+"""
+
+
+def test_category_checks_run_without_asserts():
+    # every morphism check of categories is a typed check with a witness,
+    # so it still runs under python -O, where assert statements are stripped
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", CATEGORY_CHECKS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == ["REJECTED NotEquivariant (1, 0)", "REJECTED NotAMorphism 1"]
+    assert lines[2].startswith("REJECTED CodMismatch (FinSet(size=3")
+    assert lines[3] == "REJECTED NotAMorphism 0"
+    assert lines[4].startswith("REJECTED CodMismatch (ActionObject(")
+    assert lines[5] == "REJECTED AnchorMismatch (1, 0)"
+    assert len(lines) == 6
 
 
 # Bundle presentations --------------------------------------------------------
@@ -271,7 +397,7 @@ def test_counit_at_self_action_embodies_division():
     w = trivial_torsor(z3, TERMINAL)
     pres = bundle_to_adjunction(w)
     a = self_action(z3)
-    t = tensor(w, a)
+    t = tensor(w.bundle.action, a)
     fwd = FinFn(t.carrier, w.bundle.action.carrier,
                 tuple(w.bundle.action.act[z3.inv[g]][p]
                       for (p, g) in map(t.rep_pair, range(t.carrier.size))))

@@ -265,16 +265,16 @@ def test_action_product_unit_law():
     z2 = GROUPS["z2"]
     a = self_action(z2)
     one = trivial_action(z2, TERMINAL)
-    prod = action_product(a, one)
-    assert prod.obj.carrier.size == a.carrier.size
-    assert prod.p1.is_bijection()
+    prod, pb = action_product(a, one)
+    assert prod.carrier.size == a.carrier.size
+    assert pb.p1.is_bijection()
 
 
 def test_action_product_self_squared_free():
     z2 = GROUPS["z2"]
-    prod = action_product(self_action(z2), self_action(z2))
-    assert prod.obj.carrier.size == 4
-    assert sigma(prod.obj).quotient.size == 2
+    prod, _ = action_product(self_action(z2), self_action(z2))
+    assert prod.carrier.size == 4
+    assert sigma(prod).quotient.size == 2
 
 
 def test_action_product_requires_same_algebra():
@@ -286,8 +286,8 @@ def test_action_product_groupoid_is_fibrewise():
     g = GROUPOIDS["discrete2"]
     anchor = FinFn(FinSet(2), g.objects, (0, 1))
     a = validate_action(g, FinSet(2), [[0, None], [None, 1]], anchor)
-    prod = action_product(a, a)
-    assert prod.obj.carrier.size == 2  # only equal-anchor pairs
+    prod, _ = action_product(a, a)
+    assert prod.carrier.size == 2  # only equal-anchor pairs
 
 
 def test_untwist_trivial_action_is_identity():
@@ -340,13 +340,13 @@ def test_sigma_frobenius_bijection_bounded():
             gx = trivial_action(g, x)
             for n in range(5):
                 for a in all_actions(g, FinSet(n)):
-                    prod = action_product(gx, a)
-                    orb_prod = sigma(prod.obj)
+                    prod, pb = action_product(gx, a)
+                    orb_prod = sigma(prod)
                     orb_a = sigma(a)
                     target = product(x, orb_a.quotient)
                     table = tuple(
-                        target.index(prod.pairs[orb_prod.reps[k]][0],
-                                     orb_a.q.table[prod.pairs[orb_prod.reps[k]][1]])
+                        target.index(pb.pairs[orb_prod.reps[k]][0],
+                                     orb_a.q.table[pb.pairs[orb_prod.reps[k]][1]])
                         for k in range(orb_prod.quotient.size))
                     comparison = FinFn(orb_prod.quotient, target.carrier, table)
                     assert comparison.is_bijection()
@@ -361,8 +361,8 @@ def test_one_object_groupoid_agrees_with_group():
     anchor = FinFn(z2.carrier, gpd.objects, (0, 0))
     a_gpd = validate_action(gpd, z2.carrier, z2.mul, anchor)
     assert sigma(a_group).quotient.size == sigma(a_gpd).quotient.size
-    pg = action_product(a_group, a_group)
-    pgd = action_product(a_gpd, a_gpd)
+    _, pg = action_product(a_group, a_group)
+    _, pgd = action_product(a_gpd, a_gpd)
     assert pg.pairs == pgd.pairs
     # every small group runs exactly as its one-object groupoid
     for name, g in sorted(GROUPS.items()):

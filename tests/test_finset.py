@@ -244,9 +244,9 @@ def test_mismatched_legs_raise_typed_errors():
         FinFn(two, three, (0, 1)).then(FinFn.identity(two))
     prod = product(two, two)
     with pytest.raises(DomMismatch):
-        prod.tuple_map(FinFn.identity(two), FinFn(three, two, (0, 1, 1)))
+        prod.mediate(FinFn.identity(two), FinFn(three, two, (0, 1, 1)))
     with pytest.raises(CodMismatch):
-        prod.tuple_map(FinFn.identity(two), FinFn(two, three, (0, 1)))
+        prod.mediate(FinFn.identity(two), FinFn(two, three, (0, 1)))
     pb = pullback(FinFn.identity(two), FinFn.identity(two))
     with pytest.raises(DomMismatch):
         pb.mediate(FinFn.identity(two), FinFn(three, two, (0, 1, 1)))

@@ -206,8 +206,8 @@ def test_orbit_coequalizer_collapses_torsor_fibrewise():
         pt = product(P.carrier, t)
         act_table, proj_table = [], []
         for k in range(gpt.carrier.size):
-            gp_idx, tv = gpt.split(k)
-            gv, pv = gp.split(gp_idx)
+            gp_idx, tv = gpt.pairs[k]
+            gv, pv = gp.pairs[gp_idx]
             act_table.append(pt.index(P.act[gv][pv], tv))
             proj_table.append(pt.index(pv, tv))
         coeq = coequalizer(FinFn(gpt.carrier, pt.carrier, tuple(act_table)),
