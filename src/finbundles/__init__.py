@@ -5,7 +5,6 @@ from .finset import (
     FinSet,
     FinFn,
     IsoCertificate,
-    SliceObject,
     coequalizer,
     product,
     pullback,

@@ -19,16 +19,18 @@ from functools import cache
 
 from .finset import (
     BaseMismatch,
+    CodMismatch,
+    DomMismatch,
     FinFn,
     FinSet,
     FinSetError,
     Pullback,
-    SliceObject,
     TERMINAL,
     pullback,
 )
 from .algebra import (
     ActionObject,
+    AlgebraMismatch,
     AnchorMismatch,
     FinGroup,
     FinGroupoid,
@@ -46,7 +48,6 @@ from .categories import (
     Mor,
     SliceCategory,
     SliceOverCategory,
-    SlicedObj,
 )
 from .torsor import Bundle, TorsorWitness
 
@@ -68,6 +69,16 @@ class FrobeniusFail(AdjunctionError):
 class RoundTripFail(AdjunctionError):
     """The comparison from a bundle's carrier onto its round trip is not
     an isomorphism over the base; the witness says where it fails."""
+
+
+class WrongCategory(AdjunctionError):
+    """A construction got a presentation between categories of another
+    kind; the witness is the offending category."""
+
+
+def _require(cat, kind):
+    if not isinstance(cat, kind):
+        raise WrongCategory("needs a %s" % kind.__name__, cat)
 
 
 def _cached(fn):
@@ -150,15 +161,15 @@ def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
     P = b.action
 
     @cache
-    def left_data(o: SliceObject):
-        pb = pullback(b.proj, o.proj)
+    def left_data(o: FinFn):
+        pb = pullback(b.proj, o)
         return pullback_action(pb, P), pb
 
     @cache
     def right_data(a: ActionObject):
         t = tensor(P, a)
         proj_table = tuple(b.proj.table[t.rep_pair(k)[0]] for k in range(t.carrier.size))
-        return SliceObject(t.carrier, X, FinFn(t.carrier, X, proj_table)), t
+        return FinFn(t.carrier, X, proj_table), t
 
     def left_obj(o):
         return left_data(o)[0]
@@ -179,16 +190,16 @@ def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
         for k in range(tA.carrier.size):
             p, av = tA.rep_pair(k)
             table.append(tB.class_of(p, n.fn.table[av]))
-        return Mor(roA, roB, FinFn(roA.total, roB.total, tuple(table)))
+        return Mor(roA, roB, FinFn(roA.dom, roB.dom, tuple(table)))
 
-    def unit_at(o: SliceObject):
+    def unit_at(o: FinFn):
         lo, pbo = left_data(o)
         ro, t = right_data(lo)
         table = []
-        for wv in range(o.total.size):
-            p = w.reps[o.proj.table[wv]]
+        for wv in range(o.dom.size):
+            p = w.reps[o.table[wv]]
             table.append(t.class_of(p, pbo.index(p, wv)))
-        return Mor(o, ro, FinFn(o.total, ro.total, tuple(table)))
+        return Mor(o, ro, FinFn(o.dom, ro.dom, tuple(table)))
 
     def counit_at(a: ActionObject):
         ro, t = right_data(a)
@@ -199,11 +210,11 @@ def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
             table.append(a.apply(w.psi(pprime, p0), a0))
         return Mor(lo, a, FinFn(lo.carrier, a.carrier, tuple(table)))
 
-    def over_iso_at(o: SliceObject):
+    def over_iso_at(o: FinFn):
         lo, pbo = left_data(o)
         orb = sigma(lo)
         table = tuple(pbo.pairs[orb.reps[k]][1] for k in range(orb.quotient.size))
-        return FinFn(orb.quotient, o.total, table)
+        return FinFn(orb.quotient, o.dom, table)
 
     pres = AdjunctionPresentation(
         "bundle(|G|=%d, |X|=%d, |P|=%d)" % (alg.order, X.size, P.carrier.size),
@@ -222,22 +233,19 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
     dom = ActionCategory(alg)
     cod = SliceCategory(TERMINAL)
 
-    def as_slice(s: FinSet) -> SliceObject:
-        return SliceObject(s, TERMINAL, FinFn.constant(s, TERMINAL, 0))
-
     def left_obj(a):
-        return as_slice(sigma(a).quotient)
+        return FinFn.constant(sigma(a).quotient, TERMINAL, 0)
 
     def left_mor(m: Mor):
         return Mor(left_obj(m.dom), left_obj(m.cod), sigma_mor(m.dom, m.cod, m.fn))
 
-    def right_obj(v: SliceObject):
-        return trivial_action(alg, v.total)
+    def right_obj(v: FinFn):
+        return trivial_action(alg, v.dom)
 
     def right_mor(m: Mor):
         # trivial-action points (o, x) are indexed o * |X| + x
         rd, rc = right_obj(m.dom), right_obj(m.cod)
-        n_from, n_to = m.dom.total.size, m.cod.total.size
+        n_from, n_to = m.dom.dom.size, m.cod.dom.size
         table = tuple((k // n_from) * n_to + m.fn.table[k % n_from]
                       for k in range(rd.carrier.size))
         return Mor(rd, rc, FinFn(rd.carrier, rc.carrier, table))
@@ -249,11 +257,11 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
                       for p in range(a.carrier.size))
         return Mor(a, rla, FinFn(a.carrier, rla.carrier, table))
 
-    def counit_at(v: SliceObject):
+    def counit_at(v: FinFn):
         lrv = left_obj(right_obj(v))
         orb = sigma(right_obj(v))
-        table = tuple(r % v.total.size for r in orb.reps)
-        return Mor(lrv, v, FinFn(lrv.total, v.total, table))
+        table = tuple(r % v.dom.size for r in orb.reps)
+        return Mor(lrv, v, FinFn(lrv.dom, v.dom, table))
 
     return AdjunctionPresentation("sigma(|alg|=%d)" % alg.order, dom, cod,
                                   left_obj, left_mor, right_obj, right_mor,
@@ -273,17 +281,15 @@ def fixedpoints_presentation(g: FinGroup) -> AdjunctionPresentation:
                     if all(a.act[h][p] == p for h in range(g.order)))
         return pts
 
-    def left_obj(v: SliceObject):
-        return trivial_action(g, v.total)
+    def left_obj(v: FinFn):
+        return trivial_action(g, v.dom)
 
     def left_mor(m: Mor):
         return Mor(left_obj(m.dom), left_obj(m.cod),
-                   FinFn(m.dom.total, m.cod.total, m.fn.table))
+                   FinFn(m.dom.dom, m.cod.dom, m.fn.table))
 
     def right_obj(a: ActionObject):
-        pts = fixed(a)
-        s = FinSet(len(pts))
-        return SliceObject(s, TERMINAL, FinFn.constant(s, TERMINAL, 0))
+        return FinFn.constant(FinSet(len(fixed(a))), TERMINAL, 0)
 
     def right_mor(n: Mor):
         ptsA, ptsB = fixed(n.dom), fixed(n.cod)
@@ -292,22 +298,22 @@ def fixedpoints_presentation(g: FinGroup) -> AdjunctionPresentation:
         return Mor(right_obj(n.dom), right_obj(n.cod),
                    FinFn(FinSet(len(ptsA)), FinSet(len(ptsB)), table))
 
-    def unit_at(v: SliceObject):
+    def unit_at(v: FinFn):
         la = left_obj(v)
         pts = fixed(la)
         index = {p: i for i, p in enumerate(pts)}
         rla = right_obj(la)
-        return Mor(v, rla, FinFn(v.total, rla.total,
-                                 tuple(index[z] for z in range(v.total.size))))
+        return Mor(v, rla, FinFn(v.dom, rla.dom,
+                                 tuple(index[z] for z in range(v.dom.size))))
 
     def counit_at(a: ActionObject):
         pts = fixed(a)
         lra = left_obj(right_obj(a))
         return Mor(lra, a, FinFn(lra.carrier, a.carrier, pts))
 
-    def over_iso_at(v: SliceObject):
+    def over_iso_at(v: FinFn):
         orb = sigma(left_obj(v))
-        return FinFn(orb.quotient, v.total, orb.reps)
+        return FinFn(orb.quotient, v.dom, orb.reps)
 
     return AdjunctionPresentation("trivial-dashv-fixed(|G|=%d)" % g.order,
                                   dom, cod, left_obj, left_mor, right_obj,
@@ -321,19 +327,19 @@ def pullback_presentation(f: FinFn) -> AdjunctionPresentation:
     dom = SliceCategory(f.dom)
     cod = SliceCategory(f.cod)
 
-    def check_base(s: SliceObject, base: FinSet):
-        if s.base != base:
-            raise BaseMismatch("slice lives over the wrong base", (s.base, base))
+    def check_base(s: FinFn, base: FinSet):
+        if s.cod != base:
+            raise BaseMismatch("slice lives over the wrong base", (s.cod, base))
 
     @cache
-    def star(s: SliceObject):
+    def star(s: FinFn):
         check_base(s, f.cod)
-        pb = pullback(f, s.proj)
-        return SliceObject(pb.carrier, f.dom, pb.p1), pb
+        pb = pullback(f, s)
+        return pb.p1, pb
 
     def left_obj(s):
         check_base(s, f.dom)
-        return SliceObject(s.total, f.cod, s.proj.then(f))
+        return s.then(f)
 
     def left_mor(m: Mor):
         return Mor(left_obj(m.dom), left_obj(m.cod), m.fn)
@@ -345,12 +351,12 @@ def pullback_presentation(f: FinFn) -> AdjunctionPresentation:
         so, pbo = star(m.dom)
         sc, pbc = star(m.cod)
         table = tuple(pbc.index(x, m.fn.table[v]) for (x, v) in pbo.pairs)
-        return Mor(so, sc, FinFn(so.total, sc.total, table))
+        return Mor(so, sc, FinFn(so.dom, sc.dom, table))
 
     def unit_at(s):
         ro, pb = star(left_obj(s))
-        table = tuple(pb.index(s.proj.table[z], z) for z in range(s.total.size))
-        return Mor(s, ro, FinFn(s.total, ro.total, table))
+        table = tuple(pb.index(s.table[z], z) for z in range(s.dom.size))
+        return Mor(s, ro, FinFn(s.dom, ro.dom, table))
 
     def counit_at(s):
         ro, pb = star(s)
@@ -399,13 +405,13 @@ def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
     return prod_c.mediate(left_leg, lp2)
 
 
-def _obj_desc(cat, o) -> str:
-    if isinstance(o, SliceObject):
-        return "slice(total=%d,proj=%s)" % (o.total.size, list(o.proj.table))
+def _obj_desc(o) -> str:
+    if isinstance(o, FinFn):
+        return "slice(total=%d,proj=%s)" % (o.dom.size, list(o.table))
     if isinstance(o, ActionObject):
         return "action(carrier=%d)" % o.carrier.size
-    if isinstance(o, SlicedObj):
-        return "%s/%s" % (_obj_desc(None, o.obj), list(o.arrow.fn.table))
+    if isinstance(o, Mor):
+        return "%s/%s" % (_obj_desc(o.dom), list(o.fn.table))
     return repr(o)
 
 
@@ -428,11 +434,11 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
             try:
                 m = frobenius_canonical_map(pres, a, wobj)
                 ok = pres.cod.is_iso(m)
-            except (FinSetError, NotEquivariant, AnchorMismatch, ValueError):
+            except (FinSetError, NotEquivariant, AnchorMismatch):
                 ok = False
             if not ok and len(failures) < max_witnesses:
-                failures.append({"cod_obj": _obj_desc(pres.cod, a),
-                                 "dom_obj": _obj_desc(pres.dom, wobj)})
+                failures.append({"cod_obj": _obj_desc(a),
+                                 "dom_obj": _obj_desc(wobj)})
     return {"check": "frobenius", "presentation": pres.name,
             "family": {"cod_objects": len(cod_objs), "dom_objects": len(dom_objs)},
             "pairs": checked, "passed": checked > 0 and not failures,
@@ -445,32 +451,27 @@ def slice_adjunction(pres: AdjunctionPresentation, b) -> AdjunctionPresentation:
     dom2 = SliceOverCategory(pres.dom, rb)
     cod2 = SliceOverCategory(pres.cod, b)
 
-    def left_obj(o: SlicedObj):
-        lm = pres.left_mor(o.arrow)
-        arrow = pres.cod.compose(pres.counit_at(b), lm)
-        return SlicedObj(pres.left_obj(o.obj), arrow)
+    def left_obj(o: Mor):
+        return pres.cod.compose(pres.counit_at(b), pres.left_mor(o))
 
     def left_mor(m: Mor):
-        inner = pres.left_mor(Mor(m.dom.obj, m.cod.obj, m.fn))
+        inner = pres.left_mor(Mor(m.dom.dom, m.cod.dom, m.fn))
         return Mor(left_obj(m.dom), left_obj(m.cod), inner.fn)
 
-    def right_obj(o: SlicedObj):
-        return SlicedObj(pres.right_obj(o.obj), pres.right_mor(o.arrow))
-
     def right_mor(m: Mor):
-        inner = pres.right_mor(Mor(m.dom.obj, m.cod.obj, m.fn))
-        return Mor(right_obj(m.dom), right_obj(m.cod), inner.fn)
+        inner = pres.right_mor(Mor(m.dom.dom, m.cod.dom, m.fn))
+        return Mor(pres.right_mor(m.dom), pres.right_mor(m.cod), inner.fn)
 
-    def unit_at(o: SlicedObj):
-        u = pres.unit_at(o.obj)
-        return Mor(o, right_obj(left_obj(o)), u.fn)
+    def unit_at(o: Mor):
+        u = pres.unit_at(o.dom)
+        return Mor(o, pres.right_mor(left_obj(o)), u.fn)
 
-    def counit_at(o: SlicedObj):
-        e = pres.counit_at(o.obj)
-        return Mor(left_obj(right_obj(o)), o, e.fn)
+    def counit_at(o: Mor):
+        e = pres.counit_at(o.dom)
+        return Mor(left_obj(pres.right_mor(o)), o, e.fn)
 
-    return AdjunctionPresentation("%s@%s" % (pres.name, _obj_desc(pres.cod, b)),
-                                  dom2, cod2, left_obj, left_mor, right_obj,
+    return AdjunctionPresentation("%s@%s" % (pres.name, _obj_desc(b)),
+                                  dom2, cod2, left_obj, left_mor, pres.right_mor,
                                   right_mor, unit_at, counit_at)
 
 
@@ -489,7 +490,7 @@ def check_stably_frobenius(pres: AdjunctionPresentation, slice_objs,
         dom_fam = list(sliced.dom.objects_over(dom_objs, hom_cap))
         cod_fam = list(sliced.cod.objects_over(cod_objs, hom_cap))
         rep = check_frobenius(sliced, cod_fam, dom_fam, max_pairs=max_pairs)
-        rep["slice_at"] = _obj_desc(pres.cod, b)
+        rep["slice_at"] = _obj_desc(b)
         results.append(rep)
     return {"check": "stably_frobenius", "presentation": pres.name,
             "slices": len(results),
@@ -509,13 +510,13 @@ def check_triangles(pres: AdjunctionPresentation, dom_objs, cod_objs,
         composite = pres.cod.compose(pres.counit_at(lo), pres.left_mor(pres.unit_at(o)))
         if composite.fn != pres.cod.identity(lo).fn:
             if len(failures) < max_witnesses:
-                failures.append({"triangle": "left", "at": _obj_desc(pres.dom, o)})
+                failures.append({"triangle": "left", "at": _obj_desc(o)})
     for a in cod_objs:
         ra = pres.right_obj(a)
         composite = pres.dom.compose(pres.right_mor(pres.counit_at(a)), pres.unit_at(ra))
         if composite.fn != pres.dom.identity(ra).fn:
             if len(failures) < max_witnesses:
-                failures.append({"triangle": "right", "at": _obj_desc(pres.cod, a)})
+                failures.append({"triangle": "right", "at": _obj_desc(a)})
     objects = len(dom_objs) + len(cod_objs)
     return {"check": "triangles", "presentation": pres.name,
             "objects": objects,
@@ -546,7 +547,7 @@ def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors,
 
 
 def _cod_action(lobj):
-    return lobj.obj if isinstance(lobj, SlicedObj) else lobj
+    return lobj.dom if isinstance(lobj, Mor) else lobj
 
 
 def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
@@ -565,16 +566,16 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
         under = pres.dom.carrier(o)
         if comp.dom != orb.quotient or comp.cod != under or not comp.is_bijection():
             if len(failures) < max_witnesses:
-                failures.append({"at": _obj_desc(pres.dom, o), "reason": "not a bijection"})
+                failures.append({"at": _obj_desc(o), "reason": "not a bijection"})
             continue
-        if isinstance(pres.left_obj(o), SlicedObj):
-            arrow = pres.left_obj(o).arrow.fn
+        if isinstance(pres.left_obj(o), Mor):
+            arrow = pres.left_obj(o).fn
             x_size = pres.dom.base.size
             for k in range(orb.quotient.size):
                 xval = arrow.table[orb.reps[k]] % x_size
-                if o.proj.table[comp.table[k]] != xval:
+                if o.table[comp.table[k]] != xval:
                     if len(failures) < max_witnesses:
-                        failures.append({"at": _obj_desc(pres.dom, o),
+                        failures.append({"at": _obj_desc(o),
                                          "reason": "projection mismatch"})
                     break
     dom_mors = list(dom_mors or [])
@@ -586,7 +587,7 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
         lhs = induced.then(pres.over_iso_at(m.cod))
         rhs = pres.over_iso_at(m.dom).then(m.fn)
         if lhs != rhs and len(failures) < max_witnesses:
-            failures.append({"square": "over", "at": _obj_desc(pres.dom, m.dom)})
+            failures.append({"square": "over", "at": _obj_desc(m.dom)})
     return {"check": "over_base", "presentation": pres.name,
             "objects": len(dom_objs),
             "passed": bool(dom_objs or dom_mors) and not failures,
@@ -606,9 +607,9 @@ def adjunction_to_bundle(pres: AdjunctionPresentation, dom_objs, cod_objs,
     frob = check_frobenius(pres, cod_objs, dom_objs)
     if not frob["passed"]:
         raise FrobeniusFail("reciprocity fails on the family", frob["witnesses"])
+    _require(pres.cod, ActionCategory)
     term = pres.dom.terminal()
     p_act = pres.left_obj(term)
-    assert isinstance(p_act, ActionObject), "codomain must be an action category"
     orb = sigma(p_act)
     proj = orb.q.then(pres.over_iso_at(term))
     return Bundle(p_act, pres.dom.base, proj)
@@ -622,62 +623,57 @@ def factor_to_slice(pres: AdjunctionPresentation) -> AdjunctionPresentation:
     if pres.over_iso_at is None:
         raise NotOverBase("factorisation needs the over-base comparison")
     dom = pres.dom
-    assert isinstance(dom, SliceCategory)
-    assert isinstance(pres.cod, ActionCategory)
+    _require(dom, SliceCategory)
+    _require(pres.cod, ActionCategory)
     alg = pres.cod.algebra
     X = dom.base
     triv_x = trivial_action(alg, X)
     cod2 = SliceOverCategory(pres.cod, triv_x)
 
     @cache
-    def kappa(o: SliceObject) -> Mor:
+    def kappa(o: FinFn) -> Mor:
         lo = pres.left_obj(o)
         orb = sigma(lo)
         comp = pres.over_iso_at(o)
-        table = tuple(lo.anchor.table[p] * X.size + o.proj.table[comp.table[orb.q.table[p]]]
+        table = tuple(lo.anchor.table[p] * X.size + o.table[comp.table[orb.q.table[p]]]
                       for p in range(lo.carrier.size))
         return pres.cod.mor(lo, triv_x, FinFn(lo.carrier, triv_x.carrier, table))
 
-    def left_obj(o: SliceObject):
-        return SlicedObj(pres.left_obj(o), kappa(o))
-
     def left_mor(m: Mor):
         inner = pres.left_mor(m)
-        return Mor(left_obj(m.dom), left_obj(m.cod), inner.fn)
+        return Mor(kappa(m.dom), kappa(m.cod), inner.fn)
 
     term = dom.terminal()
     m1 = dom.compose(pres.right_mor(kappa(term)), pres.unit_at(term))
 
     @cache
-    def right_data(o2: SlicedObj):
-        rn = pres.right_mor(o2.arrow)
-        return dom.pullback(m1, rn)
+    def right_data(o2: Mor):
+        return dom.pullback(m1, pres.right_mor(o2))
 
-    def right_obj(o2: SlicedObj):
+    def right_obj(o2: Mor):
         return right_data(o2).obj
 
     def right_mor(m2: Mor):
         pb_a = right_data(m2.dom)
         pb_b = right_data(m2.cod)
-        rm = pres.right_mor(Mor(m2.dom.obj, m2.cod.obj, m2.fn))
+        rm = pres.right_mor(Mor(m2.dom.dom, m2.cod.dom, m2.fn))
         leg = dom.compose(rm, pb_a.p2)
         return Mor(right_obj(m2.dom), right_obj(m2.cod),
                    pb_b.mediate(pb_a.p1, leg).fn)
 
-    def unit_at(o: SliceObject):
-        pb = right_data(left_obj(o))
+    def unit_at(o: FinFn):
+        pb = right_data(kappa(o))
         med = pb.mediate(dom.bang(o), pres.unit_at(o))
         return Mor(o, pb.obj, med.fn)
 
-    def counit_at(o2: SlicedObj):
+    def counit_at(o2: Mor):
         pb = right_data(o2)
         lp2 = pres.left_mor(pb.p2)
-        eps = pres.cod.compose(pres.counit_at(o2.obj), lp2)
-        lr = left_obj(pb.obj)
-        return cod2.mor(lr, o2, eps.fn)
+        eps = pres.cod.compose(pres.counit_at(o2.dom), lp2)
+        return cod2.mor(kappa(pb.obj), o2, eps.fn)
 
     return AdjunctionPresentation("factored(%s)" % pres.name, dom, cod2,
-                                  left_obj, left_mor, right_obj, right_mor,
+                                  kappa, left_mor, right_obj, right_mor,
                                   unit_at, counit_at, pres.over_iso_at)
 
 
@@ -685,7 +681,7 @@ def corollary_slice_criterion(pres: AdjunctionPresentation, dom_objs, cod_objs,
                               stable_slices, hom_cap: int = 4000) -> dict:
     """Compare the single-slice reciprocity criterion (slicing only at the
     trivial action on the base) against the full stable check."""
-    assert isinstance(pres.cod, ActionCategory)
+    _require(pres.cod, ActionCategory)
     alg = pres.cod.algebra
     x = pres.dom.base
     triv_x = trivial_action(alg, x)
@@ -714,8 +710,12 @@ class SliceGroupoidTranslation:
     groupoid: FinGroupoid
 
     def to_anchored(self, a: ActionObject, u: FinFn) -> ActionObject:
-        assert a.algebra == self.group
-        assert u.dom == a.carrier and u.cod == self.base
+        if a.algebra != self.group:
+            raise AlgebraMismatch("action of another algebra", (a.algebra, self.group))
+        if u.dom != a.carrier:
+            raise DomMismatch("map must leave the action's carrier", (u.dom, a.carrier))
+        if u.cod != self.base:
+            raise CodMismatch("map must land in the base", (u.cod, self.base))
         n = self.base.size
         act = []
         for arrow in range(self.groupoid.order):
@@ -726,7 +726,8 @@ class SliceGroupoidTranslation:
                             FinFn(a.carrier, self.groupoid.objects, u.table))
 
     def from_anchored(self, ga: ActionObject) -> tuple[ActionObject, FinFn]:
-        assert ga.algebra == self.groupoid
+        if ga.algebra != self.groupoid:
+            raise AlgebraMismatch("action of another algebra", (ga.algebra, self.groupoid))
         n = self.base.size
         act = []
         for gi in range(self.group.order):
@@ -746,7 +747,7 @@ def torsor_map_to_transform(pres1, pres2, t: FinFn):
     """The natural transformation of left adjoints induced by a map of
     torsors over the same base (components act on the carrier factor)."""
 
-    def component(o: SliceObject) -> Mor:
+    def component(o: FinFn) -> Mor:
         lo1, pb1 = pres1.left_data(o)
         lo2, pb2 = pres2.left_data(o)
         table = tuple(pb2.index(t.table[p], wv) for (p, wv) in pb1.pairs)

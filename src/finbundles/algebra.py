@@ -480,8 +480,9 @@ def pullback_action(pb: Pullback, a: ActionObject, b: ActionObject | None = None
                     ) -> ActionObject:
     """The action on a pullback of carriers, anchored through the first
     factor: diagonal when b acts on the second factor, on the first
-    factor alone when b is None.  ValueError when the pairs are not
-    closed under the action (legs that are not equivariant)."""
+    factor alone when b is None.  NotEquivariant when the pairs are not
+    closed under the action (legs that are not equivariant); the witness
+    is (g, (i, j)) for the first arrow and pair sent off the pullback."""
     alg = a.algebra
     pairs = pb.pairs
     fixed = range(pb.g.dom.size)
@@ -498,7 +499,8 @@ def pullback_action(pb: Pullback, a: ActionObject, b: ActionObject | None = None
             try:
                 row.append(pb.index(v, w))
             except NotInPullback:
-                raise ValueError("pullback carrier is not closed under the action")
+                raise NotEquivariant("pullback carrier is not closed under the action",
+                                     (g, (i, j))) from None
         act.append(tuple(row))
     anchor = tuple(a.anchor.table[i] for (i, _) in pairs)
     return ActionObject(alg, pb.carrier, tuple(act), _anchor(pb.carrier, alg.objects, anchor))

@@ -20,7 +20,6 @@ from .finset import (
     FinFn,
     FinSet,
     FinSetError,
-    SliceObject,
     all_functions,
     pullback,
 )
@@ -93,8 +92,9 @@ def _cat_pullback(obj, a, b, pb) -> CatPullback:
 
 
 class SliceCategory:
-    """The slice of finite sets over a fixed base; the base category of
-    finite sets itself is the slice over a point."""
+    """The slice of finite sets over a fixed base, whose objects are the
+    maps into the base; the base category of finite sets itself is the
+    slice over a point."""
 
     def __init__(self, base: FinSet):
         self.base = base
@@ -105,53 +105,50 @@ class SliceCategory:
     def __eq__(self, other):
         return isinstance(other, SliceCategory) and self.base == other.base
 
-    def carrier(self, o: SliceObject) -> FinSet:
-        return o.total
+    def carrier(self, o: FinFn) -> FinSet:
+        return o.dom
 
-    def mor(self, dom: SliceObject, cod: SliceObject, fn: FinFn) -> Mor:
-        if fn.dom != dom.total:
-            raise DomMismatch("map does not leave the domain object", (fn.dom, dom.total))
-        if fn.cod != cod.total:
-            raise CodMismatch("map does not land in the codomain object", (fn.cod, cod.total))
-        witness = _square_witness(fn, dom.proj, cod.proj)
+    def mor(self, dom: FinFn, cod: FinFn, fn: FinFn) -> Mor:
+        if fn.dom != dom.dom:
+            raise DomMismatch("map does not leave the domain object", (fn.dom, dom.dom))
+        if fn.cod != cod.dom:
+            raise CodMismatch("map does not land in the codomain object", (fn.cod, cod.dom))
+        witness = _square_witness(fn, dom, cod)
         if witness is not None:
             raise NotAMorphism("map does not commute with the projections", witness)
         return Mor(dom, cod, fn)
 
-    def identity(self, o: SliceObject) -> Mor:
-        return Mor(o, o, FinFn.identity(o.total))
+    def identity(self, o: FinFn) -> Mor:
+        return Mor(o, o, FinFn.identity(o.dom))
 
     compose = staticmethod(_compose)
 
-    def terminal(self) -> SliceObject:
-        return SliceObject(self.base, self.base, FinFn.identity(self.base))
+    def terminal(self) -> FinFn:
+        return FinFn.identity(self.base)
 
-    def bang(self, o: SliceObject) -> Mor:
-        return Mor(o, self.terminal(), o.proj)
+    def bang(self, o: FinFn) -> Mor:
+        return Mor(o, self.terminal(), o)
 
     def is_iso(self, m: Mor) -> bool:
         return m.fn.is_bijection()
 
-    def product(self, a: SliceObject, b: SliceObject) -> CatPullback:
+    def product(self, a: FinFn, b: FinFn) -> CatPullback:
         return self.pullback(self.bang(a), self.bang(b))
 
     def pullback(self, m1: Mor, m2: Mor) -> CatPullback:
         if m1.cod != m2.cod:
             raise CodMismatch("pullback needs a common codomain", (m1.cod, m2.cod))
         pb = pullback(m1.fn, m2.fn)
-        obj = SliceObject(pb.carrier, self.base, pb.p1.then(m1.dom.proj))
-        return _cat_pullback(obj, m1.dom, m2.dom, pb)
+        return _cat_pullback(pb.p1.then(m1.dom), m1.dom, m2.dom, pb)
 
-    def homs(self, a: SliceObject, b: SliceObject):
-        for fn in all_functions(a.total, b.total):
-            if fn.then(b.proj) == a.proj:
+    def homs(self, a: FinFn, b: FinFn):
+        for fn in all_functions(a.dom, b.dom):
+            if fn.then(b) == a:
                 yield Mor(a, b, fn)
 
     def objects_upto(self, max_total: int):
         for n in range(max_total + 1):
-            total = FinSet(n)
-            for proj in all_functions(total, self.base):
-                yield SliceObject(total, self.base, proj)
+            yield from all_functions(FinSet(n), self.base)
 
 
 class ActionCategory:
@@ -210,17 +207,9 @@ class ActionCategory:
             yield from all_actions(self.algebra, FinSet(n))
 
 
-@dataclass(frozen=True)
-class SlicedObj:
-    """An object of a slice of another category: an object together with
-    its structure morphism into the slicing anchor."""
-
-    obj: Any
-    arrow: Mor
-
-
 class SliceOverCategory:
-    """The slice of an arbitrary base category over one of its objects.
+    """The slice of an arbitrary base category over one of its objects,
+    whose objects are the base category's morphisms into that anchor.
     Products here are pullbacks there."""
 
     def __init__(self, base_cat, anchor):
@@ -234,50 +223,50 @@ class SliceOverCategory:
         return (isinstance(other, SliceOverCategory)
                 and self.base_cat == other.base_cat and self.anchor == other.anchor)
 
-    def carrier(self, o: SlicedObj) -> FinSet:
-        return self.base_cat.carrier(o.obj)
+    def carrier(self, o: Mor) -> FinSet:
+        return self.base_cat.carrier(o.dom)
 
-    def mor(self, dom: SlicedObj, cod: SlicedObj, fn: FinFn) -> Mor:
-        self.base_cat.mor(dom.obj, cod.obj, fn)
-        witness = _square_witness(fn, dom.arrow.fn, cod.arrow.fn)
+    def mor(self, dom: Mor, cod: Mor, fn: FinFn) -> Mor:
+        self.base_cat.mor(dom.dom, cod.dom, fn)
+        witness = _square_witness(fn, dom.fn, cod.fn)
         if witness is not None:
             raise NotAMorphism("map does not commute with the structure maps", witness)
         return Mor(dom, cod, fn)
 
-    def identity(self, o: SlicedObj) -> Mor:
-        return Mor(o, o, self.base_cat.identity(o.obj).fn)
+    def identity(self, o: Mor) -> Mor:
+        return Mor(o, o, self.base_cat.identity(o.dom).fn)
 
     compose = staticmethod(_compose)
 
-    def terminal(self) -> SlicedObj:
-        return SlicedObj(self.anchor, self.base_cat.identity(self.anchor))
+    def terminal(self) -> Mor:
+        return self.base_cat.identity(self.anchor)
 
-    def bang(self, o: SlicedObj) -> Mor:
-        return Mor(o, self.terminal(), o.arrow.fn)
+    def bang(self, o: Mor) -> Mor:
+        return Mor(o, self.terminal(), o.fn)
 
     def is_iso(self, m: Mor) -> bool:
         return m.fn.is_bijection()
 
-    def product(self, a: SlicedObj, b: SlicedObj) -> CatPullback:
-        pb = self.base_cat.pullback(a.arrow, b.arrow)
-        obj = SlicedObj(pb.obj, self.base_cat.compose(a.arrow, pb.p1))
+    def product(self, a: Mor, b: Mor) -> CatPullback:
+        pb = self.base_cat.pullback(a, b)
+        obj = self.base_cat.compose(a, pb.p1)
 
         def mediate(m1: Mor, m2: Mor) -> Mor:
             if m1.dom != m2.dom:
                 raise DomMismatch("a cone needs legs with one domain", (m1.dom, m2.dom))
-            inner1 = self.base_cat.mor(m1.dom.obj, a.obj, m1.fn)
-            inner2 = self.base_cat.mor(m2.dom.obj, b.obj, m2.fn)
+            inner1 = self.base_cat.mor(m1.dom.dom, a.dom, m1.fn)
+            inner2 = self.base_cat.mor(m2.dom.dom, b.dom, m2.fn)
             return Mor(m1.dom, obj, pb.mediate(inner1, inner2).fn)
 
         return CatPullback(obj, Mor(obj, a, pb.p1.fn), Mor(obj, b, pb.p2.fn), mediate)
 
     def objects_over(self, base_objs, hom_cap: int | None = None):
-        """Slice objects built from a family of base objects; the cap
-        guards the enumeration of structure morphisms."""
+        """The morphisms from a family of base objects into the anchor;
+        the cap guards their enumeration."""
         count = 0
         for obj in base_objs:
             for m in self.base_cat.homs(obj, self.anchor):
-                yield SlicedObj(obj, m)
+                yield m
                 count += 1
                 if hom_cap is not None and count > hom_cap:
                     raise FamilyTooLarge("sliced family exceeds cap", hom_cap)

@@ -41,6 +41,11 @@ class NotInPullback(FinSetError):
     pullback."""
 
 
+class NotACone(FinSetError):
+    """The witness is (z, f(u z), g(v z)) for the first point z where the
+    two legs of a cone disagree over the cospan."""
+
+
 class NotBijective(FinSetError):
     """The witness is the first two points with one image, or
     ("missed", y) for the first point y that nothing reaches."""
@@ -156,19 +161,6 @@ class IsoCertificate:
 
 
 @dataclass(frozen=True)
-class SliceObject:
-    """An object of the slice over base: a map total -> base."""
-
-    total: FinSet
-    base: FinSet
-    proj: FinFn
-
-    def __post_init__(self):
-        if self.proj.dom != self.total or self.proj.cod != self.base:
-            raise ValueError("proj must run total -> base")
-
-
-@dataclass(frozen=True)
 class Pullback:
     """The pullback of f and g: pairs (a, b) with f(a) = g(b), in
     lexicographic order."""
@@ -198,8 +190,9 @@ class Pullback:
             raise CodMismatch("cone legs must land in the cospan", (u.cod, v.cod))
         table = []
         for z in range(u.dom.size):
-            if self.f.table[u.table[z]] != self.g.table[v.table[z]]:
-                raise ValueError("not a cone over the cospan", )
+            fu, gv = self.f.table[u.table[z]], self.g.table[v.table[z]]
+            if fu != gv:
+                raise NotACone("not a cone over the cospan", (z, fu, gv))
             table.append(self.index(u.table[z], v.table[z]))
         return FinFn(u.dom, self.carrier, tuple(table))
 

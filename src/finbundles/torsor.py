@@ -18,7 +18,6 @@ from .finset import (
     FinSet,
     IsoCertificate,
     Pullback,
-    SliceObject,
     UnionFind,
     product,
     pullback,
@@ -302,11 +301,11 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet, max_carrier: int = 8) -> 
 
 @dataclass(frozen=True)
 class DescentDatum:
-    """An object over the total space of a surjection, with a gluing
-    isomorphism between its two pullbacks to the fibrewise pairs, and the
-    shape (those pullbacks) the gluing was built on."""
+    """An object over the total space of a surjection (a map into it),
+    with a gluing isomorphism between its two pullbacks to the fibrewise
+    pairs, and the shape (those pullbacks) the gluing was built on."""
 
-    over: SliceObject
+    over: FinFn
     glue: IsoCertificate
     shape: DescentShape
 
@@ -318,12 +317,12 @@ class DescentShape:
     pb2: Pullback
 
 
-def descent_pullbacks(f: FinFn, over: SliceObject) -> DescentShape:
+def descent_pullbacks(f: FinFn, over: FinFn) -> DescentShape:
     """The two canonical pullbacks of the slice to the fibrewise pairs of
     f; the glue certificate of a datum runs from the first to the second."""
     pp = pullback(f, f)
-    pb1 = pullback(pp.p1, over.proj)
-    pb2 = pullback(pp.p2, over.proj)
+    pb1 = pullback(pp.p1, over)
+    pb2 = pullback(pp.p2, over)
     return DescentShape(pp, pb1, pb2)
 
 
@@ -338,17 +337,17 @@ def _theta(shape: DescentShape, glue: IsoCertificate, w: int, y: int) -> int:
 def validate_descent_datum(f: FinFn, d: DescentDatum) -> DescentShape:
     """Check the shape, unit and cocycle conditions; returns the pullback
     shape for reuse."""
-    if d.over.base != f.dom:
+    if d.over.cod != f.dom:
         raise ValueError("datum must live over the total space of f")
     shape = d.shape
-    if shape.pp.f != f or shape.pb1.g != d.over.proj:
+    if shape.pp.f != f or shape.pb1.g != d.over:
         raise ValueError("datum's shape was built along another map or slice")
     if (d.glue.forward.dom != shape.pb1.carrier
             or d.glue.forward.cod != shape.pb2.carrier):
         raise ValueError("glue endpoints do not match the canonical pullbacks")
-    p = d.over.proj
+    p = d.over
     for w, (p1, p2) in enumerate(shape.pp.pairs):
-        for y in range(d.over.total.size):
+        for y in range(p.dom.size):
             if p.table[y] != p1:
                 continue
             y2 = _theta(shape, d.glue, w, y)
@@ -359,7 +358,7 @@ def validate_descent_datum(f: FinFn, d: DescentDatum) -> DescentShape:
             if q2 != p2 or f.table[p1] != f.table[p3]:
                 continue
             w13 = shape.pp.index(p1, p3)
-            for y in range(d.over.total.size):
+            for y in range(p.dom.size):
                 if p.table[y] != p1:
                     continue
                 step = _theta(shape, d.glue, w23, _theta(shape, d.glue, w12, y))
@@ -369,7 +368,7 @@ def validate_descent_datum(f: FinFn, d: DescentDatum) -> DescentShape:
     return shape
 
 
-def descent_datum(f: FinFn, over: SliceObject, transport) -> DescentDatum:
+def descent_datum(f: FinFn, over: FinFn, transport) -> DescentDatum:
     """The datum over the slice whose glue sends a point y over p1 to
     transport(p1, p2, y) over p2, for every fibrewise pair (p1, p2) of f.
     The backward map transports from p2 to p1.  This is the one place that
@@ -385,20 +384,20 @@ def descent_datum(f: FinFn, over: SliceObject, transport) -> DescentDatum:
     return DescentDatum(over, glue, shape)
 
 
-def canonical_descent_datum(f: FinFn, s: SliceObject) -> DescentDatum:
+def canonical_descent_datum(f: FinFn, s: FinFn) -> DescentDatum:
     """The datum obtained by pulling a slice over the base back along f:
     the glue transports (p1, z) to (p2, z)."""
-    pb = pullback(f, s.proj)
-    over = SliceObject(pb.carrier, f.dom, pb.p1)
-    return descent_datum(f, over, lambda p1, p2, y: pb.index(p2, pb.pairs[y][1]))
+    pb = pullback(f, s)
+    return descent_datum(f, pb.p1, lambda p1, p2, y: pb.index(p2, pb.pairs[y][1]))
 
 
 @dataclass(frozen=True)
 class GluedSlice:
-    """The glued slice, its pullback along f, the certificate from the
-    datum's total space onto that pullback, and the datum's shape."""
+    """The glued slice (a map into the base), its pullback along f, the
+    certificate from the datum's total space onto that pullback, and the
+    datum's shape."""
 
-    result: SliceObject
+    result: FinFn
     pullback: Pullback
     cert: IsoCertificate
     shape: DescentShape
@@ -411,24 +410,24 @@ def glue_descent_data(f: FinFn, d: DescentDatum) -> GluedSlice:
         missed = min(set(range(f.cod.size)) - set(f.table))
         raise NotSurjective("cannot glue along a non-surjection", missed)
     shape = validate_descent_datum(f, d)
-    p = d.over.proj
-    uf = UnionFind(d.over.total.size)
+    p = d.over
+    uf = UnionFind(p.dom.size)
     for w, (p1, _) in enumerate(shape.pp.pairs):
-        for y in range(d.over.total.size):
+        for y in range(p.dom.size):
             if p.table[y] == p1:
                 uf.union(y, _theta(shape, d.glue, w, y))
     quotient, cls_of, reps = uf.quotient()
     base_of = tuple(f.table[p.table[rep]] for rep in reps)
-    result = SliceObject(quotient, f.cod, FinFn(quotient, f.cod, base_of))
-    pb = pullback(f, result.proj)
-    fwd = FinFn(d.over.total, pb.carrier,
-                tuple(pb.index(p.table[y], cls_of[y]) for y in range(d.over.total.size)))
+    result = FinFn(quotient, f.cod, base_of)
+    pb = pullback(f, result)
+    fwd = FinFn(p.dom, pb.carrier,
+                tuple(pb.index(p.table[y], cls_of[y]) for y in range(p.dom.size)))
     bwd_table = []
     for (p0, c) in pb.pairs:
         rep = reps[c]
         y = _theta(shape, d.glue, shape.pp.index(p.table[rep], p0), rep)
         bwd_table.append(y)
-    bwd = FinFn(pb.carrier, d.over.total, tuple(bwd_table))
+    bwd = FinFn(pb.carrier, p.dom, tuple(bwd_table))
     cert = IsoCertificate(fwd, bwd)
     return GluedSlice(result, pb, cert, shape)
 

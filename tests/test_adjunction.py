@@ -5,7 +5,6 @@ from finbundles.finset import (
     FinFn,
     FinSet,
     IsoCertificate,
-    SliceObject,
     TERMINAL,
     NotInPullback,
     all_functions,
@@ -33,6 +32,7 @@ from finbundles.torsor import (
     trivial_torsor,
 )
 from finbundles.adjunction import (
+    AdjunctionPresentation,
     FrobeniusFail,
     NotOverBase,
     RoundTripFail,
@@ -276,7 +276,7 @@ def test_transpose_up_of_evaluation_is_identity():
     for a in action_family(z2, 3):
         ra = pres.right_obj(a)
         up = pres.dom.compose(pres.right_mor(pres.counit_at(a)), pres.unit_at(ra))
-        assert up.fn == FinFn.identity(ra.total)
+        assert up.fn == FinFn.identity(ra.dom)
 
 
 def test_error_paths():
@@ -296,8 +296,8 @@ def test_pullback_presentation_names_the_point_off_the_pullback():
     # (0, 0) to (0, 0), which is not a point over the codomain
     pres = pullback_presentation(FinFn(FinSet(3), FinSet(2), (0, 0, 1)))
     one = FinSet(1)
-    over0 = SliceObject(one, FinSet(2), FinFn(one, FinSet(2), (0,)))
-    over1 = SliceObject(one, FinSet(2), FinFn(one, FinSet(2), (1,)))
+    over0 = FinFn(one, FinSet(2), (0,))
+    over1 = FinFn(one, FinSet(2), (1,))
     with pytest.raises(NotInPullback) as exc:
         pres.right_mor(Mor(over0, over1, FinFn.identity(one)))
     assert exc.value.witness == (0, 0)
@@ -307,23 +307,22 @@ CATEGORY_CHECKS = """
 from finbundles import catalog
 from finbundles.algebra import AlgebraError, arrows_action, self_action, trivial_action
 from finbundles.categories import (
-    ActionCategory, Mor, SliceCategory, SliceOverCategory, SlicedObj)
-from finbundles.finset import FinFn, FinSet, FinSetError, SliceObject
+    ActionCategory, Mor, SliceCategory, SliceOverCategory)
+from finbundles.finset import FinFn, FinSet, FinSetError
 
 z2 = catalog.groups(2)["z2"]
 acts = ActionCategory(z2)
 free, triv = self_action(z2), trivial_action(z2, FinSet(2))
 two = FinSet(2)
 slices = SliceCategory(two)
-split = SliceObject(two, two, FinFn(two, two, (0, 1)))
+split = FinFn(two, two, (0, 1))
 over = SliceOverCategory(acts, triv)
 ident = acts.identity(triv)
 cases = [
     lambda: acts.mor(triv, free, FinFn(two, two, (0, 0))),
     lambda: slices.mor(split, split, FinFn(two, two, (0, 0))),
     lambda: slices.mor(split, split, FinFn(two, FinSet(3), (0, 0))),
-    lambda: over.mor(SlicedObj(triv, ident),
-                     SlicedObj(triv, Mor(triv, triv, FinFn(two, two, (1, 0)))),
+    lambda: over.mor(ident, Mor(triv, triv, FinFn(two, two, (1, 0))),
                      FinFn.identity(two)),
     lambda: acts.compose(acts.identity(free), ident),
     lambda: arrows_action(catalog.groupoids()["pair2"]).apply(1, 0),
@@ -361,6 +360,77 @@ def test_category_checks_run_without_asserts():
     assert len(lines) == 6
 
 
+ADJUNCTION_CHECKS = """
+from finbundles import catalog
+from finbundles.adjunction import (
+    AdjunctionError, adjunction_to_bundle, bundle_to_adjunction,
+    corollary_slice_criterion, factor_to_slice, pullback_presentation,
+    sigma_presentation, slice_groupoid_equivalence)
+from finbundles.algebra import AlgebraError, self_action
+from finbundles.categories import slice_family
+from finbundles.finset import FinFn, FinSet, FinSetError, TERMINAL
+from finbundles.torsor import trivial_torsor
+
+z2, z3 = catalog.groups(3)["z2"], catalog.groups(3)["z3"]
+two = FinSet(2)
+translation = slice_groupoid_equivalence(z2, two)
+sp = sigma_presentation(z2)
+sp.over_iso_at = sp.counit_at  # only its presence matters to factor_to_slice
+factored = factor_to_slice(bundle_to_adjunction(trivial_torsor(z2, TERMINAL)))
+dom_objs = slice_family(TERMINAL, 2)
+
+
+def describe(w):
+    # sizes of the mismatched sets or algebras, or the offending category
+    if isinstance(w, tuple):
+        return tuple(x.size if isinstance(x, FinSet) else x.order for x in w)
+    return type(w).__name__
+
+
+cases = [
+    lambda: translation.to_anchored(self_action(z2), FinFn(two, FinSet(1), (0, 0))),
+    lambda: translation.to_anchored(self_action(z2), FinFn(FinSet(3), two, (0, 0, 1))),
+    lambda: translation.to_anchored(self_action(z3), FinFn(FinSet(3), two, (0, 0, 1))),
+    lambda: translation.from_anchored(self_action(z2)),
+    lambda: factor_to_slice(sp),
+    lambda: corollary_slice_criterion(pullback_presentation(FinFn.identity(two)), [], [], []),
+    lambda: adjunction_to_bundle(factored, dom_objs, [factored.left_obj(o) for o in dom_objs]),
+]
+for case in cases:
+    try:
+        out = case()
+    except (AdjunctionError, AlgebraError, FinSetError) as exc:
+        print("REJECTED", type(exc).__name__, describe(exc.witness))
+    else:
+        print("ACCEPTED", type(out).__name__)
+"""
+
+
+def test_adjunction_checks_run_without_asserts():
+    # the category and input checks of the adjunction constructions are
+    # typed checks with a witness, so they still run under python -O
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", ADJUNCTION_CHECKS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "REJECTED CodMismatch (1, 2)",
+        "REJECTED DomMismatch (3, 2)",
+        "REJECTED AlgebraMismatch (3, 2)",
+        "REJECTED AlgebraMismatch (2, 4)",
+        "REJECTED WrongCategory ActionCategory",
+        "REJECTED WrongCategory SliceCategory",
+        "REJECTED WrongCategory SliceOverCategory",
+    ]
+
+
 # Bundle presentations --------------------------------------------------------
 
 def test_self_torsor_gives_free_forgetful_pair():
@@ -371,9 +441,9 @@ def test_self_torsor_gives_free_forgetful_pair():
                                    FinFn.constant(z2.carrier, TERMINAL, 0)))
     pres = bundle_to_adjunction(w)
     for a in all_actions(z2, FinSet(3)):
-        assert pres.right_obj(a).total.size == a.carrier.size
+        assert pres.right_obj(a).dom.size == a.carrier.size
     for n in range(4):
-        s = SliceObject(FinSet(n), TERMINAL, FinFn.constant(FinSet(n), TERMINAL, 0))
+        s = FinFn.constant(FinSet(n), TERMINAL, 0)
         assert pres.left_obj(s).carrier.size == 2 * n
 
 
@@ -578,9 +648,9 @@ def test_factor_to_slice_at_point_is_identity_like():
     pres = bundle_to_adjunction(w)
     factored = factor_to_slice(pres)
     for o in slice_family(TERMINAL, 2):
-        assert factored.left_obj(o).obj == pres.left_obj(o)
-        assert (factored.right_obj(factored.left_obj(o)).total.size
-                == pres.right_obj(pres.left_obj(o)).total.size)
+        assert factored.left_obj(o).dom == pres.left_obj(o)
+        assert (factored.right_obj(factored.left_obj(o)).dom.size
+                == pres.right_obj(pres.left_obj(o)).dom.size)
 
 
 def test_factor_to_slice_laws_and_recompose():
@@ -597,7 +667,7 @@ def test_factor_to_slice_laws_and_recompose():
                                dom_mors(factored.dom, dom_objs, 60))["passed"]
         # forgetting the structure map recovers the original left adjoint
         for o in dom_objs:
-            assert factored.left_obj(o).obj == pres.left_obj(o)
+            assert factored.left_obj(o).dom == pres.left_obj(o)
 
 
 def test_factored_matches_translated_groupoid_torsor():
@@ -616,9 +686,9 @@ def test_factored_matches_translated_groupoid_torsor():
             lo2 = factored.left_obj(o)
             glo = gpres.left_obj(o)
             plain, invariant = translation.from_anchored(glo)
-            assert plain.act == lo2.obj.act
+            assert plain.act == lo2.dom.act
             x_component = tuple(
-                v % nx for v in lo2.arrow.fn.table)
+                v % nx for v in lo2.fn.table)
             assert x_component == invariant.table
 
 
@@ -792,6 +862,22 @@ def test_check_frobenius_fails_on_an_empty_family():
         rep = check_frobenius(pres, cod_objs, dom_objs)
         assert rep["pairs"] == 0
         assert not rep["passed"]
+
+
+def test_check_frobenius_lets_a_crashing_component_escape():
+    # only the typed errors of a malformed comparison map count as a failed
+    # pair; a component that crashes is a bug and must not read as a verdict
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+
+    def counit_at(a):
+        raise ValueError("component crashed")
+
+    crashing = AdjunctionPresentation(
+        "crashing", pres.dom, pres.cod, pres.left_obj, pres.left_mor,
+        pres.right_obj, pres.right_mor, pres.unit_at, counit_at)
+    with pytest.raises(ValueError, match="component crashed"):
+        check_frobenius(crashing, action_family(z2, 1), slice_family(TERMINAL, 1))
 
 
 def test_check_stably_frobenius_fails_with_no_slices():

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from finbundles import catalog
-from finbundles.finset import FinFn, FinSet, TERMINAL, all_functions, product
+from finbundles.finset import FinFn, FinSet, TERMINAL, all_functions, product, pullback
 from finbundles.algebra import (
     AlgebraMismatch,
     AnchorMismatch,
@@ -22,6 +22,7 @@ from finbundles.algebra import (
     discrete_groupoid,
     equivariant_maps,
     group_to_groupoid,
+    pullback_action,
     pair_groupoid,
     self_action,
     sigma,
@@ -393,6 +394,18 @@ def test_equivariant_map_rejects_non_equivariant():
     a = self_action(z2)
     with pytest.raises(NotEquivariant):
         EquivariantMap(a, a, FinFn(a.carrier, a.carrier, (0, 0)))
+
+
+def test_pullback_action_names_the_arrow_that_leaves_the_pullback():
+    # the identity legs from the free and the trivial z2-set on two points
+    # are not both equivariant: the generator sends the pair (0, 0) to
+    # (1, 0), which is off the diagonal
+    z2 = GROUPS["z2"]
+    two = FinSet(2)
+    pb = pullback(FinFn.identity(two), FinFn.identity(two))
+    with pytest.raises(NotEquivariant) as exc:
+        pullback_action(pb, self_action(z2), trivial_action(z2, two))
+    assert exc.value.witness == (1, (0, 0))
 
 
 def test_action_enumeration_counts_match_hom_counts():

@@ -17,7 +17,8 @@ from finbundles.cli import (
     run_theorem_suite,
     run_verify,
 )
-from finbundles.suites import Bounds
+from finbundles import catalog
+from finbundles.suites import Bounds, theorem_checks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -186,6 +187,21 @@ def test_theorem_without_negative_controls_fails_without_crashing(tmp_path, caps
         assert code == 1
         failed = [c for c in report["checks"] if not c["passed"]]
         assert [c["check"] for c in failed] == ["corollary_negative_controls"]
+
+
+def test_theorem_carrier_beyond_the_enumeration_bound_is_a_failed_check():
+    # z5 over two points needs a ten-point carrier, within --bound-carrier
+    # but beyond what enumerate_torsors takes: a failed entry, not a crash
+    checks = theorem_checks({"z5": catalog.cyclic(5)}, {},
+                            Bounds(group_order=5, carrier=10, base=2))
+    suite = [c for c in checks if c["check"] == "theorem_suite_group"]
+    assert suite == [
+        {"check": "theorem_suite_group", "group": "z5", "base": 1, "torsors": 24,
+         "passed": True},
+        {"check": "theorem_suite_group", "group": "z5", "base": 2, "torsors": 0,
+         "error": "BoundsExceeded", "witness": 10, "passed": False},
+    ]
+    assert all(c["passed"] for c in checks if c["check"] != "theorem_suite_group")
 
 
 def test_malformed_group_fixture_is_a_failed_check(tmp_path):

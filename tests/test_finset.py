@@ -9,8 +9,8 @@ from finbundles.finset import (
     FinFn,
     FinSet,
     IsoCertificate,
+    NotACone,
     NotBijective,
-    SliceObject,
     TERMINAL,
     all_functions,
     coequalizer,
@@ -257,6 +257,16 @@ def test_mismatched_legs_raise_typed_errors():
         c.factor(FinFn.identity(three))
 
 
+def test_mediate_names_the_first_point_off_the_cone():
+    # u and v agree over the cospan at 0 (both reach 1) but not at 1,
+    # where f(u 1) = 0 and g(v 1) = 1
+    two = FinSet(2)
+    pb = pullback(FinFn.identity(two), FinFn(TERMINAL, two, (1,)))
+    with pytest.raises(NotACone) as exc:
+        pb.mediate(FinFn(two, two, (1, 0)), FinFn.constant(two, TERMINAL, 0))
+    assert exc.value.witness == (1, 0, 1)
+
+
 def test_finset_checks_run_without_asserts():
     # every structural check of finset is a typed check, so it still runs
     # under python -O, where assert statements are stripped
@@ -297,21 +307,21 @@ def test_finset_checks_run_without_asserts():
 
 def test_pullback_adjunction_identity_is_identity_up_to_iso():
     pres = pullback_presentation(FinFn.identity(FinSet(3)))
-    s = SliceObject(FinSet(2), FinSet(3), FinFn(FinSet(2), FinSet(3), (0, 2)))
+    s = FinFn(FinSet(2), FinSet(3), (0, 2))
     assert pres.left_obj(s) == s
-    assert pres.right_obj(s).total.size == s.total.size
+    assert pres.right_obj(s).dom.size == s.dom.size
     IsoCertificate(pres.unit_at(s).fn, pres.counit_at(s).fn)
 
 
 def test_pullback_adjunction_point_gives_fiber():
     pres = pullback_presentation(FinFn(TERMINAL, FinSet(2), (1,)))
-    s = SliceObject(FinSet(3), FinSet(2), FinFn(FinSet(3), FinSet(2), (0, 1, 1)))
-    assert pres.right_obj(s).total.size == 2
+    s = FinFn(FinSet(3), FinSet(2), (0, 1, 1))
+    assert pres.right_obj(s).dom.size == 2
 
 
 def test_pullback_adjunction_base_mismatch():
     pres = pullback_presentation(FinFn(FinSet(2), FinSet(3), (0, 1)))
-    wrong = SliceObject(FinSet(1), FinSet(4), FinFn(FinSet(1), FinSet(4), (0,)))
+    wrong = FinFn(FinSet(1), FinSet(4), (0,))
     with pytest.raises(BaseMismatch):
         pres.left_obj(wrong)
     with pytest.raises(BaseMismatch):

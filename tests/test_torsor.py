@@ -9,7 +9,6 @@ from finbundles.finset import (
     FinFn,
     FinSet,
     IsoCertificate,
-    SliceObject,
     TERMINAL,
     all_functions,
     coequalizer,
@@ -223,18 +222,18 @@ def test_orbit_coequalizer_collapses_torsor_fibrewise():
 
 def test_canonical_descent_roundtrip():
     f = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
-    s = SliceObject(FinSet(3), FinSet(2), FinFn(FinSet(3), FinSet(2), (0, 1, 1)))
+    s = FinFn(FinSet(3), FinSet(2), (0, 1, 1))
     d = canonical_descent_datum(f, s)
     glued = glue_descent_data(f, d)
-    assert glued.result.total.size == 3
-    assert sorted(glued.result.proj.table) == sorted(s.proj.table)
+    assert glued.result.dom.size == 3
+    assert sorted(glued.result.table) == sorted(s.table)
 
 
 def test_glue_swap_example():
     # two points over each fibre point of a two-to-one map, glued by the
     # swap, quotient to a two-point object
     f = FinFn(FinSet(2), TERMINAL, (0, 0))
-    y = SliceObject(FinSet(4), FinSet(2), FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1)))
+    y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
     shape = descent_pullbacks(f, y)
     fwd = []
     for (wv, k) in shape.pb1.pairs:
@@ -254,13 +253,13 @@ def test_glue_swap_example():
     d = DescentDatum(y, glue, shape)
     glued = glue_descent_data(f, d)
     # oracle, run by hand: 0 ~ swap(0) = 3 and 1 ~ swap(1) = 2
-    assert glued.result.total.size == 2
+    assert glued.result.dom.size == 2
 
 
 def test_glue_rejects_non_surjection():
     f = FinFn(FinSet(1), FinSet(2), (0,))
-    s = SliceObject(FinSet(1), FinSet(1), FinFn.identity(FinSet(1)))
-    y = SliceObject(FinSet(1), FinSet(1), FinFn.identity(FinSet(1)))
+    s = FinFn.identity(FinSet(1))
+    y = FinFn.identity(FinSet(1))
     d = canonical_descent_datum(FinFn.identity(FinSet(1)), y)
     with pytest.raises(NotSurjective):
         glue_descent_data(f, DescentDatum(d.over, d.glue, d.shape))
@@ -270,7 +269,7 @@ def test_validate_descent_rejects_broken_cocycle():
     # three fibre points with two-element fibres; the pairwise bijections
     # are unital and mutually inverse but fail one transitivity composite
     f = FinFn(FinSet(3), TERMINAL, (0, 0, 0))
-    y = SliceObject(FinSet(6), FinSet(3), FinFn(FinSet(6), FinSet(3), (0, 0, 1, 1, 2, 2)))
+    y = FinFn(FinSet(6), FinSet(3), (0, 0, 1, 1, 2, 2))
     shape = descent_pullbacks(f, y)
 
     def theta(p1, p2, local):
@@ -296,12 +295,12 @@ def test_validate_descent_rejects_a_datum_built_along_another_map():
     # the swap and the identity on two points have the same fibrewise
     # pairs, so only the map the shape was built along tells them apart
     swap = FinFn(FinSet(2), FinSet(2), (1, 0))
-    s = SliceObject(FinSet(2), FinSet(2), FinFn(FinSet(2), FinSet(2), (0, 1)))
+    s = FinFn(FinSet(2), FinSet(2), (0, 1))
     d = canonical_descent_datum(swap, s)
     assert validate_descent_datum(swap, d) is d.shape
     with pytest.raises(ValueError):
         validate_descent_datum(FinFn.identity(FinSet(2)), d)
-    other = SliceObject(FinSet(2), FinSet(2), FinFn(FinSet(2), FinSet(2), (1, 0)))
+    other = FinFn(FinSet(2), FinSet(2), (1, 0))
     with pytest.raises(ValueError):
         validate_descent_datum(swap, DescentDatum(other, d.glue, d.shape))
 
@@ -324,13 +323,13 @@ def test_descent_morphisms_biject_with_glued_morphisms():
             shape1 = descent_pullbacks(f, d1.over)
             shape2 = descent_pullbacks(f, d2.over)
             datum_maps = []
-            for fn in all_functions(d1.over.total, d2.over.total):
-                if fn.then(d2.over.proj) != d1.over.proj:
+            for fn in all_functions(d1.over.dom, d2.over.dom):
+                if fn.then(d2.over) != d1.over:
                     continue
                 ok = True
                 for wv, (p1, _) in enumerate(shape1.pp.pairs):
-                    for y in range(d1.over.total.size):
-                        if d1.over.proj.table[y] != p1:
+                    for y in range(d1.over.dom.size):
+                        if d1.over.table[y] != p1:
                             continue
                         if (fn.table[theta(shape1, d1.glue, wv, y)]
                                 != theta(shape2, d2.glue, wv, fn.table[y])):
@@ -339,13 +338,13 @@ def test_descent_morphisms_biject_with_glued_morphisms():
                     datum_maps.append(fn)
             g1 = glue_descent_data(f, d1)
             g2 = glue_descent_data(f, d2)
-            glued_maps = [fn for fn in all_functions(g1.result.total, g2.result.total)
-                          if fn.then(g2.result.proj) == g1.result.proj]
+            glued_maps = [fn for fn in all_functions(g1.result.dom, g2.result.dom)
+                          if fn.then(g2.result) == g1.result]
             induced = set()
             for fn in datum_maps:
-                q1 = {y: g1.cert.forward.table[y] for y in range(d1.over.total.size)}
-                table = [0] * g1.result.total.size
-                for y in range(d1.over.total.size):
+                q1 = {y: g1.cert.forward.table[y] for y in range(d1.over.dom.size)}
+                table = [0] * g1.result.dom.size
+                for y in range(d1.over.dom.size):
                     cls1 = g1.pullback.pairs[q1[y]][1]
                     table[cls1] = g2.pullback.pairs[
                         g2.cert.forward.table[fn.table[y]]][1]
@@ -359,10 +358,9 @@ def test_glue_pullback_certificate_sizes():
     for nz in range(4):
         z = FinSet(nz)
         for zp in all_functions(z, FinSet(2)):
-            s = SliceObject(z, FinSet(2), zp)
-            d = canonical_descent_datum(f, s)
+            d = canonical_descent_datum(f, zp)
             glued = glue_descent_data(f, d)
-            assert glued.cert.forward.dom == d.over.total
+            assert glued.cert.forward.dom == d.over.dom
             assert glued.cert.forward.cod == glued.pullback.carrier
 
 
@@ -427,11 +425,11 @@ def test_intertwining_witness_names_the_first_mismatch():
     # identity and by the swap; the identity gluing's certificate does not
     # carry the swap, first at the transport of point 0 from 0 to 1
     f = FinFn(FinSet(2), TERMINAL, (0, 0))
-    y = SliceObject(FinSet(4), FinSet(2), FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1)))
+    y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
     identity = descent_datum(f, y, lambda p1, p2, v: 2 * p2 + v % 2)
     swap = descent_datum(f, y, lambda p1, p2, v: 2 * p2 + (v % 2 if p1 == p2 else 1 - v % 2))
     glued = glue_descent_data(f, identity)
-    assert glued.result.total.size == 2
+    assert glued.result.dom.size == 2
     assert intertwining_witness(identity, glued) is None
     assert intertwining_witness(swap, glued) == (0, 1, 0)
     assert intertwining_witness(swap, glue_descent_data(f, swap)) is None
@@ -439,7 +437,7 @@ def test_intertwining_witness_names_the_first_mismatch():
 
 def test_descent_datum_rejects_a_transport_that_is_not_invertible():
     f = FinFn(FinSet(2), TERMINAL, (0, 0))
-    y = SliceObject(FinSet(4), FinSet(2), FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1)))
+    y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
     with pytest.raises(ValueError):
         descent_datum(f, y, lambda p1, p2, v: 2 * p2)
 
@@ -451,7 +449,7 @@ def test_descent_roundtrip_failure_names_the_slice(monkeypatch):
     assert suites.descent_roundtrip(f, 1) == (3, [])
     # a broken gluing that forgets the datum and glues the empty slice's
     real = suites.glue_descent_data
-    empty = SliceObject(FinSet(0), FinSet(2), FinFn(FinSet(0), FinSet(2), ()))
+    empty = FinFn(FinSet(0), FinSet(2), ())
     monkeypatch.setattr(suites, "glue_descent_data",
                         lambda f, d: real(f, canonical_descent_datum(f, empty)))
     assert suites.descent_roundtrip(f, 1) == (3, [
