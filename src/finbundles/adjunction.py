@@ -24,6 +24,7 @@ from .finset import (
     FinFn,
     FinSet,
     FinSetError,
+    NotBijective,
     Pullback,
     TERMINAL,
     pullback,
@@ -105,6 +106,8 @@ class AdjunctionPresentation:
         self.unit_at = _cached(unit_at)
         self.counit_at = _cached(counit_at)
         self.over_iso_at = _cached(over_iso_at) if over_iso_at is not None else None
+        # the presentation this one is the sliced form of (slice_adjunction)
+        self.source = None
 
     def __repr__(self):
         return "AdjunctionPresentation(%s)" % self.name
@@ -395,7 +398,11 @@ def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresen
 
 def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
     """The comparison map from the left adjoint applied to a product with
-    a right-adjoint value, into the plain product."""
+    a right-adjoint value, into the plain product.  For the sliced form of
+    a presentation it is built in the source's categories and returned as
+    the source morphism under it, which has the same table."""
+    if pres.source is not None:
+        return _sliced_canonical_map(pres, a, wobj)
     ra = pres.right_obj(a)
     prod_d = pres.dom.product(ra, wobj)
     lp1 = pres.left_mor(prod_d.p1)
@@ -403,6 +410,23 @@ def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
     left_leg = pres.cod.compose(pres.counit_at(a), lp1)
     prod_c = pres.cod.product(a, pres.left_obj(wobj))
     return prod_c.mediate(left_leg, lp2)
+
+
+def _sliced_canonical_map(pres: AdjunctionPresentation, a: Mor, wobj: Mor) -> Mor:
+    """The comparison map of a presentation sliced over b, built from its
+    source P: the product of R a and w over R b is their pullback in P's
+    domain, that of a and L'w over b their pullback in P's codomain, and
+    the sliced functors act on underlying maps as P's do.  The legs are
+    checked as SliceOverCategory.product's mediate checks them."""
+    src = pres.source
+    pb = src.dom.pullback(src.right_mor(a), wobj)
+    lp1 = src.left_mor(pb.p1)
+    lp2 = src.left_mor(pb.p2)
+    left_leg = src.cod.compose(src.counit_at(a.dom), lp1)
+    lw = pres.left_obj(wobj)
+    pbc = src.cod.pullback(a, lw)
+    return pbc.mediate(src.cod.mor(lp1.dom, a.dom, left_leg.fn),
+                       src.cod.mor(lp2.dom, lw.dom, lp2.fn))
 
 
 def _obj_desc(o) -> str:
@@ -417,10 +441,13 @@ def _obj_desc(o) -> str:
 
 def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
                     max_pairs: int = 20000, max_witnesses: int = 3) -> dict:
-    """Assert bijectivity of the canonical map on every family pair.  A
-    pair whose comparison map cannot even be assembled (a corrupted
-    presentation) counts as a failure for that pair, and a family with no
-    pair fails: it checked nothing."""
+    """Assert bijectivity of the canonical map on every family pair, and
+    a family with no pair fails: it checked nothing.  A failure entry
+    names its pair and carries one of two verdicts: a comparison map that
+    is not a bijection has the witness of NotBijective (the first two
+    points with one image, or ("missed", y)); one that cannot even be
+    assembled (a corrupted presentation) has the name of the typed error
+    and its witness."""
     cod_objs = list(cod_objs)
     dom_objs = list(dom_objs)
     if len(cod_objs) * len(dom_objs) > max_pairs:
@@ -433,16 +460,28 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
             checked += 1
             try:
                 m = frobenius_canonical_map(pres, a, wobj)
-                ok = pres.cod.is_iso(m)
-            except (FinSetError, NotEquivariant, AnchorMismatch):
-                ok = False
-            if not ok and len(failures) < max_witnesses:
-                failures.append({"cod_obj": _obj_desc(a),
-                                 "dom_obj": _obj_desc(wobj)})
+            except (FinSetError, NotEquivariant, AnchorMismatch) as exc:
+                verdict = {"error": type(exc).__name__, "witness": exc.witness}
+            else:
+                if pres.cod.is_iso(m):
+                    continue
+                verdict = {"witness": _bijection_witness(m.fn)}
+            if len(failures) < max_witnesses:
+                failures.append({"cod_obj": _obj_desc(a), "dom_obj": _obj_desc(wobj),
+                                 **verdict})
     return {"check": "frobenius", "presentation": pres.name,
             "family": {"cod_objects": len(cod_objs), "dom_objects": len(dom_objs)},
             "pairs": checked, "passed": checked > 0 and not failures,
             "witnesses": failures}
+
+
+def _bijection_witness(fn: FinFn):
+    """None for a bijection, else the witness NotBijective gives."""
+    try:
+        fn.inverse()
+    except NotBijective as exc:
+        return exc.witness
+    return None
 
 
 def slice_adjunction(pres: AdjunctionPresentation, b) -> AdjunctionPresentation:
@@ -470,9 +509,11 @@ def slice_adjunction(pres: AdjunctionPresentation, b) -> AdjunctionPresentation:
         e = pres.counit_at(o.dom)
         return Mor(left_obj(pres.right_mor(o)), o, e.fn)
 
-    return AdjunctionPresentation("%s@%s" % (pres.name, _obj_desc(b)),
-                                  dom2, cod2, left_obj, left_mor, pres.right_mor,
-                                  right_mor, unit_at, counit_at)
+    sliced = AdjunctionPresentation("%s@%s" % (pres.name, _obj_desc(b)),
+                                    dom2, cod2, left_obj, left_mor, pres.right_mor,
+                                    right_mor, unit_at, counit_at)
+    sliced.source = pres
+    return sliced
 
 
 def check_stably_frobenius(pres: AdjunctionPresentation, slice_objs,
@@ -498,25 +539,37 @@ def check_stably_frobenius(pres: AdjunctionPresentation, slice_objs,
             "results": results}
 
 
+def _difference(f: FinFn, g: FinFn):
+    """Where two unequal maps differ: the first point and its two images,
+    else their two domains or their two codomains."""
+    if f.dom != g.dom:
+        return f.dom, g.dom
+    return next(((z, f.table[z], g.table[z]) for z in range(f.dom.size)
+                 if f.table[z] != g.table[z]), (f.cod, g.cod))
+
+
 def check_triangles(pres: AdjunctionPresentation, dom_objs, cod_objs,
                     max_witnesses: int = 3) -> dict:
     """Both triangle identities at every family object; no object means
-    nothing was checked, which fails."""
+    nothing was checked, which fails.  A failure names the object and the
+    first point z where the composite moves, as (z, composite(z), z)."""
     dom_objs = list(dom_objs)
     cod_objs = list(cod_objs)
     failures = []
     for o in dom_objs:
         lo = pres.left_obj(o)
         composite = pres.cod.compose(pres.counit_at(lo), pres.left_mor(pres.unit_at(o)))
-        if composite.fn != pres.cod.identity(lo).fn:
-            if len(failures) < max_witnesses:
-                failures.append({"triangle": "left", "at": _obj_desc(o)})
+        ident = pres.cod.identity(lo).fn
+        if composite.fn != ident and len(failures) < max_witnesses:
+            failures.append({"triangle": "left", "at": _obj_desc(o),
+                             "witness": _difference(composite.fn, ident)})
     for a in cod_objs:
         ra = pres.right_obj(a)
         composite = pres.dom.compose(pres.right_mor(pres.counit_at(a)), pres.unit_at(ra))
-        if composite.fn != pres.dom.identity(ra).fn:
-            if len(failures) < max_witnesses:
-                failures.append({"triangle": "right", "at": _obj_desc(a)})
+        ident = pres.dom.identity(ra).fn
+        if composite.fn != ident and len(failures) < max_witnesses:
+            failures.append({"triangle": "right", "at": _obj_desc(a),
+                             "witness": _difference(composite.fn, ident)})
     objects = len(dom_objs) + len(cod_objs)
     return {"check": "triangles", "presentation": pres.name,
             "objects": objects,
@@ -526,20 +579,25 @@ def check_triangles(pres: AdjunctionPresentation, dom_objs, cod_objs,
 def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors,
                      max_witnesses: int = 3) -> dict:
     """Unit and counit naturality squares on families of morphisms; no
-    morphism means nothing was checked, which fails."""
+    morphism means nothing was checked, which fails.  A failure names the
+    morphism's domain and codomain and the first point z where the two
+    sides differ, as (z, lhs(z), rhs(z))."""
     dom_mors = list(dom_mors)
     cod_mors = list(cod_mors)
     failures = []
+
+    def record(square, m, lhs, rhs):
+        if lhs.fn != rhs.fn and len(failures) < max_witnesses:
+            failures.append({"square": square, "dom": _obj_desc(m.dom),
+                             "cod": _obj_desc(m.cod),
+                             "witness": _difference(lhs.fn, rhs.fn)})
+
     for m in dom_mors:
-        lhs = pres.dom.compose(pres.unit_at(m.cod), m)
-        rhs = pres.dom.compose(pres.right_mor(pres.left_mor(m)), pres.unit_at(m.dom))
-        if lhs.fn != rhs.fn and len(failures) < max_witnesses:
-            failures.append({"square": "unit"})
+        record("unit", m, pres.dom.compose(pres.unit_at(m.cod), m),
+               pres.dom.compose(pres.right_mor(pres.left_mor(m)), pres.unit_at(m.dom)))
     for n in cod_mors:
-        lhs = pres.cod.compose(n, pres.counit_at(n.dom))
-        rhs = pres.cod.compose(pres.counit_at(n.cod), pres.left_mor(pres.right_mor(n)))
-        if lhs.fn != rhs.fn and len(failures) < max_witnesses:
-            failures.append({"square": "counit"})
+        record("counit", n, pres.cod.compose(n, pres.counit_at(n.dom)),
+               pres.cod.compose(pres.counit_at(n.cod), pres.left_mor(pres.right_mor(n))))
     morphisms = len(dom_mors) + len(cod_mors)
     return {"check": "naturality", "presentation": pres.name,
             "morphisms": morphisms,

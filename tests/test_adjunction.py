@@ -4,14 +4,18 @@ from finbundles import catalog
 from finbundles.finset import (
     FinFn,
     FinSet,
+    FinSetError,
     IsoCertificate,
     TERMINAL,
+    NotACone,
     NotInPullback,
     all_functions,
     coequalizer,
 )
 from finbundles.algebra import (
+    AnchorMismatch,
     EquivariantMap,
+    NotEquivariant,
     all_actions,
     self_action,
     sigma,
@@ -36,6 +40,7 @@ from finbundles.adjunction import (
     FrobeniusFail,
     NotOverBase,
     RoundTripFail,
+    _obj_desc,
     adjunction_to_bundle,
     bundle_to_adjunction,
     check_frobenius,
@@ -597,6 +602,127 @@ def test_corrupted_counit_detected():
     for style in range(1, 6):
         bad = corrupt_counit(pres, style)
         assert not check_frobenius(bad, cod_objs, dom_objs)["passed"]
+
+
+def test_check_frobenius_gives_three_verdicts():
+    # a corrupted counit sliced at the trivial action on the base: some
+    # comparison maps cannot be assembled (the legs are not a cone), others
+    # are assembled but send two points to one
+    z2, x = GROUPS["z2"], FinSet(2)
+    bad = slice_adjunction(corrupt_counit(bundle_to_adjunction(trivial_torsor(z2, x)), 1),
+                           trivial_action(z2, x))
+    cod_fam = list(bad.cod.objects_over(action_family(z2, 2)))
+    dom_fam = list(bad.dom.objects_over(slice_family(x, 2)))
+    rep = check_frobenius(bad, cod_fam, dom_fam, max_witnesses=10 ** 6)
+    assert not rep["passed"]
+    # every failing pair in family order, with its exception or its map
+    failing = []
+    for a in cod_fam:
+        for w in dom_fam:
+            try:
+                m = frobenius_canonical_map(bad, a, w)
+            except (FinSetError, NotEquivariant) as exc:
+                failing.append((a, w, exc))
+            else:
+                if not m.fn.is_bijection():
+                    failing.append((a, w, m.fn))
+    assert len(rep["witnesses"]) == len(failing)
+    for entry, (a, w, outcome) in zip(rep["witnesses"], failing):
+        assert (entry["cod_obj"], entry["dom_obj"]) == (_obj_desc(a), _obj_desc(w))
+        if isinstance(outcome, Exception):
+            assert (entry["error"], entry["witness"]) == (type(outcome).__name__,
+                                                          outcome.witness)
+        else:
+            assert "error" not in entry
+    cone = next(e for e in rep["witnesses"] if e.get("error") == "NotACone")
+    z, fu, gv = cone["witness"]
+    assert fu != gv
+    k, (i, j) = next((k, e["witness"]) for k, e in enumerate(rep["witnesses"])
+                     if "error" not in e and e["witness"][0] != "missed")
+    table = failing[k][2].table
+    assert i < j and table[i] == table[j]
+    assert {e.get("error") for e in rep["witnesses"]} == {None, "NotACone",
+                                                           "NotEquivariant"}
+
+
+def test_triangle_and_naturality_failures_name_a_point():
+    z2 = GROUPS["z2"]
+    bad = corrupt_counit(bundle_to_adjunction(trivial_torsor(z2, TERMINAL)), 1)
+    tri = check_triangles(bad, slice_family(TERMINAL, 2), action_family(z2, 2))
+    assert not tri["passed"]
+    assert tri["witnesses"] == [
+        {"triangle": "left", "at": "slice(total=1,proj=[0])", "witness": (1, 0, 1)},
+        {"triangle": "left", "at": "slice(total=2,proj=[0, 0])", "witness": (2, 0, 2)},
+        {"triangle": "right", "at": "action(carrier=2)", "witness": (1, 0, 1)},
+    ]
+    nat = check_naturality(bad, [], dom_mors(bad.cod, action_family(z2, 2)))
+    assert not nat["passed"]
+    first = nat["witnesses"][0]
+    assert first == {"square": "counit", "dom": "action(carrier=1)",
+                     "cod": "action(carrier=2)", "witness": (0, 1, 0)}
+
+
+def category_route(sliced):
+    """The sliced presentation's own components without their source, so
+    that frobenius_canonical_map builds its comparison maps through
+    SliceOverCategory.product."""
+    return AdjunctionPresentation(
+        sliced.name, sliced.dom, sliced.cod, sliced.left_obj, sliced.left_mor,
+        sliced.right_obj, sliced.right_mor, sliced.unit_at, sliced.counit_at)
+
+
+def canonical_map_outcome(pres, a, w):
+    try:
+        return frobenius_canonical_map(pres, a, w).fn.table
+    except (FinSetError, NotEquivariant, AnchorMismatch) as exc:
+        return type(exc).__name__
+
+
+def test_sliced_canonical_map_matches_the_category_route():
+    # the sliced route computes in the source presentation's categories;
+    # the category route through the sliced categories is its oracle
+    from finbundles.suites import point_slice
+
+    z2, z3, pair2 = GROUPS["z2"], GROUPS["z3"], GROUPOIDS["pair2"]
+    cases = []  # (presentation, slicing objects, dom family, cod family)
+    for alg, nx in ((z2, 1), (z2, 2), (z3, 1), (z3, 2), (pair2, 1), (pair2, 2)):
+        x = FinSet(nx)
+        fibre = alg.src.table.count(0)
+        w = enumerate_torsors(alg, x, FinSet(fibre * nx)).witnesses[0]
+        pres = bundle_to_adjunction(w)
+        presentations = [pres]
+        if (alg, nx) == (z2, 2):
+            presentations += [corrupt_counit(pres, style) for style in range(1, 6)]
+        for p in presentations:
+            cases.append((p, stable_slice_objects(alg, x),
+                          slice_family(x, 2), action_family(alg, 2)))
+    for alg in (z2, pair2):
+        cases.append((sigma_presentation(alg), [point_slice(n) for n in (1, 2, 3)],
+                      action_family(alg, 2), slice_family(TERMINAL, 2)))
+    f = FinFn(FinSet(3), FinSet(2), (0, 0, 1))
+    cases.append((pullback_presentation(f), slice_family(f.cod, 1),
+                  slice_family(f.dom, 2), slice_family(f.cod, 2)))
+    cases.append((fixedpoints_presentation(z2), stable_slice_objects(z2, TERMINAL),
+                  slice_family(TERMINAL, 2), action_family(z2, 2)))
+    pairs, outcomes = 0, set()
+    for pres, slicing, dom_objs, cod_objs in cases:
+        for b in slicing:
+            sliced = slice_adjunction(pres, b)
+            assert sliced.source is pres
+            oracle = category_route(sliced)
+            dom_fam = list(sliced.dom.objects_over(dom_objs))
+            cod_fam = list(sliced.cod.objects_over(cod_objs))
+            for a in cod_fam:
+                for w in dom_fam:
+                    got = canonical_map_outcome(sliced, a, w)
+                    assert got == canonical_map_outcome(oracle, a, w), (sliced.name, a, w)
+                    outcomes.add(got if isinstance(got, str) else
+                                 len(set(got)) == len(got))
+                    pairs += 1
+    # every verdict is exercised: bijections, non-injective maps and both
+    # typed errors of a malformed comparison map
+    assert outcomes == {True, False, "NotACone", "NotEquivariant"}
+    assert pairs > 2000
 
 
 def test_corollary_agreement_positive_and_negative():
