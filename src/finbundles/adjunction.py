@@ -460,28 +460,30 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
             checked += 1
             try:
                 m = frobenius_canonical_map(pres, a, wobj)
-            except (FinSetError, NotEquivariant, AnchorMismatch) as exc:
-                verdict = {"error": type(exc).__name__, "witness": exc.witness}
-            else:
                 if pres.cod.is_iso(m):
                     continue
-                verdict = {"witness": _bijection_witness(m.fn)}
+                outcome = m.fn
+            except (FinSetError, NotEquivariant, AnchorMismatch) as exc:
+                outcome = exc
             if len(failures) < max_witnesses:
                 failures.append({"cod_obj": _obj_desc(a), "dom_obj": _obj_desc(wobj),
-                                 **verdict})
+                                 **_verdict(outcome)})
     return {"check": "frobenius", "presentation": pres.name,
             "family": {"cod_objects": len(cod_objs), "dom_objects": len(dom_objs)},
             "pairs": checked, "passed": checked > 0 and not failures,
             "witnesses": failures}
 
 
-def _bijection_witness(fn: FinFn):
-    """None for a bijection, else the witness NotBijective gives."""
+def _verdict(outcome) -> dict:
+    """The failure verdict of a pair: the name and witness of the typed
+    error that stopped its comparison map, or the NotBijective witness of
+    a comparison map that is not a bijection."""
+    if isinstance(outcome, Exception):
+        return {"error": type(outcome).__name__, "witness": outcome.witness}
     try:
-        fn.inverse()
+        outcome.inverse()
     except NotBijective as exc:
-        return exc.witness
-    return None
+        return {"witness": exc.witness}
 
 
 def slice_adjunction(pres: AdjunctionPresentation, b) -> AdjunctionPresentation:
