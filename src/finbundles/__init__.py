@@ -52,9 +52,9 @@ __version__ = "0.1.0"
 
 # Every module-level cache.  They are unbounded and live as long as the
 # process; the caches of a presentation's components live and die with
-# the presentation.
-_MODULE_CACHES = (algebra.sigma, algebra.action_product, algebra._anchor,
-                  torsor._fiber_torsor_actions)
+# the presentation.  finset's FinSet and FinFn pools are not caches:
+# equality there is identity, so they are never emptied.
+_MODULE_CACHES = (algebra.sigma, algebra.action_product, torsor._fiber_torsor_actions)
 
 
 def clear_caches() -> None:

@@ -305,13 +305,6 @@ def group_bundle_groupoid(g: FinGroup, x: FinSet) -> FinGroupoid:
                              inv=[g.inv[k // n] * n + (k % n) for k in range(n_arr)])
 
 
-@cache
-def _anchor(carrier: FinSet, objects: FinSet, table: tuple[int, ...]) -> FinFn:
-    """Anchor maps are shared: few distinct ones occur, and the actions
-    that hold them are kept and compared as memo keys."""
-    return FinFn(carrier, objects, table)
-
-
 @dataclass(frozen=True)
 class ActionObject:
     """A carrier acted on by a groupoid via an anchor map to its objects.
@@ -333,7 +326,7 @@ class ActionObject:
             if self.algebra.objects.size != 1:
                 raise AnchorMismatch("groupoid actions need an anchor map")
             object.__setattr__(self, "anchor",
-                               _anchor(self.carrier, TERMINAL, (0,) * self.carrier.size))
+                               FinFn(self.carrier, TERMINAL, (0,) * self.carrier.size))
 
     def apply(self, g: int, p: int) -> int:
         v = self.act[g][p]
@@ -503,7 +496,7 @@ def pullback_action(pb: Pullback, a: ActionObject, b: ActionObject | None = None
                                      (g, (i, j))) from None
         act.append(tuple(row))
     anchor = tuple(a.anchor.table[i] for (i, _) in pairs)
-    return ActionObject(alg, pb.carrier, tuple(act), _anchor(pb.carrier, alg.objects, anchor))
+    return ActionObject(alg, pb.carrier, tuple(act), FinFn(pb.carrier, alg.objects, anchor))
 
 
 @cache

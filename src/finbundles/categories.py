@@ -36,7 +36,12 @@ from .algebra import (
 
 
 class FamilyTooLarge(Exception):
-    pass
+    """The witness is the size that went over the cap: the number of
+    family pairs, or the hom cap."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class NotAMorphism(FinSetError):

@@ -13,7 +13,7 @@ Conventions, fixed so repeated runs are bit-identical:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 
 class FinSetError(Exception):
@@ -51,21 +51,63 @@ class NotBijective(FinSetError):
     ("missed", y) for the first point y that nothing reaches."""
 
 
-@dataclass(frozen=True)
-class FinSet:
+class NotInverse(FinSetError, ValueError):
+    """The witness is (i, j) for the first point i that one composite of
+    two supposed inverses sends to j != i, or their two pairs of ends
+    when those do not match."""
+
+
+class _Interned:
+    """Hash-consing: the constructor returns the one object of each value,
+    validated the first time the value is built, so equality is identity
+    and hashing is by address.  The pools are never emptied (that would
+    break identity as equality); instances are immutable because every
+    holder shares them.  Address hashes differ from run to run, so no
+    output may depend on them: never iterate a set of these values or
+    order output by their hash."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self.__slots__))
+
+
+_FINSETS: dict = {}
+_FINFNS: dict = {}
+
+
+class FinSet(_Interned):
     """A finite set: the index range 0..size-1, optionally labelled."""
 
-    size: int
-    labels: tuple[str, ...] | None = None
+    __slots__ = ("size", "labels")
 
-    def __post_init__(self):
-        if self.size < 0:
-            raise ValueError("size must be non-negative")
-        if self.labels is not None:
-            if len(self.labels) != self.size:
-                raise ValueError("labels must match size")
-            if len(set(self.labels)) != self.size:
-                raise ValueError("labels must be pairwise distinct")
+    def __new__(cls, size: int, labels=None):
+        if labels is not None:
+            labels = tuple(labels)
+        key = (size, labels)
+        s = _FINSETS.get(key)
+        if s is None:
+            if size < 0:
+                raise ValueError("size must be non-negative")
+            if labels is not None:
+                if len(labels) != size:
+                    raise ValueError("labels must match size")
+                if len(set(labels)) != size:
+                    raise ValueError("labels must be pairwise distinct")
+            s = _FINSETS[key] = object.__new__(cls)
+            object.__setattr__(s, "size", size)
+            object.__setattr__(s, "labels", labels)
+        return s
 
     def label(self, i: int) -> str:
         if self.labels is not None:
@@ -80,21 +122,26 @@ TERMINAL = FinSet(1)
 EMPTY = FinSet(0)
 
 
-@dataclass(frozen=True)
-class FinFn:
+class FinFn(_Interned):
     """A total function between finite sets, stored as an index table."""
 
-    dom: FinSet
-    cod: FinSet
-    table: tuple[int, ...]
+    __slots__ = ("dom", "cod", "table")
 
-    def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
-        if len(self.table) != self.dom.size:
-            raise ValueError("table length must equal dom.size")
-        for v in self.table:
-            if not (0 <= v < self.cod.size):
-                raise ValueError("table entry %r out of codomain range" % (v,))
+    def __new__(cls, dom: FinSet, cod: FinSet, table):
+        table = tuple(table)
+        key = (dom, cod, table)
+        f = _FINFNS.get(key)
+        if f is None:
+            if len(table) != dom.size:
+                raise ValueError("table length must equal dom.size")
+            for v in table:
+                if not (0 <= v < cod.size):
+                    raise ValueError("table entry %r out of codomain range" % (v,))
+            f = _FINFNS[key] = object.__new__(cls)
+            object.__setattr__(f, "dom", dom)
+            object.__setattr__(f, "cod", cod)
+            object.__setattr__(f, "table", table)
+        return f
 
     def __call__(self, i: int) -> int:
         return self.table[i]
@@ -150,14 +197,18 @@ class IsoCertificate:
     backward: FinFn
 
     def __post_init__(self):
-        if self.forward.dom != self.backward.cod or self.forward.cod != self.backward.dom:
-            raise ValueError("forward/backward endpoints do not match")
-        for i in range(self.forward.dom.size):
-            if self.backward.table[self.forward.table[i]] != i:
-                raise ValueError("backward . forward is not the identity", )
-        for j in range(self.forward.cod.size):
-            if self.forward.table[self.backward.table[j]] != j:
-                raise ValueError("forward . backward is not the identity")
+        fwd, bwd = self.forward, self.backward
+        if fwd.dom != bwd.cod or fwd.cod != bwd.dom:
+            raise NotInverse("forward/backward endpoints do not match",
+                             ((fwd.dom, fwd.cod), (bwd.dom, bwd.cod)))
+        for i in range(fwd.dom.size):
+            if bwd.table[fwd.table[i]] != i:
+                raise NotInverse("backward . forward is not the identity",
+                                 (i, bwd.table[fwd.table[i]]))
+        for j in range(fwd.cod.size):
+            if fwd.table[bwd.table[j]] != j:
+                raise NotInverse("forward . backward is not the identity",
+                                 (j, fwd.table[bwd.table[j]]))
 
 
 @dataclass(frozen=True)
@@ -289,8 +340,7 @@ def finset_to_json(s: FinSet) -> dict:
 def finset_from_json(data) -> FinSet:
     if isinstance(data, int):
         return FinSet(data)
-    labels = data.get("labels")
-    return FinSet(data["size"], tuple(labels) if labels is not None else None)
+    return FinSet(data["size"], data.get("labels"))
 
 
 def finfn_to_json(f: FinFn) -> dict:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .finset import (
     FinFn,
     FinSet,
+    NotBijective,
     TERMINAL,
     all_functions,
     product,
@@ -29,7 +30,7 @@ from .algebra import (
     validate_group,
     validate_groupoid,
 )
-from .categories import action_family, slice_family
+from .categories import FamilyTooLarge, action_family, slice_family
 from .torsor import (
     BoundsExceeded,
     Bundle,
@@ -138,7 +139,8 @@ def untwist_check(groups, max_order: int, max_carrier: int) -> dict:
                     untwist_iso(a)
                 except (AlgebraError, ValueError) as exc:
                     failures.append({"group": name, "carrier": n,
-                                     "error": type(exc).__name__})
+                                     "error": type(exc).__name__,
+                                     "witness": getattr(exc, "witness", None)})
                 count += 1
     return {"check": "untwist_certificates", "cases": count,
             "bounds": {"group_order": max_order, "carrier": max_carrier},
@@ -163,8 +165,11 @@ def sigma_frobenius_check(groups, max_order: int, max_x: int, max_carrier: int) 
                     comparison = FinFn(orb_prod.quotient, target.carrier, tuple(
                         target.index(xv, orb_a.q.table[av])
                         for xv, av in (pb.pairs[r] for r in orb_prod.reps)))
-                    if not comparison.is_bijection():
-                        failures.append({"group": name, "x": nx, "carrier": n})
+                    try:
+                        comparison.inverse()
+                    except NotBijective as exc:
+                        failures.append({"group": name, "x": nx, "carrier": n,
+                                         "witness": exc.witness})
                     count += 1
     return {"check": "sigma_frobenius", "cases": count,
             "bounds": {"group_order": max_order, "x": max_x, "carrier": max_carrier},
@@ -184,7 +189,8 @@ def psi_laws_check(groups, max_order: int, max_base: int) -> dict:
                 try:
                     division_map(w)
                 except DivisionLawFail as exc:
-                    failures.append({"group": name, "base": nx, "error": str(exc)})
+                    failures.append({"group": name, "base": nx, "error": str(exc),
+                                     "witness": exc.witness})
                 count += 1
     return {"check": "psi_laws", "torsors": count,
             "bounds": {"group_order": max_order, "base": max_base},
@@ -378,10 +384,16 @@ def theorem_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
                            "passed": all(c["passed"] for c in per)})
     for name, g in sorted_groups(groups, bounds.group_order):
         sp = sigma_presentation(g)
-        rep = check_stably_frobenius(
-            sp, [point_slice(n) for n in range(1, 4)],
-            action_family(g, bounds.family_carrier + 1),
-            slice_family(TERMINAL, bounds.family_total + 1))
+        try:
+            rep = check_stably_frobenius(
+                sp, [point_slice(n) for n in range(1, 4)],
+                action_family(g, bounds.family_carrier + 1),
+                slice_family(TERMINAL, bounds.family_total + 1))
+        except FamilyTooLarge as exc:
+            checks.append({"check": "sigma_stably_frobenius", "group": name,
+                           "error": "FamilyTooLarge", "witness": exc.witness,
+                           "passed": False})
+            continue
         checks.append({"check": "sigma_stably_frobenius", "group": name,
                        "passed": rep["passed"]})
     checks.extend(corollary_checks(groups, bounds))

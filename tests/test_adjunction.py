@@ -796,6 +796,30 @@ def test_factor_to_slice_laws_and_recompose():
             assert factored.left_obj(o).dom == pres.left_obj(o)
 
 
+def test_over_base_compares_base_points_of_factored_values():
+    # the factored left values carry their base points in their structure
+    # map; an over-base comparison that is still a bijection onto the
+    # right set, but rotates it, must fail on those base points alone
+    factored = factor_to_slice(bundle_to_adjunction(trivial_torsor(GROUPS["z2"], FinSet(2))))
+    dom_objs = slice_family(FinSet(2), 2)
+
+    def rotated(o):
+        comp = factored.over_iso_at(o)
+        n = comp.cod.size
+        return comp.then(FinFn(comp.cod, comp.cod, tuple((i + 1) % n for i in range(n))))
+
+    bad = AdjunctionPresentation(
+        "rotated", factored.dom, factored.cod, factored.left_obj, factored.left_mor,
+        factored.right_obj, factored.right_mor, factored.unit_at, factored.counit_at,
+        rotated)
+    assert check_over_base(factored, dom_objs)["passed"]
+    rep = check_over_base(bad, dom_objs)
+    assert rep["witnesses"] == [
+        {"at": "slice(total=2,proj=[0, 1])", "reason": "projection mismatch"},
+        {"at": "slice(total=2,proj=[1, 0])", "reason": "projection mismatch"}]
+    assert not rep["passed"]
+
+
 def test_factored_matches_translated_groupoid_torsor():
     # refactoring the adjunction of a torsor over a base agrees, table by
     # table, with the adjunction of the fibrewise-groupoid torsor

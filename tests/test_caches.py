@@ -34,7 +34,6 @@ def test_clear_caches_empties_every_module_cache():
     run_theorem_suite(FIXTURES, Bounds(group_order=2, base=1))
     caches = _module_caches()
     assert {"finbundles.algebra.sigma", "finbundles.algebra.action_product",
-            "finbundles.algebra._anchor",
             "finbundles.torsor._fiber_torsor_actions"} <= set(caches)
     assert adjunction._tensor_cache
     finbundles.clear_caches()

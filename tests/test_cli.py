@@ -148,6 +148,40 @@ def test_reports_are_deterministic():
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
 
+POOL_SHUFFLE = """
+import sys
+from finbundles.finset import FinFn, FinSet
+# fill the FinSet/FinFn pools in another order first, so every value the
+# run builds sits at another address and has another hash
+junk = [bytearray(n) for n in range(1, 400)]
+for n in range(12, -1, -1):
+    FinFn.identity(FinSet(n))
+    FinFn.constant(FinSet(n), FinSet(1), 0)
+from finbundles.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_reports_do_not_depend_on_pool_addresses():
+    # FinSet and FinFn hash by address, which changes from run to run;
+    # no report may be ordered by such a hash
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    for cmd in ("verify", "theorem"):
+        args = [cmd, "--fixtures", str(FIXTURES), "--bound-group", "3",
+                "--bound-base", "1", "--json"]
+        reports = []
+        for prefix in (["-m", "finbundles.cli"], ["-c", POOL_SHUFFLE]):
+            proc = subprocess.run([sys.executable, *prefix, *args],
+                                  capture_output=True, text=True, env=env)
+            assert proc.returncode == 0, proc.stderr
+            report = json.loads(proc.stdout)
+            report.pop("elapsed_s")
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+
 def _fixture_tree(root: Path, subdirs=("groups", "groupoids", "bundles")) -> Path:
     for sub in subdirs:
         (root / sub).mkdir(parents=True)

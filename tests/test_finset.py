@@ -372,3 +372,70 @@ def test_json_value_forms_roundtrip():
     assert finset_from_json(2) == FinSet(2)
     f = FinFn(FinSet(3), FinSet(2), (0, 1, 1))
     assert finfn_from_json(finfn_to_json(f)) == f
+
+
+# Hash-consing ----------------------------------------------------------------
+
+def test_equal_values_are_one_object():
+    assert FinSet(3) is FinSet(3)
+    assert FinSet(2, ("a", "b")) is not FinSet(2)
+    f = FinFn(FinSet(3), FinSet(2), (0, 1, 1))
+    assert FinFn(FinSet(3), FinSet(2), [0, 1, 1]) is f
+    assert FinFn(FinSet(3), FinSet(2), iter((0, 1, 1))) is f
+    assert f.table == (0, 1, 1)
+    assert FinFn.identity(FinSet(3)).then(f) is f
+    assert product(FinSet(2), FinSet(2)).carrier is FinSet(4)
+
+
+def test_finset_labels_normalised_to_a_tuple():
+    s = FinSet(2, ["a", "b"])
+    assert s is FinSet(2, ("a", "b"))
+    assert s.labels == ("a", "b")
+    assert {s: 1}[FinSet(2, iter("ab"))] == 1
+
+
+def test_invalid_values_never_enter_the_pool():
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            FinFn(FinSet(2), FinSet(2), (0, 2))
+        with pytest.raises(ValueError):
+            FinSet(2, ("a", "a"))
+    f = FinFn(FinSet(2), FinSet(3), (0, 2))
+    assert FinFn(FinSet(2), FinSet(3), [0, 2]) is f
+
+
+def test_pooled_values_are_immutable():
+    from dataclasses import FrozenInstanceError
+
+    s = FinSet(2)
+    f = FinFn(s, s, (1, 0))
+    for obj, name, value in ((s, "size", 3), (f, "table", (0, 0)), (f, "cod", FinSet(1))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, value)
+        with pytest.raises(FrozenInstanceError):
+            delattr(obj, name)
+    assert s.size == 2 and f.table == (1, 0) and f.cod is s
+
+
+def test_copies_and_pickles_are_the_pooled_object():
+    import copy
+    import pickle
+
+    f = FinFn(FinSet(2, ("x", "y")), FinSet(3), (2, 0))
+    for clone in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert clone is f
+    assert copy.deepcopy([f.dom, f])[0] is f.dom
+
+
+def test_repr_is_the_dataclass_form():
+    f = FinFn(FinSet(2), FinSet(1, ("p",)), (0, 0))
+    assert repr(f) == ("FinFn(dom=FinSet(size=2, labels=None), "
+                       "cod=FinSet(size=1, labels=('p',)), table=(0, 0))")
+
+
+def test_clear_caches_keeps_the_pool():
+    import finbundles
+
+    f = FinFn(FinSet(2), FinSet(2), (1, 1))
+    finbundles.clear_caches()
+    assert FinFn(FinSet(2), FinSet(2), (1, 1)) is f
