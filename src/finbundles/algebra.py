@@ -574,15 +574,55 @@ def all_actions(alg, carrier: FinSet):
     by constraint propagation from the identity rows."""
     n = carrier.size
     n_obj = alg.objects.size
+    orders = [_loop_order(alg, a) for a in range(alg.order)]
     for anchor_table in itertools.product(range(n_obj), repeat=n):
         fibers = [[p for p in range(n) if anchor_table[p] == o] for o in range(n_obj)]
         if any(len(fibers[s]) != len(fibers[t])
                for s, t in zip(alg.src.table, alg.tgt.table)):
             continue
-        yield from _actions_for_anchor(alg, carrier, anchor_table, fibers)
+        yield from _actions_for_anchor(alg, carrier, anchor_table, fibers, orders)
 
 
-def _actions_for_anchor(alg, carrier: FinSet, anchor_table, fibers):
+def _loop_order(alg, a: int) -> int | None:
+    """The least k with a^k the identity at a's object, found by repeated
+    right multiplication.  None when a is not a loop, or when its powers
+    leave the table or do not return within alg.order steps (possible
+    only in an unvalidated table): then no candidate row is pruned."""
+    o = alg.src.table[a]
+    if alg.tgt.table[a] != o:
+        return None
+    unit, power = alg.ident.table[o], a
+    for k in range(1, alg.order + 1):
+        if power == unit:
+            return k
+        power = alg.comp[power][a]
+        if power is None:
+            return None
+    return None
+
+
+@cache
+def _position_perms(m: int, k: int | None) -> tuple[tuple[int, ...], ...]:
+    """The permutations of range(m) in itertools.permutations order, keeping
+    only those whose k-th power is the identity unless k is None.  A loop
+    of order k can only act on its fibre by such a permutation: closing a
+    row under composition reaches a^k and compares its k-th power with
+    the identity row, so the dropped rows would be rejected anyway."""
+    perms = itertools.permutations(range(m))
+    if k is None:
+        return tuple(perms)
+    identity = tuple(range(m))
+    out = []
+    for s in perms:
+        power = s
+        for _ in range(k - 1):
+            power = tuple(map(s.__getitem__, power))
+        if power == identity:
+            out.append(s)
+    return tuple(out)
+
+
+def _actions_for_anchor(alg, carrier: FinSet, anchor_table, fibers, orders):
     n = carrier.size
     anchor = FinFn(carrier, alg.objects, anchor_table)
     ident_rows = {alg.ident.table[o]: tuple(p if anchor_table[p] == o else n
@@ -602,11 +642,11 @@ def _actions_for_anchor(alg, carrier: FinSet, anchor_table, fibers):
             yield ActionObject(alg, carrier, act, anchor)
             return
         a = missing[0]
-        src_f = fibers[alg.src.table[a]]
-        for image in itertools.permutations(fibers[alg.tgt.table[a]]):
+        src_f, tgt_f = fibers[alg.src.table[a]], fibers[alg.tgt.table[a]]
+        for perm in _position_perms(len(src_f), orders[a]):
             row = [n] * (n + 1)
-            for p, v in zip(src_f, image):
-                row[p] = v
+            for p, i in zip(src_f, perm):
+                row[p] = tgt_f[i]
             yield from rec({**rows, a: tuple(row)}, [a])
 
     yield from rec(ident_rows, list(ident_rows))

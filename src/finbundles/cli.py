@@ -89,7 +89,8 @@ def build_report(command: str, bounds: Bounds, checks: list[dict],
     return {"command": command,
             "bounds": bounds.to_json(),
             "checks": checks,
-            "all_passed": all(c.get("passed", False) for c in checks),
+            "all_passed": all(c.get("passed", False) for c in checks
+                              if "skipped" not in c),
             "elapsed_s": round(elapsed, 3)}
 
 
@@ -161,8 +162,9 @@ def main(argv=None) -> int:
             label = check.get("fixture") or check.get("group") or \
                 check.get("groupoid") or check.get("presentation") or \
                 check.get("f") or ""
-            print("%-28s %-24s %s" % (check["check"], label,
-                                      "ok" if check.get("passed") else "FAIL"))
+            verdict = "skipped" if "skipped" in check else \
+                "ok" if check.get("passed") else "FAIL"
+            print("%-28s %-24s %s" % (check["check"], label, verdict))
         print("all_passed:", report["all_passed"])
     return 0 if report["all_passed"] else 1
 

@@ -2,7 +2,9 @@
 The CLI wraps these in reports; the acceptance tests call them directly.
 
 Every check returns a plain dict with at least "check", "passed" and the
-bounds it ran at, so reports are JSON-ready and deterministic.
+bounds it ran at, so reports are JSON-ready and deterministic.  A check
+left out by the bounds is recorded with "skipped" and the reason in place
+of "passed".
 """
 
 from __future__ import annotations
@@ -235,6 +237,10 @@ def enumerate_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
     checks = []
     for name, g in sorted_groups(groups, bounds.group_order):
         if g.order > bounds.carrier:
+            checks.append({"check": "torsor_count", "group": name, "base": 1,
+                           "carrier": g.order,
+                           "skipped": "carrier %d exceeds the carrier bound %d"
+                           % (g.order, bounds.carrier)})
             continue
         enum = enumerate_torsors(g, TERMINAL, FinSet(g.order), max_carrier=bounds.carrier)
         expected = _factorial(g.order) // g.order

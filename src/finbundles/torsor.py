@@ -111,16 +111,20 @@ def is_principal_bundle(b: Bundle) -> TorsorWitness:
             raise NotSurjective("projection misses a base point", x)
     reps = tuple(fibers[x][0] for x in range(b.base.size))
     pb = pullback(b.proj, b.proj)
-    hits: dict[tuple[int, int], list[int]] = {pair: [] for pair in pb.pairs}
-    for g, p in _acting_pairs(b.action):
-        hits[(b.action.apply(g, p), p)].append(g)
-    division = []
-    for pair in pb.pairs:
-        sols = hits[pair]
-        if len(sols) != 1:
-            raise NotFreeTransitive("fibrewise pair has %d solutions" % len(sols),
-                                    (pair, len(sols)))
-        division.append(sols[0])
+    # per fibrewise pair (g.p, p): how many g solve it, and the last one
+    counts = [0] * len(pb.pairs)
+    division = [0] * len(pb.pairs)
+    index = pb.index
+    for g, row in enumerate(b.action.act):
+        for p, v in enumerate(row):
+            if v is not None:
+                k = index(v, p)
+                counts[k] += 1
+                division[k] = g
+    for k, count in enumerate(counts):
+        if count != 1:
+            raise NotFreeTransitive("fibrewise pair has %d solutions" % count,
+                                    (pb.pairs[k], count))
     return TorsorWitness(b, pb.pairs, tuple(division), reps)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finbundles import catalog
+from finbundles import algebra, catalog
 from finbundles.finset import FinFn, FinSet, TERMINAL, all_functions, product, pullback
 from finbundles.algebra import (
     AlgebraMismatch,
@@ -12,6 +12,7 @@ from finbundles.algebra import (
     BadIdentity,
     BadInverse,
     EquivariantMap,
+    FinGroup,
     NoInverse,
     NotAssociative,
     NotEquivariant,
@@ -436,6 +437,35 @@ def test_action_enumeration_counts_match_hom_counts():
         for n in range(top + 1):
             found = sum(1 for _ in all_actions(g, FinSet(n)))
             assert found == expected[n], (name, n, found, expected[n])
+
+
+def _action_sequence(alg, n):
+    return [(a.act, a.anchor.table) for a in all_actions(alg, FinSet(n))]
+
+
+def test_loop_order_pruning_matches_the_unpruned_search(monkeypatch):
+    # with _loop_order pruning nothing, every candidate row goes through
+    # the closure: that generic search is the oracle for the pruned one
+    cases = [(g, 7 if name == "z7" else 5) for name, g in sorted(GROUPS.items())
+             if g.order <= 6 or name == "z7"]
+    cases += [(gpd, 4) for _, gpd in sorted(GROUPOIDS.items())]
+    pruned = [_action_sequence(alg, n) for alg, top in cases for n in range(top + 1)]
+    monkeypatch.setattr(algebra, "_loop_order", lambda alg, a: None)
+    unpruned = [_action_sequence(alg, n) for alg, top in cases for n in range(top + 1)]
+    assert pruned == unpruned
+    assert sum(map(len, pruned)) == 1666
+
+
+def test_loop_order_gives_up_on_powers_that_never_return(monkeypatch):
+    # unvalidated: 1 * 1 = 1, so the powers of 1 never reach the unit
+    bad = FinGroup(FinSet(2), ((0, 1), (1, 1)), 0, (0, 1))
+    assert algebra._loop_order(bad, 1) is None
+    assert algebra._loop_order(GROUPS["z6"], 2) == 3
+    pruned = [_action_sequence(bad, n) for n in range(5)]
+    monkeypatch.setattr(algebra, "_loop_order", lambda alg, a: None)
+    assert pruned == [_action_sequence(bad, n) for n in range(5)]
+    # 1 * 1 = 1 asks for an idempotent permutation: only the identity
+    assert pruned[2] == [(((0, 1), (0, 1)), (0, 0))]
 
 
 def test_json_fixture_forms_roundtrip():

@@ -51,6 +51,24 @@ def test_enumerate_command_counts(capsys):
     assert counts["z1"]["structures"] == 1
 
 
+def test_enumerate_records_groups_skipped_by_the_carrier_bound(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["enumerate", "--fixtures", str(FIXTURES), "--bound-group", "7",
+                 "--bound-carrier", "6", "--out", str(out)])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert ["torsor_count", "z7", "skipped"] in [line.split() for line in lines]
+    report = json.loads(out.read_text())
+    assert report["all_passed"]
+    assert [c for c in report["checks"] if "skipped" in c] == [
+        {"check": "torsor_count", "group": "z7", "base": 1, "carrier": 7,
+         "skipped": "carrier 7 exceeds the carrier bound 6"}]
+    # z6 fits and still runs; at the default bounds nothing is skipped
+    assert any(c["group"] == "z6" and c["passed"] for c in report["checks"]
+               if c["check"] == "torsor_count")
+    assert not any("skipped" in c for c in run_enumerate(FIXTURES, Bounds())["checks"])
+
+
 def test_enumerate_rejects_silly_bounds(capsys):
     code = main(["enumerate", "--fixtures", str(FIXTURES), "--bound-group", "0"])
     assert code == 2

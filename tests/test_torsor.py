@@ -56,6 +56,18 @@ def test_trivial_action_is_not_free():
         is_principal_bundle(b)
 
 
+def test_not_free_transitive_names_the_first_pair_and_its_count():
+    # over a point the fibrewise pairs run (0, 0), (0, 1), (1, 0), (1, 1):
+    # both elements of z2 fix (0, 0) under the trivial action, and z1
+    # moves nothing, so no element sends 1 to 0
+    two = FinSet(2)
+    over_point = FinFn.constant(two, TERMINAL, 0)
+    for g, witness in ((GROUPS["z2"], ((0, 0), 2)), (GROUPS["z1"], ((0, 1), 0))):
+        with pytest.raises(NotFreeTransitive) as exc:
+            is_principal_bundle(Bundle(trivial_action(g, two), TERMINAL, over_point))
+        assert exc.value.witness == witness
+
+
 def test_empty_total_is_not_surjective():
     z2 = GROUPS["z2"]
     empty = ActionObject(z2, FinSet(0), ((), ()))
