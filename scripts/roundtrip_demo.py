@@ -9,7 +9,7 @@ import sys
 
 from finbundles.catalog import groups
 from finbundles.finset import FinSet
-from finbundles.algebra import self_action, trivial_action
+from finbundles.algebra import arrows_action, trivial_action
 from finbundles.adjunction import (
     adjunction_to_bundle,
     bundle_to_adjunction,
@@ -51,7 +51,7 @@ def main():
     print("stable reciprocity over %d slices:" % stable["slices"],
           stable["passed"])
 
-    t = tensor(w.bundle.action, self_action(g))
+    t = tensor(w.bundle.action, arrows_action(g))
     print("tensor with the group object has %d classes (carrier size %d)"
           % (t.carrier.size, w.bundle.action.carrier.size))
     t2 = tensor(w.bundle.action, trivial_action(g, FinSet(3)))

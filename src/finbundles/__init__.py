@@ -12,7 +12,6 @@ from .finset import (
 from .algebra import (
     ActionObject,
     EquivariantMap,
-    FinGroup,
     FinGroupoid,
     action_product,
     sigma,

@@ -33,7 +33,6 @@ from .algebra import (
     ActionObject,
     AlgebraMismatch,
     AnchorMismatch,
-    FinGroup,
     FinGroupoid,
     NotEquivariant,
     action_product,
@@ -271,7 +270,7 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
                                   unit_at, counit_at)
 
 
-def fixedpoints_presentation(g: FinGroup) -> AdjunctionPresentation:
+def fixedpoints_presentation(g: FinGroupoid) -> AdjunctionPresentation:
     """The trivial-action functor left adjoint to fixed points.  It is
     over the base but fails Frobenius reciprocity for nontrivial groups,
     so it is the stock negative control."""
@@ -765,7 +764,7 @@ class SliceGroupoidTranslation:
     over a base (actions of the bundle-of-groups groupoid) and group
     actions equipped with an invariant map to the base."""
 
-    group: FinGroup
+    group: FinGroupoid
     base: FinSet
     groupoid: FinGroupoid
 
@@ -797,7 +796,7 @@ class SliceGroupoidTranslation:
         return plain, FinFn(ga.carrier, self.base, ga.anchor.table)
 
 
-def slice_groupoid_equivalence(g: FinGroup, x: FinSet) -> SliceGroupoidTranslation:
+def slice_groupoid_equivalence(g: FinGroupoid, x: FinSet) -> SliceGroupoidTranslation:
     return SliceGroupoidTranslation(g, x, group_bundle_groupoid(g, x))
 
 

@@ -1,5 +1,5 @@
 """Internal groupoids in finite sets, and their action categories.  A
-group is run everywhere as the one-object groupoid with the same table.
+group is a one-object groupoid: validate_group returns one.
 
 Groupoid orientation: src and tgt are chosen so that an arrow g acts on
 points anchored at src(g) and moves them to tgt(g); compose(a, b) means
@@ -121,41 +121,32 @@ def _table(value, rows: int, cols: int, what: str, nullable: bool = False) -> tu
 
 
 @dataclass(frozen=True)
-class FinGroup:
-    """A group.  It also carries the groupoid interface of its one-object
-    groupoid, so every construction runs on it unchanged: one object,
-    the carrier as arrows, constant src and tgt, ident the unit and comp
-    the multiplication table."""
+class FinGroupoid:
+    """A finite groupoid.  A group is the case with one object."""
 
-    carrier: FinSet
-    mul: tuple[tuple[int, ...], ...]
-    unit: int
-    inv: tuple[int, ...]
+    objects: FinSet
+    arrows: FinSet
+    src: FinFn
+    tgt: FinFn
+    ident: FinFn
+    comp: tuple[tuple[int | None, ...], ...]
+    inv: FinFn
 
     __hash__ = _cached_hash
 
-    def __post_init__(self):
-        point = FinFn.constant(self.carrier, TERMINAL, 0)
-        for name, value in (("objects", TERMINAL), ("arrows", self.carrier),
-                            ("src", point), ("tgt", point),
-                            ("ident", FinFn(TERMINAL, self.carrier, (self.unit,))),
-                            ("comp", self.mul)):
-            object.__setattr__(self, name, value)
-
     @property
     def order(self) -> int:
-        return self.carrier.size
+        return self.arrows.size
 
     def inverse(self, a: int) -> int:
-        return self.inv[a]
-
-    def __iter__(self):
-        return iter(range(self.order))
+        return self.inv.table[a]
 
 
-def validate_group(mul, unit: int, inv, labels=None) -> FinGroup:
+def validate_group(mul, unit: int, inv) -> FinGroupoid:
     """Check the group axioms on candidate tables; each failure names a
-    violating element or triple."""
+    violating element or triple.  The group is returned as its one-object
+    groupoid: the carrier as arrows, constant src and tgt, ident the unit
+    and comp the multiplication table."""
     n = len(mul) if isinstance(mul, (list, tuple)) else 0
     if n == 0:
         raise ValueError("mul is not a non-empty table (the empty carrier is not a group)")
@@ -176,28 +167,10 @@ def validate_group(mul, unit: int, inv, labels=None) -> FinGroup:
     for a in range(n):
         if mul[inv[a]][a] != unit or mul[a][inv[a]] != unit:
             raise NoInverse("inverse law fails", a)
-    carrier = FinSet(n, tuple(labels) if labels is not None else None)
-    return FinGroup(carrier, mul, unit, inv)
-
-
-@dataclass(frozen=True)
-class FinGroupoid:
-    objects: FinSet
-    arrows: FinSet
-    src: FinFn
-    tgt: FinFn
-    ident: FinFn
-    comp: tuple[tuple[int | None, ...], ...]
-    inv: FinFn
-
-    __hash__ = _cached_hash
-
-    @property
-    def order(self) -> int:
-        return self.arrows.size
-
-    def inverse(self, a: int) -> int:
-        return self.inv.table[a]
+    carrier = FinSet(n)
+    point = FinFn.constant(carrier, TERMINAL, 0)
+    return FinGroupoid(TERMINAL, carrier, point, point, FinFn(TERMINAL, carrier, (unit,)),
+                       mul, FinFn(carrier, carrier, inv))
 
 
 def validate_groupoid(objects, arrows, src, tgt, ident, comp, inv) -> FinGroupoid:
@@ -251,17 +224,6 @@ def validate_groupoid(objects, arrows, src, tgt, ident, comp, inv) -> FinGroupoi
     return FinGroupoid(obj_set, arr_set, src_fn, tgt_fn, ident_fn, comp, inv_fn)
 
 
-def group_to_groupoid(g: FinGroup) -> FinGroupoid:
-    """The one-object groupoid with the same composition table."""
-    n = g.order
-    return validate_groupoid(
-        1, n,
-        src=[0] * n, tgt=[0] * n, ident=[g.unit],
-        comp=[[g.mul[a][b] for b in range(n)] for a in range(n)],
-        inv=list(g.inv),
-    )
-
-
 def discrete_groupoid(objects) -> FinGroupoid:
     n = objects if isinstance(objects, int) else objects.size
     comp = [[a if a == b else None for b in range(n)] for a in range(n)]
@@ -288,7 +250,7 @@ def pair_groupoid(objects) -> FinGroupoid:
                              inv=[src[a] * n + tgt[a] for a in range(n_arr)])
 
 
-def group_bundle_groupoid(g: FinGroup, x: FinSet) -> FinGroupoid:
+def group_bundle_groupoid(g: FinGroupoid, x: FinSet) -> FinGroupoid:
     """A constant bundle of groups over x: arrows (gi, xi) with
     src = tgt = xi, composed fibrewise.  Arrow index is gi * x.size + xi.
     """
@@ -299,10 +261,10 @@ def group_bundle_groupoid(g: FinGroup, x: FinSet) -> FinGroupoid:
     for a in range(n_arr):
         for b in range(n_arr):
             if a % n == b % n:
-                comp[a][b] = g.mul[a // n][b // n] * n + (a % n)
+                comp[a][b] = g.comp[a // n][b // n] * n + (a % n)
     return validate_groupoid(n, n_arr, src=src, tgt=list(src),
-                             ident=[g.unit * n + xi for xi in range(n)], comp=comp,
-                             inv=[g.inv[k // n] * n + (k % n) for k in range(n_arr)])
+                             ident=[g.ident.table[0] * n + xi for xi in range(n)], comp=comp,
+                             inv=[g.inverse(k // n) * n + (k % n) for k in range(n_arr)])
 
 
 @dataclass(frozen=True)
@@ -314,7 +276,7 @@ class ActionObject:
     may be omitted: it is then the constant map to the one object.
     """
 
-    algebra: FinGroup | FinGroupoid
+    algebra: FinGroupoid
     carrier: FinSet
     act: tuple[tuple[int | None, ...], ...]
     anchor: FinFn | None = None
@@ -425,12 +387,6 @@ def arrows_action(gpd) -> ActionObject:
     return ActionObject(gpd, gpd.arrows, act, gpd.tgt)
 
 
-def self_action(g: FinGroup) -> ActionObject:
-    """The group acting on itself by multiplication: the arrows action of
-    its one-object groupoid."""
-    return arrows_action(g)
-
-
 def terminal_action(alg) -> ActionObject:
     """The terminal object: the object set, anchored by the identity, on
     which an arrow moves src to tgt (a point for a group)."""
@@ -511,7 +467,7 @@ def action_product(a: ActionObject, b: ActionObject) -> tuple[ActionObject, Pull
 
 @dataclass(frozen=True)
 class UntwistIso:
-    """The untwisting of a product with the self-action: forward sends
+    """The untwisting of a product with the arrows action: forward sends
     (a, g) with the trivial action on the left factor to (g.a, g)."""
 
     trivial_side: ActionObject
@@ -528,8 +484,8 @@ def untwist_iso(a: ActionObject) -> UntwistIso:
     if g.objects.size != 1:
         raise ValueError("untwisting is stated for one-object algebras")
     triv = trivial_action(g, a.carrier)
-    left, lpb = action_product(triv, self_action(g))
-    right, rpb = action_product(a, self_action(g))
+    left, lpb = action_product(triv, arrows_action(g))
+    right, rpb = action_product(a, arrows_action(g))
     fwd = FinFn(left.carrier, right.carrier,
                 tuple(rpb.index(a.act[h][p], h) for (p, h) in lpb.pairs))
     bwd = FinFn(right.carrier, left.carrier,
@@ -661,12 +617,12 @@ def equivariant_maps(a: ActionObject, b: ActionObject):
 
 # JSON fixture forms --------------------------------------------------------
 
-def group_to_json(g: FinGroup) -> dict:
-    return {"order": g.order, "mul": [list(r) for r in g.mul],
-            "unit": g.unit, "inv": list(g.inv)}
+def group_to_json(g: FinGroupoid) -> dict:
+    return {"order": g.order, "mul": [list(r) for r in g.comp],
+            "unit": g.ident.table[0], "inv": list(g.inv.table)}
 
 
-def group_from_json(data) -> FinGroup:
+def group_from_json(data) -> FinGroupoid:
     return validate_group(data["mul"], data["unit"], data["inv"])
 
 
@@ -683,11 +639,12 @@ def groupoid_from_json(data) -> FinGroupoid:
 
 
 def action_to_json(a: ActionObject, algebra_ref) -> dict:
-    """Group actions leave out their constant anchor."""
+    """Actions of a one-object algebra (a group) leave out their constant
+    anchor, which ActionObject rebuilds."""
     out = {"algebra": algebra_ref,
            "carrier": a.carrier.size,
            "act": [list(r) for r in a.act]}
-    if not isinstance(a.algebra, FinGroup):
+    if a.algebra.objects.size != 1:
         out["anchor"] = list(a.anchor.table)
     return out
 

@@ -7,32 +7,30 @@ from __future__ import annotations
 import itertools
 
 from .algebra import (
-    FinGroup,
     FinGroupoid,
     discrete_groupoid,
-    group_to_groupoid,
     pair_groupoid,
     validate_group,
 )
 
 
-def cyclic(n: int) -> FinGroup:
+def cyclic(n: int) -> FinGroupoid:
     mul = [[(i + j) % n for j in range(n)] for i in range(n)]
     return validate_group(mul, 0, [(-i) % n for i in range(n)])
 
 
-def direct_product(g: FinGroup, h: FinGroup) -> FinGroup:
+def direct_product(g: FinGroupoid, h: FinGroupoid) -> FinGroupoid:
     n, m = g.order, h.order
     idx = lambda a, b: a * m + b
     mul = [[0] * (n * m) for _ in range(n * m)]
     for a, b in itertools.product(range(n), range(m)):
         for c, d in itertools.product(range(n), range(m)):
-            mul[idx(a, b)][idx(c, d)] = idx(g.mul[a][c], h.mul[b][d])
-    inv = [idx(g.inv[k // m], h.inv[k % m]) for k in range(n * m)]
-    return validate_group(mul, idx(g.unit, h.unit), inv)
+            mul[idx(a, b)][idx(c, d)] = idx(g.comp[a][c], h.comp[b][d])
+    inv = [idx(g.inverse(k // m), h.inverse(k % m)) for k in range(n * m)]
+    return validate_group(mul, idx(g.ident.table[0], h.ident.table[0]), inv)
 
 
-def symmetric(n: int) -> FinGroup:
+def symmetric(n: int) -> FinGroupoid:
     """Permutations of n points in lexicographic order, composed as
     functions (left factor applied last)."""
     perms = sorted(itertools.permutations(range(n)))
@@ -47,7 +45,7 @@ def symmetric(n: int) -> FinGroup:
     return validate_group(mul, index[tuple(range(n))], inv)
 
 
-def dihedral(n: int) -> FinGroup:
+def dihedral(n: int) -> FinGroupoid:
     """Order 2n: elements (i, e) indexed i*2+e, with (i,e)(j,d) =
     (i + (-1)^e j, e+d)."""
     size = 2 * n
@@ -61,7 +59,7 @@ def dihedral(n: int) -> FinGroup:
     return validate_group(mul, 0, inv)
 
 
-def quaternion() -> FinGroup:
+def quaternion() -> FinGroupoid:
     """Q8 as signed units 1,-1,i,-i,j,-j,k,-k (index order)."""
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
     axis = {0: "1", 1: "1", 2: "i", 3: "i", 4: "j", 5: "j", 6: "k", 7: "k"}
@@ -86,7 +84,7 @@ def quaternion() -> FinGroup:
     return validate_group(mul, 0, inv)
 
 
-def klein_four() -> FinGroup:
+def klein_four() -> FinGroupoid:
     return direct_product(cyclic(2), cyclic(2))
 
 
@@ -112,11 +110,11 @@ GROUPOID_BUILDERS = {
     "discrete2": lambda: discrete_groupoid(2),
     "discrete3": lambda: discrete_groupoid(3),
     "pair2": lambda: pair_groupoid(2),
-    "z2_loop": lambda: group_to_groupoid(cyclic(2)),
+    "z2_loop": lambda: cyclic(2),
 }
 
 
-def groups(max_order: int = 8) -> dict[str, FinGroup]:
+def groups(max_order: int = 8) -> dict[str, FinGroupoid]:
     out = {}
     for name, build in GROUP_BUILDERS.items():
         g = build()

@@ -24,7 +24,7 @@ from .finset import (
 )
 from .algebra import (
     ActionObject,
-    FinGroup,
+    FinGroupoid,
     _indices,
     _size,
     all_actions,
@@ -164,11 +164,11 @@ def division_map(w: TorsorWitness) -> DivisionReport:
     return DivisionReport(w, n_checked, n_trans)
 
 
-def trivial_torsor(g: FinGroup, x: FinSet) -> TorsorWitness:
+def trivial_torsor(g: FinGroupoid, x: FinSet) -> TorsorWitness:
     """The canonical torsor over x: carrier x * G with first projection
     and left multiplication on the group coordinate."""
-    prod = product(x, g.carrier)
-    act = [tuple(prod.index(x0, g.mul[h][a]) for x0, a in prod.pairs) for h in range(g.order)]
+    prod = product(x, g.arrows)
+    act = [tuple(prod.index(x0, g.comp[h][a]) for x0, a in prod.pairs) for h in range(g.order)]
     action = validate_action(g, prod.carrier, act)
     return is_principal_bundle(Bundle(action, x, prod.p1))
 

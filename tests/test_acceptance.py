@@ -19,7 +19,7 @@ from finbundles.algebra import (
     NotAssociative,
     NoUnit,
     all_actions,
-    self_action,
+    arrows_action,
     sigma,
     trivial_action,
     untwist_iso,
@@ -55,9 +55,9 @@ def _mutated_group_tables(i):
     names = [n for n, g in sorted_groups(GROUPS, 8) if g.order >= 2]
     g = GROUPS[names[i % len(names)]]
     n = g.order
-    mul = [list(r) for r in g.mul]
-    inv = list(g.inv)
-    unit = g.unit
+    mul = [list(r) for r in g.comp]
+    inv = list(g.inv.table)
+    unit = g.ident.table[0]
     kind = i % 3
     if kind == 0:
         a, b = (i * 7 + 1) % n, (i * 3 + 2) % n
@@ -114,7 +114,7 @@ def _groupoid_witness_is_correct(exc, gd_tables):
 def test_criterion_01_algebra_laws():
     start = time.perf_counter()
     for name, g in GROUPS.items():
-        validate_group([list(r) for r in g.mul], g.unit, list(g.inv))
+        validate_group([list(r) for r in g.comp], g.ident.table[0], list(g.inv.table))
     for name, gd in GROUPOIDS.items():
         validate_groupoid(gd.objects.size, gd.arrows.size, list(gd.src.table),
                           list(gd.tgt.table), list(gd.ident.table),
@@ -154,7 +154,7 @@ def test_criterion_01_algebra_laws():
 
 def test_criterion_02_orbit_quotients():
     for name, g in GROUPS.items():
-        assert sigma(self_action(g)).quotient.size == 1, name
+        assert sigma(arrows_action(g)).quotient.size == 1, name
     for name, g in GROUPS.items():
         for n in range(4):
             orb = sigma(trivial_action(g, FinSet(n)))
@@ -208,7 +208,7 @@ def _oracle_structures_by_translation(g):
     orbits = set()
     for perm in itertools.permutations(range(n)):
         orbits.add(frozenset(
-            tuple(g.mul[perm[p]][a] for p in range(n)) for a in range(n)))
+            tuple(g.comp[perm[p]][a] for p in range(n)) for a in range(n)))
     return len(orbits)
 
 
@@ -288,9 +288,9 @@ def test_criterion_08_tensor_identities():
     count = 0
     for name, nx, w in _criterion_seven_torsors():
         g = w.bundle.action.algebra
-        t = tensor(w.bundle.action, self_action(g))
+        t = tensor(w.bundle.action, arrows_action(g))
         fwd = FinFn(t.carrier, w.bundle.action.carrier,
-                    tuple(w.bundle.action.act[g.inv[h]][p]
+                    tuple(w.bundle.action.act[g.inverse(h)][p]
                           for (p, h) in map(t.rep_pair, range(t.carrier.size))))
         IsoCertificate(fwd, fwd.inverse())
         for k in range(t.carrier.size):

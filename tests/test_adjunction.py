@@ -17,7 +17,7 @@ from finbundles.algebra import (
     EquivariantMap,
     NotEquivariant,
     all_actions,
-    self_action,
+    arrows_action,
     sigma,
     trivial_action,
     validate_action,
@@ -87,7 +87,7 @@ def dom_mors(cat, objs, cap=200):
 def test_tensor_with_self_action_recovers_carrier():
     for name in ("z2", "z3"):
         w = trivial_torsor(GROUPS[name], TERMINAL)
-        t = tensor(w.bundle.action, self_action(GROUPS[name]))
+        t = tensor(w.bundle.action, arrows_action(GROUPS[name]))
         assert t.carrier.size == w.bundle.action.carrier.size
 
 
@@ -183,7 +183,7 @@ def test_evaluation_unit_laws():
     z3 = GROUPS["z3"]
     w = trivial_torsor(z3, TERMINAL)
     pres = bundle_to_adjunction(w)
-    a = self_action(z3)
+    a = arrows_action(z3)
     eps = pres.counit_at(a)
     t = tensor(w.bundle.action, a)
     _, pb = pres.left_data(pres.right_obj(a))
@@ -290,7 +290,7 @@ def test_error_paths():
     z2, z3 = GROUPS["z2"], GROUPS["z3"]
     w = trivial_torsor(z2, TERMINAL)
     with pytest.raises(AlgebraMismatch):
-        tensor(w.bundle.action, self_action(z3))
+        tensor(w.bundle.action, arrows_action(z3))
     with pytest.raises(NotOverBase):
         factor_to_slice(sigma_presentation(z2))
 
@@ -310,14 +310,14 @@ def test_pullback_presentation_names_the_point_off_the_pullback():
 
 CATEGORY_CHECKS = """
 from finbundles import catalog
-from finbundles.algebra import AlgebraError, arrows_action, self_action, trivial_action
+from finbundles.algebra import AlgebraError, arrows_action, trivial_action
 from finbundles.categories import (
     ActionCategory, Mor, SliceCategory, SliceOverCategory)
 from finbundles.finset import FinFn, FinSet, FinSetError
 
 z2 = catalog.groups(2)["z2"]
 acts = ActionCategory(z2)
-free, triv = self_action(z2), trivial_action(z2, FinSet(2))
+free, triv = arrows_action(z2), trivial_action(z2, FinSet(2))
 two = FinSet(2)
 slices = SliceCategory(two)
 split = FinFn(two, two, (0, 1))
@@ -371,7 +371,7 @@ from finbundles.adjunction import (
     AdjunctionError, adjunction_to_bundle, bundle_to_adjunction,
     corollary_slice_criterion, factor_to_slice, pullback_presentation,
     sigma_presentation, slice_groupoid_equivalence)
-from finbundles.algebra import AlgebraError, self_action
+from finbundles.algebra import AlgebraError, arrows_action
 from finbundles.categories import slice_family
 from finbundles.finset import FinFn, FinSet, FinSetError, TERMINAL
 from finbundles.torsor import trivial_torsor
@@ -393,10 +393,10 @@ def describe(w):
 
 
 cases = [
-    lambda: translation.to_anchored(self_action(z2), FinFn(two, FinSet(1), (0, 0))),
-    lambda: translation.to_anchored(self_action(z2), FinFn(FinSet(3), two, (0, 0, 1))),
-    lambda: translation.to_anchored(self_action(z3), FinFn(FinSet(3), two, (0, 0, 1))),
-    lambda: translation.from_anchored(self_action(z2)),
+    lambda: translation.to_anchored(arrows_action(z2), FinFn(two, FinSet(1), (0, 0))),
+    lambda: translation.to_anchored(arrows_action(z2), FinFn(FinSet(3), two, (0, 0, 1))),
+    lambda: translation.to_anchored(arrows_action(z3), FinFn(FinSet(3), two, (0, 0, 1))),
+    lambda: translation.from_anchored(arrows_action(z2)),
     lambda: factor_to_slice(sp),
     lambda: corollary_slice_criterion(pullback_presentation(FinFn.identity(two)), [], [], []),
     lambda: adjunction_to_bundle(factored, dom_objs, [factored.left_obj(o) for o in dom_objs]),
@@ -442,8 +442,8 @@ def test_self_torsor_gives_free_forgetful_pair():
     # over a point the right adjoint is the underlying set and the left
     # adjoint the free action
     z2 = GROUPS["z2"]
-    w = is_principal_bundle(Bundle(self_action(z2), TERMINAL,
-                                   FinFn.constant(z2.carrier, TERMINAL, 0)))
+    w = is_principal_bundle(Bundle(arrows_action(z2), TERMINAL,
+                                   FinFn.constant(z2.arrows, TERMINAL, 0)))
     pres = bundle_to_adjunction(w)
     for a in all_actions(z2, FinSet(3)):
         assert pres.right_obj(a).dom.size == a.carrier.size
@@ -471,17 +471,17 @@ def test_counit_at_self_action_embodies_division():
     z3 = GROUPS["z3"]
     w = trivial_torsor(z3, TERMINAL)
     pres = bundle_to_adjunction(w)
-    a = self_action(z3)
+    a = arrows_action(z3)
     t = tensor(w.bundle.action, a)
     fwd = FinFn(t.carrier, w.bundle.action.carrier,
-                tuple(w.bundle.action.act[z3.inv[g]][p]
+                tuple(w.bundle.action.act[z3.inverse(g)][p]
                       for (p, g) in map(t.rep_pair, range(t.carrier.size))))
     IsoCertificate(fwd, fwd.inverse())
     eps = pres.counit_at(a)
     lo, pb = pres.left_data(pres.right_obj(a))
     for k, (pprime, cls) in enumerate(pb.pairs):
         p0, g0 = t.rep_pair(cls)
-        assert eps.fn.table[k] == z3.mul[w.psi(pprime, p0)][g0]
+        assert eps.fn.table[k] == z3.comp[w.psi(pprime, p0)][g0]
 
 
 def test_bundle_presentation_laws_and_roundtrip():
@@ -759,7 +759,7 @@ def test_slice_adjunction_triangles():
     z2 = GROUPS["z2"]
     w = trivial_torsor(z2, TERMINAL)
     pres = bundle_to_adjunction(w)
-    b = self_action(z2)
+    b = arrows_action(z2)
     sliced = slice_adjunction(pres, b)
     dom_fam = list(sliced.dom.objects_over(slice_family(TERMINAL, 2), 500))
     cod_fam = list(sliced.cod.objects_over(action_family(z2, 2), 500))
@@ -962,7 +962,7 @@ def test_family_too_large_guard():
     cod_objs = action_family(z2, 2)
     with pytest.raises(FamilyTooLarge):
         check_frobenius(pres, cod_objs, dom_objs, max_pairs=1)
-    sliced = slice_adjunction(pres, self_action(z2))
+    sliced = slice_adjunction(pres, arrows_action(z2))
     with pytest.raises(FamilyTooLarge):
         list(sliced.dom.objects_over(dom_objs, hom_cap=0))
 

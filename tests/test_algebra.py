@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +14,6 @@ from finbundles.algebra import (
     BadIdentity,
     BadInverse,
     EquivariantMap,
-    FinGroup,
     NoInverse,
     NotAssociative,
     NotEquivariant,
@@ -20,12 +21,11 @@ from finbundles.algebra import (
     UnitLawFail,
     action_product,
     all_actions,
+    arrows_action,
     discrete_groupoid,
     equivariant_maps,
-    group_to_groupoid,
     pullback_action,
     pair_groupoid,
-    self_action,
     sigma,
     sigma_mor,
     terminal_action,
@@ -60,8 +60,9 @@ def oracle_group_axioms(mul, unit, inv):
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_catalog_groups_validate_and_match_oracle(name):
     g = GROUPS[name]
-    validate_group([list(r) for r in g.mul], g.unit, list(g.inv))
-    assert oracle_group_axioms(g.mul, g.unit, g.inv)
+    unit, inv = g.ident.table[0], [g.inverse(a) for a in range(g.order)]
+    validate_group([list(r) for r in g.comp], unit, inv)
+    assert oracle_group_axioms(g.comp, unit, inv)
 
 
 def test_group_orders_cover_all_orders_up_to_8():
@@ -128,11 +129,16 @@ def test_pair_groupoid_all_composites():
 
 
 def test_one_object_groupoid_matches_group():
-    z4 = GROUPS["z4"]
-    g = group_to_groupoid(z4)
-    assert g.comp == z4.mul
-    assert g.ident.table == (z4.unit,)
-    assert g.inv.table == z4.inv
+    # a group is its one-object groupoid: validate_group and the generic
+    # groupoid validation give the same value, with the same hash
+    for name, g in sorted(GROUPS.items()):
+        n, unit = g.order, g.ident.table[0]
+        mul = [list(r) for r in g.comp]
+        inv = [g.inverse(a) for a in range(n)]
+        as_group = validate_group(mul, unit, inv)
+        as_groupoid = validate_groupoid(1, n, [0] * n, [0] * n, [unit], mul, inv)
+        assert as_group == as_groupoid, name
+        assert hash(as_group) == hash(as_groupoid), name
 
 
 def test_validate_groupoid_bad_composability():
@@ -145,19 +151,18 @@ def test_validate_groupoid_bad_composability():
 
 def test_validate_groupoid_bad_identity_and_inverse():
     z2 = GROUPS["z2"]
-    g = group_to_groupoid(z2)
     with pytest.raises(BadIdentity):
         validate_groupoid(1, 2, [0, 0], [0, 0], [1],
-                          [list(r) for r in g.comp], [0, 1])
+                          [list(r) for r in z2.comp], [0, 1])
     with pytest.raises(BadInverse):
         validate_groupoid(1, 2, [0, 0], [0, 0], [0],
-                          [list(r) for r in g.comp], [0, 0])
+                          [list(r) for r in z2.comp], [0, 0])
 
 
 def test_validate_action_examples():
     z2 = GROUPS["z2"]
     trivial_action(z2, FinSet(5))
-    self_action(z2)
+    arrows_action(z2)
     # acting by a non-involution breaks associativity
     with pytest.raises(AssocLawFail) as exc:
         validate_action(z2, FinSet(2), [[0, 1], [0, 0]])
@@ -179,7 +184,7 @@ def test_validate_action_groupoid_anchor_rules():
 
 def test_trivial_action_and_self_action_are_valid():
     for name, g in GROUPS.items():
-        validate_action(g, g.carrier, g.mul)
+        validate_action(g, g.arrows, g.comp)
         a = trivial_action(g, FinSet(3))
         assert all(a.act[h] == (0, 1, 2) for h in range(g.order))
 
@@ -229,7 +234,7 @@ def oracle_orbit_count(a):
 @pytest.mark.parametrize("name", sorted(GROUPS))
 def test_sigma_self_action_is_a_point(name):
     g = GROUPS[name]
-    orb = sigma(self_action(g))
+    orb = sigma(arrows_action(g))
     assert orb.quotient.size == 1
     assert orb.q.is_surjection()
 
@@ -256,7 +261,7 @@ def test_sigma_two_free_orbits():
 
 def test_sigma_mor_well_defined_on_orbits():
     z2 = GROUPS["z2"]
-    a = self_action(z2)
+    a = arrows_action(z2)
     b = trivial_action(z2, FinSet(2))
     for fn in equivariant_maps(a, b):
         induced = sigma_mor(a, b, fn)
@@ -265,7 +270,7 @@ def test_sigma_mor_well_defined_on_orbits():
 
 def test_action_product_unit_law():
     z2 = GROUPS["z2"]
-    a = self_action(z2)
+    a = arrows_action(z2)
     one = trivial_action(z2, TERMINAL)
     prod, pb = action_product(a, one)
     assert prod.carrier.size == a.carrier.size
@@ -274,14 +279,14 @@ def test_action_product_unit_law():
 
 def test_action_product_self_squared_free():
     z2 = GROUPS["z2"]
-    prod, _ = action_product(self_action(z2), self_action(z2))
+    prod, _ = action_product(arrows_action(z2), arrows_action(z2))
     assert prod.carrier.size == 4
     assert sigma(prod).quotient.size == 2
 
 
 def test_action_product_requires_same_algebra():
     with pytest.raises(AlgebraMismatch):
-        action_product(self_action(GROUPS["z2"]), self_action(GROUPS["z3"]))
+        action_product(arrows_action(GROUPS["z2"]), arrows_action(GROUPS["z3"]))
 
 
 def test_action_product_groupoid_is_fibrewise():
@@ -300,7 +305,7 @@ def test_untwist_trivial_action_is_identity():
 
 def test_untwist_self_action_z2():
     z2 = GROUPS["z2"]
-    u = untwist_iso(self_action(z2))
+    u = untwist_iso(arrows_action(z2))
     # (a, g) -> (g a, g) on row-major pairs of a 2x2 square
     assert u.cert.forward.table == (0, 3, 2, 1)
 
@@ -355,32 +360,19 @@ def test_sigma_frobenius_bijection_bounded():
 
 
 def test_one_object_groupoid_agrees_with_group():
-    from finbundles.algebra import arrows_action
-
+    # over one object the omitted anchor is the constant map
     z2 = GROUPS["z2"]
-    gpd = group_to_groupoid(z2)
-    a_group = self_action(z2)
-    anchor = FinFn(z2.carrier, gpd.objects, (0, 0))
-    a_gpd = validate_action(gpd, z2.carrier, z2.mul, anchor)
-    assert sigma(a_group).quotient.size == sigma(a_gpd).quotient.size
-    _, pg = action_product(a_group, a_group)
-    _, pgd = action_product(a_gpd, a_gpd)
-    assert pg.pairs == pgd.pairs
-    # every small group runs exactly as its one-object groupoid
+    anchor = FinFn(z2.arrows, z2.objects, (0, 0))
+    assert validate_action(z2, z2.arrows, z2.comp, anchor) == validate_action(
+        z2, z2.arrows, z2.comp) == arrows_action(z2)
     for name, g in sorted(GROUPS.items()):
         if g.order > 4:
             continue
-        gpd = group_to_groupoid(g)
-        assert arrows_action(gpd).act == self_action(g).act, name
         for n in range(5):
             x = FinSet(n)
-            as_group = [a.act for a in all_actions(g, x)]
-            as_groupoid = [a.act for a in all_actions(gpd, x)]
-            assert as_group == as_groupoid, (name, n)
             # the trivial action's point (0, x) has index 0 * |X| + x
             identity = tuple(0 * n + xi for xi in range(n))
             assert trivial_action(g, x).act == (identity,) * g.order, (name, n)
-            assert trivial_action(gpd, x).act == (identity,) * g.order, (name, n)
 
 
 def test_terminal_action_groupoid():
@@ -392,7 +384,7 @@ def test_terminal_action_groupoid():
 
 def test_equivariant_map_rejects_non_equivariant():
     z2 = GROUPS["z2"]
-    a = self_action(z2)
+    a = arrows_action(z2)
     with pytest.raises(NotEquivariant):
         EquivariantMap(a, a, FinFn(a.carrier, a.carrier, (0, 0)))
 
@@ -405,7 +397,7 @@ def test_pullback_action_names_the_arrow_that_leaves_the_pullback():
     two = FinSet(2)
     pb = pullback(FinFn.identity(two), FinFn.identity(two))
     with pytest.raises(NotEquivariant) as exc:
-        pullback_action(pb, self_action(z2), trivial_action(z2, two))
+        pullback_action(pb, arrows_action(z2), trivial_action(z2, two))
     assert exc.value.witness == (1, (0, 0))
 
 
@@ -420,7 +412,7 @@ def test_action_enumeration_counts_match_hom_counts():
     def subgroups(g):
         return [sub for size in range(1, g.order + 1) if g.order % size == 0
                 for sub in combinations(range(g.order), size)
-                if all(g.mul[a][b] in sub for a in sub for b in sub)]
+                if all(g.comp[a][b] in sub for a in sub for b in sub)]
 
     def hom_counts(g, top):
         indices = [g.order // len(sub) for sub in subgroups(g)]
@@ -458,7 +450,7 @@ def test_loop_order_pruning_matches_the_unpruned_search(monkeypatch):
 
 def test_loop_order_gives_up_on_powers_that_never_return(monkeypatch):
     # unvalidated: 1 * 1 = 1, so the powers of 1 never reach the unit
-    bad = FinGroup(FinSet(2), ((0, 1), (1, 1)), 0, (0, 1))
+    bad = replace(GROUPS["z2"], comp=((0, 1), (1, 1)))
     assert algebra._loop_order(bad, 1) is None
     assert algebra._loop_order(GROUPS["z6"], 2) == 3
     pruned = [_action_sequence(bad, n) for n in range(5)]
@@ -483,7 +475,7 @@ def test_json_fixture_forms_roundtrip():
     assert group_from_json(group_to_json(z2)) == z2
     pair2 = GROUPOIDS["pair2"]
     assert groupoid_from_json(groupoid_to_json(pair2)) == pair2
-    a = self_action(z2)
+    a = arrows_action(z2)
     assert action_from_json(action_to_json(a, "groups/z2"), z2) == a
     anchored = trivial_action(pair2, FinSet(2))
     data = action_to_json(anchored, "groupoids/pair2")
@@ -495,7 +487,7 @@ def test_json_fixture_forms_roundtrip():
 def test_untwist_certificates_on_sampled_actions(name, n, data):
     g = GROUPS[name]
     actions = list(all_actions(g, FinSet(n))) if g.order <= 4 else [
-        trivial_action(g, FinSet(n)), self_action(g)]
+        trivial_action(g, FinSet(n)), arrows_action(g)]
     a = data.draw(st.sampled_from(actions))
     u = untwist_iso(a)
     assert u.forward.fn.is_bijection()

@@ -18,7 +18,7 @@ from finbundles.cli import (
     run_verify,
 )
 from finbundles import catalog
-from finbundles.suites import Bounds, theorem_checks
+from finbundles.suites import Bounds, groupoid_instance_checks, theorem_checks
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -67,6 +67,33 @@ def test_enumerate_records_groups_skipped_by_the_carrier_bound(tmp_path, capsys)
     assert any(c["group"] == "z6" and c["passed"] for c in report["checks"]
                if c["check"] == "torsor_count")
     assert not any("skipped" in c for c in run_enumerate(FIXTURES, Bounds())["checks"])
+
+
+def test_enumerate_records_groupoid_bases_beyond_the_limit(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["enumerate", "--fixtures", str(FIXTURES), "--bound-base", "5",
+                 "--out", str(out)])
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["all_passed"]
+    counts = [(c["groupoid"], c["base"], "skipped" in c) for c in report["checks"]
+              if c["check"] == "groupoid_bundle_count"]
+    assert counts == [(name, nx, nx > 3) for name in ("discrete1", "discrete2", "discrete3")
+                      for nx in range(1, 6)]
+    assert [c for c in report["checks"] if "skipped" in c][0] == {
+        "check": "groupoid_bundle_count", "groupoid": "discrete1", "base": 4,
+        "skipped": "base 4 exceeds the groupoid base limit 3"}
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines.count(["groupoid_bundle_count", "discrete2", "skipped"]) == 2
+
+
+def test_groupoid_instance_records_bases_beyond_the_limit():
+    gd = catalog.groupoids()["discrete1"]
+    checks = groupoid_instance_checks({"discrete1": gd}, Bounds(base=4))
+    assert [c["passed"] for c in checks[:3]] == [True, True, True]
+    assert checks[3:] == [{"check": "groupoid_instance", "groupoid": "discrete1",
+                           "base": 4,
+                           "skipped": "base 4 exceeds the groupoid base limit 3"}]
 
 
 def test_enumerate_rejects_silly_bounds(capsys):

@@ -1,13 +1,14 @@
 """Failure entries of the check suites, fed broken inputs: each entry must
 fail for the stated reason and carry the witness of what it caught."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 
-from finbundles import catalog, suites
+from finbundles import adjunction, catalog, suites
 from finbundles.finset import FinFn, FinSet, IsoCertificate, NotInverse
-from finbundles.algebra import FinGroup, all_actions, arrows_action, untwist_iso
+from finbundles.algebra import all_actions, arrows_action, untwist_iso
 from finbundles.torsor import DivisionLawFail, division_map, enumerate_torsors, trivial_torsor
 from finbundles.adjunction import tensor
 from finbundles.suites import (
@@ -24,7 +25,7 @@ Z2 = catalog.cyclic(2)
 Z3 = catalog.cyclic(3)
 # z3 with every element its own inverse: the multiplication is a group's,
 # so its actions and torsors are genuine, but the inverse table is wrong
-BAD_INV_Z3 = FinGroup(FinSet(3), Z3.mul, Z3.unit, (0, 1, 2))
+BAD_INV_Z3 = replace(Z3, inv=FinFn.identity(FinSet(3)))
 
 
 def test_family_too_large_is_a_failed_entry():
@@ -78,18 +79,20 @@ def test_iso_certificate_names_the_moved_point():
 def test_sigma_frobenius_failure_names_the_missed_point(monkeypatch):
     # a "trivial" action on two points that z2 actually swaps: the orbits
     # of X x A are then fewer than X x orbits(A)
-    real = suites.trivial_action
+    real = adjunction.trivial_action
 
     def twisted(g, x):
         if x.size != 2:
             return real(g, x)
         return arrows_action(g)
 
-    monkeypatch.setattr(suites, "trivial_action", twisted)
+    monkeypatch.setattr(adjunction, "trivial_action", twisted)
     rep = sigma_frobenius_check({"z2": Z2}, max_order=2, max_x=2, max_carrier=1)
     assert not rep["passed"]
+    assert rep["cases"] == 6
     # A empty maps bijectively; A = one point has one orbit against two
-    assert rep["witnesses"] == [{"group": "z2", "x": 2, "carrier": 1,
+    assert rep["witnesses"] == [{"group": "z2", "cod_obj": "slice(total=2,proj=[0, 0])",
+                                 "dom_obj": "action(carrier=1)",
                                  "witness": ("missed", 1)}]
 
 

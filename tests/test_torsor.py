@@ -14,7 +14,7 @@ from finbundles.finset import (
     coequalizer,
     product,
 )
-from finbundles.algebra import ActionObject, trivial_action, self_action, validate_action
+from finbundles.algebra import ActionObject, arrows_action, trivial_action, validate_action
 from finbundles.torsor import (
     Bundle,
     BoundsExceeded,
@@ -80,7 +80,7 @@ def test_empty_total_is_not_surjective():
 def test_bundle_requires_invariant_projection():
     z2 = GROUPS["z2"]
     with pytest.raises(ValueError):
-        Bundle(self_action(z2), FinSet(2), FinFn.identity(FinSet(2)))
+        Bundle(arrows_action(z2), FinSet(2), FinFn.identity(FinSet(2)))
 
 
 def test_division_self_torsor_formula():
@@ -88,17 +88,17 @@ def test_division_self_torsor_formula():
     # psi(g, h) = g * h^(-1)
     for name in ("z3", "z4", "s3"):
         g = GROUPS[name]
-        w = is_principal_bundle(Bundle(self_action(g), TERMINAL,
-                                       FinFn.constant(g.carrier, TERMINAL, 0)))
+        w = is_principal_bundle(Bundle(arrows_action(g), TERMINAL,
+                                       FinFn.constant(g.arrows, TERMINAL, 0)))
         for a in range(g.order):
             for b in range(g.order):
-                assert w.psi(a, b) == g.mul[a][g.inv[b]]
+                assert w.psi(a, b) == g.comp[a][g.inverse(b)]
 
 
 def test_division_diagonal_is_unit():
     w = trivial_torsor(GROUPS["v4"], FinSet(2))
     for p in range(w.bundle.action.carrier.size):
-        assert w.psi(p, p) == w.bundle.action.algebra.unit
+        assert w.psi(p, p) == w.bundle.action.algebra.ident.table[0]
 
 
 def test_enumerate_z2_matches_raw_table_oracle():
@@ -129,7 +129,7 @@ def oracle_bijection_mod_translation(g):
     seen = set()
     for perm in itertools.permutations(range(n)):
         orbit = frozenset(
-            tuple(g.mul[perm[p]][a] for p in range(n)) for a in range(n))
+            tuple(g.comp[perm[p]][a] for p in range(n)) for a in range(n))
         seen.add(orbit)
     return len(seen)
 
@@ -212,7 +212,7 @@ def test_orbit_coequalizer_collapses_torsor_fibrewise():
     P = w.bundle.action
     for nt in (1, 2, 3):
         t = FinSet(nt)
-        gp = product(P.algebra.carrier, P.carrier)
+        gp = product(P.algebra.arrows, P.carrier)
         gpt = product(gp.carrier, t)
         pt = product(P.carrier, t)
         act_table, proj_table = [], []
