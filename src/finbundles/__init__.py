@@ -45,7 +45,7 @@ from .adjunction import (
     tensor,
 )
 
-from . import adjunction, algebra, torsor
+from . import adjunction, algebra
 
 __version__ = "0.1.0"
 
@@ -53,8 +53,7 @@ __version__ = "0.1.0"
 # process; the caches of a presentation's components live and die with
 # the presentation.  finset's FinSet and FinFn pools are not caches:
 # equality there is identity, so they are never emptied.
-_MODULE_CACHES = (algebra.sigma, algebra.action_product, algebra._position_perms,
-                  torsor._fiber_torsor_actions)
+_MODULE_CACHES = (algebra.sigma, algebra.action_product, algebra._position_perms)
 
 
 def clear_caches() -> None:

@@ -32,6 +32,15 @@ class ParseError(Exception):
         self.detail = detail
 
 
+class MissingAlgebra(Exception):
+    """A bundle's algebra fixture is missing or was rejected; the witness
+    is [reference, "missing" or "rejected"]."""
+
+    def __init__(self, ref, reason):
+        super().__init__("algebra %s is %s" % (ref, reason))
+        self.witness = [ref, reason]
+
+
 def _load_json(path: Path) -> dict:
     try:
         with open(path) as handle:
@@ -77,9 +86,13 @@ def load_fixtures(fixtures_dir: Path):
             if not isinstance(ref, str):
                 raise ValueError("the bundle's action names no algebra")
             kind, _, name = ref.partition("/")
-            alg = groups[name] if kind == "groups" else groupoids[name]
+            alg = {"groups": groups, "groupoids": groupoids}.get(kind, {}).get(name)
+            if alg is None:
+                rejected = kind in ("groups", "groupoids") and \
+                    (fixtures_dir / kind / (name + ".json")).is_file()
+                raise MissingAlgebra(ref, "rejected" if rejected else "missing")
             bundles[path.stem] = bundle_from_json(data, alg)
-        except (ParseError, AlgebraError, ValueError, KeyError) as exc:
+        except (ParseError, AlgebraError, ValueError, KeyError, MissingAlgebra) as exc:
             record(path, exc)
     return groups, groupoids, bundles, failures
 

@@ -1,5 +1,6 @@
 """Principal bundles over a base: the torsor predicate, the division map
-and its laws, brute-force enumeration, and descent-data gluing.
+and its laws, enumeration by the Cayley construction, and descent-data
+gluing.
 
 A bundle projection in finite sets is an effective descent morphism
 exactly when it is surjective (every surjection splits), so the predicate
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
 
 from .finset import (
     FinFn,
@@ -25,9 +25,10 @@ from .finset import (
 from .algebra import (
     ActionObject,
     FinGroupoid,
+    NoUnit,
+    NotAssociative,
     _indices,
     _size,
-    all_actions,
     equivariance_witness,
     validate_action,
 )
@@ -227,21 +228,67 @@ class BoundsExceeded(TorsorError):
     pass
 
 
-@cache
-def _fiber_torsor_actions(alg, size: int):
-    """Actions on a single fibre that already pass the predicate over a
-    point.  The projection is invariant, so a candidate passes over the
-    whole base exactly when every fibre block does; combining only the
-    passing blocks prunes nothing that could have succeeded."""
-    point = FinSet(1)
-    out = []
-    for a in all_actions(alg, FinSet(size)):
-        try:
-            is_principal_bundle(Bundle(a, point, FinFn.constant(a.carrier, point, 0)))
-        except TorsorError:
+# enumerate_torsors refuses larger carriers unless told otherwise.
+CARRIER_LIMIT = 8
+
+
+def _check_laws_out_of(alg, out: list[int]) -> None:
+    """The unit and associativity laws on every composite that ends in an
+    arrow of out: what the Cayley construction needs to give actions.
+    A validated algebra passes; an unvalidated table raises NoUnit or
+    NotAssociative with the arrow or the triple where its law fails."""
+    src, tgt, comp = alg.src.table, alg.tgt.table, alg.comp
+    for k in out:
+        if comp[alg.ident.table[tgt[k]]][k] != k:
+            raise NoUnit("unit law fails", k)
+    for g in range(alg.order):
+        for h in range(alg.order):
+            gh = comp[g][h]
+            if gh is None:
+                continue
+            for k in out:
+                if tgt[k] == src[h] and comp[gh][k] != comp[g][comp[h][k]]:
+                    raise NotAssociative("associativity fails", (g, h, k))
+
+
+def _cayley_fibers(alg, n: int) -> list[ActionObject]:
+    """Every torsor structure on a fibre of n points over a point.
+    Dividing by the point 0 matches a torsor with the arrows out of its
+    anchor o, by a bijection phi with phi(id_o) = 0; conversely each such
+    phi gives the torsor g.phi(h) = phi(gh), anchored at tgt(h) (Cayley).
+
+    The structures come sorted by anchor table, then by action rows with
+    "undefined" read as n: all_actions' depth-first order, which tries
+    anchor tables lexicographically and, below each, the rows of the least
+    undetermined arrow lexicographically."""
+    src, tgt, comp = alg.src.table, alg.tgt.table, alg.comp
+    found = []
+    for o in range(alg.objects.size):
+        out = [h for h in range(alg.order) if src[h] == o]
+        if len(out) != n:
             continue
-        out.append(a)
-    return tuple(out)
+        _check_laws_out_of(alg, out)
+        unit = alg.ident.table[o]
+        others = [h for h in out if h != unit]
+        acting = [(h, [g for g in range(alg.order) if src[g] == tgt[h]]) for h in out]
+        for image in itertools.permutations(range(1, n)):
+            phi = dict(zip(others, image))
+            phi[unit] = 0
+            anchor = [0] * n
+            rows = [[n] * n for _ in range(alg.order)]
+            for h, gs in acting:
+                p = phi[h]
+                anchor[p] = tgt[h]
+                for g in gs:
+                    rows[g][p] = phi[comp[g][h]]
+            found.append((tuple(anchor), tuple(map(tuple, rows))))
+    found.sort()
+    carrier = FinSet(n)
+    return [ActionObject(alg, carrier,
+                         tuple(row if n not in row else
+                               tuple(None if v == n else v for v in row) for row in rows),
+                         FinFn(carrier, alg.objects, anchor))
+            for anchor, rows in found]
 
 
 def _embed_fiber_action(a: ActionObject, points: tuple[int, ...], act, anchors):
@@ -254,20 +301,23 @@ def _embed_fiber_action(a: ActionObject, points: tuple[int, ...], act, anchors):
         anchors[p] = a.anchor.table[local]
 
 
-def enumerate_torsors(alg, x: FinSet, carrier: FinSet, max_carrier: int = 8) -> TorsorEnumeration:
+def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
+                      max_carrier: int = CARRIER_LIMIT) -> TorsorEnumeration:
     """Enumerate every (projection, action) structure on the carrier that
     passes the torsor predicate, and group the results into isomorphism
     classes by exhaustive bijection search.
 
     Invariance forces the action to restrict to each projection fibre, so
-    candidates are assembled fibrewise from all actions on each fibre.  A
-    fibre is pruned by cardinality before any table is built: dividing by
-    one of its points matches it with the arrows out of that point's
-    anchor, so it has as many points as some object has outgoing arrows.
+    candidates are assembled fibrewise from the torsor structures on each
+    fibre, built once per fibre size by the Cayley construction.  A fibre
+    is pruned by cardinality before any table is built: dividing by one of
+    its points matches it with the arrows out of that point's anchor, so
+    it has as many points as some object has outgoing arrows.
     """
     if carrier.size > max_carrier:
         raise BoundsExceeded("carrier too large to enumerate", carrier.size)
     fiber_sizes = {alg.src.table.count(o) for o in range(alg.objects.size)}
+    structures: dict[int, list[ActionObject]] = {}
     witnesses = []
     for proj_table in itertools.product(range(x.size), repeat=carrier.size):
         fibers: dict[int, list[int]] = {b: [] for b in range(x.size)}
@@ -276,8 +326,10 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet, max_carrier: int = 8) -> 
         if any(len(f) not in fiber_sizes for f in fibers.values()):
             continue
         proj = FinFn(carrier, x, proj_table)
-        choices = [[(tuple(f), a) for a in _fiber_torsor_actions(alg, len(f))]
-                   for f in (fibers[b] for b in range(x.size))]
+        for f in fibers.values():
+            if len(f) not in structures:
+                structures[len(f)] = _cayley_fibers(alg, len(f))
+        choices = [[(tuple(f), a) for a in structures[len(f)]] for f in fibers.values()]
         for combo in itertools.product(*choices):
             act = [[None] * carrier.size for _ in range(alg.order)]
             anchors = [0] * carrier.size

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -294,6 +295,37 @@ def test_malformed_group_fixture_is_a_failed_check(tmp_path):
     assert not groups
     assert len(failures) == 5
     assert {f["error"] for f in failures} == {"ValueError"}
+
+
+def test_bundle_over_a_rejected_or_missing_algebra_names_it(tmp_path, capsys):
+    root = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    z3 = root / "groups" / "z3.json"
+    data = json.loads(z3.read_text())
+    z3.write_text(json.dumps(dict(data, inv=[0, 1, 2])))
+    for reason in ("rejected", "missing"):
+        if reason == "missing":
+            z3.unlink()
+        code = main(["verify", "--fixtures", str(root), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        entries = {Path(c["fixture"]).name: c for c in report["checks"]
+                   if c["check"] == "fixture" and "bundles" in c["fixture"]}
+        assert sorted(entries) == ["z3_self.json", "z3_twisted.json"]
+        for entry in entries.values():
+            assert entry["error"] == "MissingAlgebra"
+            assert entry["witness"] == ["groups/z3", reason]
+
+
+def test_psi_laws_records_each_case_beyond_the_enumeration_limit(capsys):
+    # z3 over three points needs a nine-point carrier
+    code = main(["verify", "--fixtures", str(FIXTURES), "--bound-base", "3", "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    psi = [c for c in report["checks"] if c["check"] == "psi_laws"]
+    assert psi[0]["passed"] and psi[0]["bounds"] == {"group_order": 3, "base": 3}
+    assert psi[1:] == [{"check": "psi_laws", "group": "z3", "base": 3, "carrier": 9,
+                        "skipped": "carrier 9 exceeds the enumeration limit 8"}]
 
 
 JSON_VALUES = st.recursive(

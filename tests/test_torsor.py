@@ -1,4 +1,7 @@
 import itertools
+import math
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -14,7 +17,16 @@ from finbundles.finset import (
     coequalizer,
     product,
 )
-from finbundles.algebra import ActionObject, arrows_action, trivial_action, validate_action
+from finbundles.algebra import (
+    ActionObject,
+    NotAssociative,
+    NoUnit,
+    all_actions,
+    arrows_action,
+    trivial_action,
+    validate_action,
+    validate_group,
+)
 from finbundles.torsor import (
     Bundle,
     BoundsExceeded,
@@ -171,6 +183,115 @@ def test_every_torsor_is_isomorphic_to_the_trivial_one():
 def test_enumerate_guards_carrier_size():
     with pytest.raises(BoundsExceeded):
         enumerate_torsors(GROUPS["z2"], TERMINAL, FinSet(9))
+
+
+def filtered_fiber_torsors(alg, n):
+    """The route the construction replaced: every action on n points that
+    passes the torsor predicate over a point, in all_actions' order."""
+    point = FinFn.constant(FinSet(n), TERMINAL, 0)
+    out = []
+    for a in all_actions(alg, FinSet(n)):
+        try:
+            is_principal_bundle(Bundle(a, TERMINAL, point))
+        except (NotSurjective, NotFreeTransitive):
+            continue
+        out.append(a)
+    return out
+
+
+def constructed_fiber_torsors(alg, n):
+    return [w.bundle.action for w in enumerate_torsors(alg, TERMINAL, FinSet(n)).witnesses]
+
+
+def relabel_keeping_orders(g, seed):
+    """g with its elements renamed by a permutation that maps each element
+    to one of the same order."""
+    rng = random.Random(seed)
+    by_order = {}
+    for a in range(g.order):
+        power, k = a, 1
+        while power != g.ident.table[0]:
+            power, k = g.comp[power][a], k + 1
+        by_order.setdefault(k, []).append(a)
+    perm = list(range(g.order))
+    for members in by_order.values():
+        for a, b in zip(members, rng.sample(members, len(members))):
+            perm[a] = b
+    mul = [[0] * g.order for _ in range(g.order)]
+    inv = [0] * g.order
+    for a in range(g.order):
+        inv[perm[a]] = perm[g.inverse(a)]
+        for b in range(g.order):
+            mul[perm[a]][perm[b]] = perm[g.comp[a][b]]
+    return validate_group(mul, perm[g.ident.table[0]], inv)
+
+
+ORACLE_GROUPS = [(name, g) for name, g in sorted(GROUPS.items()) if g.order <= 6 or name == "z7"]
+
+
+@pytest.mark.parametrize("name", [name for name, _ in ORACLE_GROUPS])
+def test_construction_matches_the_filtered_search_on_groups(name):
+    g = GROUPS[name]
+    assert constructed_fiber_torsors(g, g.order) == filtered_fiber_torsors(g, g.order)
+
+
+# seeds whose relabelling is not an automorphism, so the table changes
+@pytest.mark.parametrize("name,seed", [("s3", 2), ("z5", 1), ("z6", 2), ("z7", 1)])
+def test_construction_matches_the_filtered_search_on_relabelled_groups(name, seed):
+    g = relabel_keeping_orders(GROUPS[name], seed)
+    assert g.comp != GROUPS[name].comp
+    assert constructed_fiber_torsors(g, g.order) == filtered_fiber_torsors(g, g.order)
+
+
+@pytest.mark.parametrize("name", sorted(GROUPOIDS))
+def test_construction_matches_the_filtered_search_on_groupoids(name):
+    gd = GROUPOIDS[name]
+    sizes = {gd.src.table.count(o) for o in range(gd.objects.size)}
+    for n in range(1, max(sizes) + 2):
+        constructed = constructed_fiber_torsors(gd, n)
+        assert constructed == filtered_fiber_torsors(gd, n)
+        # one structure per object with n outgoing arrows and per bijection
+        # of them onto the fibre that sends that object's identity to 0
+        objects = sum(gd.src.table.count(o) == n for o in range(gd.objects.size))
+        assert len(constructed) == objects * math.factorial(n - 1)
+
+
+@pytest.mark.parametrize("name,base", [("z2", 1), ("z2", 2), ("z2", 3), ("z3", 2), ("v4", 2)])
+def test_enumeration_matches_the_closed_form_count(name, base):
+    # (|G|.|X|)! bijections of the carrier with X x G, modulo the |G|^|X|
+    # translations of the fibres
+    g = GROUPS[name]
+    enum = enumerate_torsors(g, FinSet(base), FinSet(g.order * base))
+    assert enum.structures == math.factorial(g.order * base) // g.order ** base
+    assert enum.iso_count == 1
+
+
+def test_order_eight_group_over_a_point():
+    enum = enumerate_torsors(GROUPS["q8"], TERMINAL, FinSet(8))
+    assert enum.structures == 5040
+    assert enum.iso_count == 1
+
+
+def test_construction_rejects_a_table_that_is_not_associative():
+    z3 = GROUPS["z3"]
+    comp = [list(row) for row in z3.comp]
+    comp[1][1] = 1  # the unit row and column stay, so only associativity fails
+    with pytest.raises(NotAssociative) as expected:
+        validate_group(comp, 0, list(z3.inv.table))
+    bad = replace(z3, comp=tuple(map(tuple, comp)))
+    with pytest.raises(NotAssociative) as exc:
+        enumerate_torsors(bad, TERMINAL, FinSet(3))
+    assert exc.value.witness == expected.value.witness == (1, 1, 2)
+
+
+def test_construction_rejects_a_table_without_a_unit():
+    z3 = GROUPS["z3"]
+    comp = [list(row) for row in z3.comp]
+    comp[0][1], comp[0][2] = 2, 1
+    bad = replace(z3, comp=tuple(map(tuple, comp)))
+    with pytest.raises(NoUnit) as exc:
+        enumerate_torsors(bad, TERMINAL, FinSet(3))
+    assert exc.value.witness == 1
 
 
 @given(st.sampled_from(["z2", "z3"]), st.permutations(list(range(4))))
