@@ -53,7 +53,7 @@ __version__ = "0.1.0"
 # process; the caches of a presentation's components live and die with
 # the presentation.  finset's FinSet and FinFn pools are not caches:
 # equality there is identity, so they are never emptied.
-_MODULE_CACHES = (algebra.sigma, algebra.action_product, algebra._position_perms)
+_MODULE_CACHES = (algebra.sigma, algebra.action_product)
 
 
 def clear_caches() -> None:

@@ -495,117 +495,124 @@ def untwist_iso(a: ActionObject) -> UntwistIso:
                       EquivariantMap(right, left, bwd))
 
 
-# Exhaustive enumeration of actions ----------------------------------------
+# Every action, built orbit by orbit ----------------------------------------
 
-def _close(comp, rows: dict[int, tuple[int, ...]], todo: list[int]) -> bool:
-    """Close a partial assignment of action rows under composition, in
-    place; False signals a conflict.  rows must already be closed apart
-    from the arrows in todo.  Each row taken from todo is composed on
-    both sides with every row present, so every pair of rows is checked
-    once both are known.  A row on n points has n + 1 entries: the index
-    n stands for "undefined" and every row fixes it, so rows compose as
-    plain tables."""
-    while todo:
-        ga = todo.pop()
-        ra = rows[ga]
-        for gb, rb in list(rows.items()):
-            for gx, rx, gy, ry in ((ga, ra, gb, rb), (gb, rb, ga, ra)):
-                gc = comp[gx][gy]
-                if gc is None:
-                    continue
-                rc = tuple(map(rx.__getitem__, ry))
-                old = rows.get(gc)
-                if old is None:
-                    rows[gc] = rc
-                    todo.append(gc)
-                elif old != rc:
-                    return False
-    return True
+def _check_laws_out_of(alg, o: int, out: list[int]) -> None:
+    """The laws that the coset spaces of out, the arrows out of o, need to
+    be actions: both unit laws on out, associativity on every composite
+    that ends in an arrow of out, and left cancellation, so that each
+    arrow permutes the cosets it acts on.  A validated algebra passes; an
+    unvalidated table raises NoUnit, NotAssociative or NoInverse with the
+    arrow or the triple where its law fails."""
+    src, tgt, comp = alg.src.table, alg.tgt.table, alg.comp
+    unit = alg.ident.table[o]
+    for k in out:
+        if comp[alg.ident.table[tgt[k]]][k] != k or comp[k][unit] != k:
+            raise NoUnit("unit law fails", k)
+    for g, h, k in itertools.product(range(alg.order), range(alg.order), out):
+        gh = comp[g][h]
+        if gh is not None and tgt[k] == src[h] and comp[gh][k] != comp[g][comp[h][k]]:
+            raise NotAssociative("associativity fails", (g, h, k))
+    for g in range(alg.order):
+        images = [comp[g][k] for k in out if tgt[k] == src[g]]
+        if len(set(images)) != len(images):
+            raise NoInverse("left cancellation fails", g)
+
+
+def _sorted_actions(alg, carrier: FinSet, found) -> list[ActionObject]:
+    """The actions given as (anchor table, rows) pairs whose rows read the
+    carrier size for "undefined", sorted by those pairs."""
+    n = carrier.size
+    return [ActionObject(alg, carrier, tuple(
+        row if n not in row else tuple(None if v == n else v for v in row) for row in rows),
+        FinFn(carrier, alg.objects, anchors)) for anchors, rows in sorted(found)]
+
+
+def _transitive_actions(alg, d: int, free: bool = False) -> list[ActionObject]:
+    """Every transitive action on d points, or with free set every free
+    one (a torsor over a point), sorted by anchor table, then by action
+    rows with "undefined" read as d.
+
+    Each is a coset space (tom Dieck, Transformation Groups, ch. I): for
+    an object o and a subgroup H of its loops, the cosets hH of the arrows
+    h out of o, on which g.(hH) = (gh)H, anchored at tgt(h), labelled by a
+    bijection onto the points that sends H to 0.  Each action arises
+    once, since the anchor and the stabiliser of the point 0 give back o
+    and H; the free ones are those with H = {id_o}.  A subgroup is a set
+    of loops that holds id_o and is closed under composition."""
+    src, tgt, comp = alg.src.table, alg.tgt.table, alg.comp
+    points = FinSet(d)
+    found = []
+    for o in range(alg.objects.size):
+        out = [h for h in range(alg.order) if src[h] == o]
+        size = 1 if free else len(out) // d
+        if not size or size * d != len(out):
+            continue
+        _check_laws_out_of(alg, o, out)
+        unit = alg.ident.table[o]
+        loops = [a for a in out if tgt[a] == o and a != unit]
+        for rest in itertools.combinations(loops, size - 1):
+            sub = (unit,) + rest
+            if any(comp[a][b] not in sub for a in sub for b in sub):
+                continue
+            coset, reps = {}, []
+            for h in [unit] + out:
+                if h not in coset:
+                    coset.update((comp[h][k], len(reps)) for k in sub)
+                    reps.append(h)
+            cosets = ActionObject(alg, points, tuple(
+                tuple(coset[comp[g][h]] if src[g] == tgt[h] else None for h in reps)
+                for g in range(alg.order)), FinFn(points, alg.objects, tuple(tgt[h] for h in reps)))
+            for image in itertools.permutations(range(1, d)):
+                act, anchors = [[d] * d for _ in range(alg.order)], [0] * d
+                _embed_fiber_action(cosets, (0,) + image, act, anchors)
+                found.append((tuple(anchors), tuple(map(tuple, act))))
+    return _sorted_actions(alg, points, found)
+
+
+def _embed_fiber_action(a: ActionObject, points: tuple[int, ...], act, anchors):
+    """Write the action a into the rows act and the anchors of a larger
+    carrier, sending its point i to points[i]."""
+    for g in range(a.algebra.order):
+        row = a.act[g]
+        for local, p in enumerate(points):
+            if row[local] is not None:
+                act[g][p] = points[row[local]]
+    for local, p in enumerate(points):
+        anchors[p] = a.anchor.table[local]
+
+
+def _partitions(points: tuple[int, ...]):
+    """Every partition of points into blocks, each block in increasing order."""
+    if not points:
+        yield ()
+        return
+    first, rest = points[0], points[1:]
+    for size in range(len(rest) + 1):
+        for others in itertools.combinations(rest, size):
+            left = tuple(p for p in rest if p not in others)
+            for blocks in _partitions(left):
+                yield ((first,) + others,) + blocks
 
 
 def all_actions(alg, carrier: FinSet):
-    """Every action of the algebra on the carrier: every anchor map whose
-    fibres have equal sizes at the two ends of each arrow, then every
-    assignment of fibre bijections to arrows consistent with composition,
-    by constraint propagation from the identity rows."""
+    """Every action of the algebra on the carrier, sorted by anchor table,
+    then by action rows with "undefined" read as the carrier size.  An
+    action is the disjoint union of its orbits: each is assembled from a
+    partition of the carrier and a transitive action on each block."""
     n = carrier.size
-    n_obj = alg.objects.size
-    orders = [_loop_order(alg, a) for a in range(alg.order)]
-    for anchor_table in itertools.product(range(n_obj), repeat=n):
-        fibers = [[p for p in range(n) if anchor_table[p] == o] for o in range(n_obj)]
-        if any(len(fibers[s]) != len(fibers[t])
-               for s, t in zip(alg.src.table, alg.tgt.table)):
-            continue
-        yield from _actions_for_anchor(alg, carrier, anchor_table, fibers, orders)
-
-
-def _loop_order(alg, a: int) -> int | None:
-    """The least k with a^k the identity at a's object, found by repeated
-    right multiplication.  None when a is not a loop, or when its powers
-    leave the table or do not return within alg.order steps (possible
-    only in an unvalidated table): then no candidate row is pruned."""
-    o = alg.src.table[a]
-    if alg.tgt.table[a] != o:
-        return None
-    unit, power = alg.ident.table[o], a
-    for k in range(1, alg.order + 1):
-        if power == unit:
-            return k
-        power = alg.comp[power][a]
-        if power is None:
-            return None
-    return None
-
-
-@cache
-def _position_perms(m: int, k: int | None) -> tuple[tuple[int, ...], ...]:
-    """The permutations of range(m) in itertools.permutations order, keeping
-    only those whose k-th power is the identity unless k is None.  A loop
-    of order k can only act on its fibre by such a permutation: closing a
-    row under composition reaches a^k and compares its k-th power with
-    the identity row, so the dropped rows would be rejected anyway."""
-    perms = itertools.permutations(range(m))
-    if k is None:
-        return tuple(perms)
-    identity = tuple(range(m))
-    out = []
-    for s in perms:
-        power = s
-        for _ in range(k - 1):
-            power = tuple(map(s.__getitem__, power))
-        if power == identity:
-            out.append(s)
-    return tuple(out)
-
-
-def _actions_for_anchor(alg, carrier: FinSet, anchor_table, fibers, orders):
-    n = carrier.size
-    anchor = FinFn(carrier, alg.objects, anchor_table)
-    ident_rows = {alg.ident.table[o]: tuple(p if anchor_table[p] == o else n
-                                            for p in range(n)) + (n,)
-                  for o in range(alg.objects.size)}
-
-    def undefined_to_none(row):
-        head = row[:n]
-        return head if n not in head else tuple(None if v == n else v for v in head)
-
-    def rec(rows, todo):
-        if not _close(alg.comp, rows, todo):
-            return
-        missing = [a for a in range(alg.order) if a not in rows]
-        if not missing:
-            act = tuple(undefined_to_none(rows[a]) for a in range(alg.order))
-            yield ActionObject(alg, carrier, act, anchor)
-            return
-        a = missing[0]
-        src_f, tgt_f = fibers[alg.src.table[a]], fibers[alg.tgt.table[a]]
-        for perm in _position_perms(len(src_f), orders[a]):
-            row = [n] * (n + 1)
-            for p, i in zip(src_f, perm):
-                row[p] = tgt_f[i]
-            yield from rec({**rows, a: tuple(row)}, [a])
-
-    yield from rec(ident_rows, list(ident_rows))
+    transitive: dict[int, list[ActionObject]] = {}
+    found = []
+    for blocks in _partitions(tuple(range(n))):
+        for block in blocks:
+            if len(block) not in transitive:
+                transitive[len(block)] = _transitive_actions(alg, len(block))
+        for combo in itertools.product(*(transitive[len(b)] for b in blocks)):
+            act, anchors = [[n] * n for _ in range(alg.order)], [0] * n
+            for block, a in zip(blocks, combo):
+                _embed_fiber_action(a, block, act, anchors)
+            found.append((tuple(anchors), tuple(map(tuple, act))))
+    yield from _sorted_actions(alg, carrier, found)
 
 
 def equivariant_maps(a: ActionObject, b: ActionObject):

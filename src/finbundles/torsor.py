@@ -25,10 +25,10 @@ from .finset import (
 from .algebra import (
     ActionObject,
     FinGroupoid,
-    NoUnit,
-    NotAssociative,
+    _embed_fiber_action,
     _indices,
     _size,
+    _transitive_actions,
     equivariance_witness,
     validate_action,
 )
@@ -232,75 +232,6 @@ class BoundsExceeded(TorsorError):
 CARRIER_LIMIT = 8
 
 
-def _check_laws_out_of(alg, out: list[int]) -> None:
-    """The unit and associativity laws on every composite that ends in an
-    arrow of out: what the Cayley construction needs to give actions.
-    A validated algebra passes; an unvalidated table raises NoUnit or
-    NotAssociative with the arrow or the triple where its law fails."""
-    src, tgt, comp = alg.src.table, alg.tgt.table, alg.comp
-    for k in out:
-        if comp[alg.ident.table[tgt[k]]][k] != k:
-            raise NoUnit("unit law fails", k)
-    for g in range(alg.order):
-        for h in range(alg.order):
-            gh = comp[g][h]
-            if gh is None:
-                continue
-            for k in out:
-                if tgt[k] == src[h] and comp[gh][k] != comp[g][comp[h][k]]:
-                    raise NotAssociative("associativity fails", (g, h, k))
-
-
-def _cayley_fibers(alg, n: int) -> list[ActionObject]:
-    """Every torsor structure on a fibre of n points over a point.
-    Dividing by the point 0 matches a torsor with the arrows out of its
-    anchor o, by a bijection phi with phi(id_o) = 0; conversely each such
-    phi gives the torsor g.phi(h) = phi(gh), anchored at tgt(h) (Cayley).
-
-    The structures come sorted by anchor table, then by action rows with
-    "undefined" read as n: all_actions' depth-first order, which tries
-    anchor tables lexicographically and, below each, the rows of the least
-    undetermined arrow lexicographically."""
-    src, tgt, comp = alg.src.table, alg.tgt.table, alg.comp
-    found = []
-    for o in range(alg.objects.size):
-        out = [h for h in range(alg.order) if src[h] == o]
-        if len(out) != n:
-            continue
-        _check_laws_out_of(alg, out)
-        unit = alg.ident.table[o]
-        others = [h for h in out if h != unit]
-        acting = [(h, [g for g in range(alg.order) if src[g] == tgt[h]]) for h in out]
-        for image in itertools.permutations(range(1, n)):
-            phi = dict(zip(others, image))
-            phi[unit] = 0
-            anchor = [0] * n
-            rows = [[n] * n for _ in range(alg.order)]
-            for h, gs in acting:
-                p = phi[h]
-                anchor[p] = tgt[h]
-                for g in gs:
-                    rows[g][p] = phi[comp[g][h]]
-            found.append((tuple(anchor), tuple(map(tuple, rows))))
-    found.sort()
-    carrier = FinSet(n)
-    return [ActionObject(alg, carrier,
-                         tuple(row if n not in row else
-                               tuple(None if v == n else v for v in row) for row in rows),
-                         FinFn(carrier, alg.objects, anchor))
-            for anchor, rows in found]
-
-
-def _embed_fiber_action(a: ActionObject, points: tuple[int, ...], act, anchors):
-    for g in range(a.algebra.order):
-        row = a.act[g]
-        for local, p in enumerate(points):
-            if row[local] is not None:
-                act[g][p] = points[row[local]]
-    for local, p in enumerate(points):
-        anchors[p] = a.anchor.table[local]
-
-
 def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
                       max_carrier: int = CARRIER_LIMIT) -> TorsorEnumeration:
     """Enumerate every (projection, action) structure on the carrier that
@@ -309,7 +240,7 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
 
     Invariance forces the action to restrict to each projection fibre, so
     candidates are assembled fibrewise from the torsor structures on each
-    fibre, built once per fibre size by the Cayley construction.  A fibre
+    fibre, built once per fibre size as free coset spaces (Cayley).  A fibre
     is pruned by cardinality before any table is built: dividing by one of
     its points matches it with the arrows out of that point's anchor, so
     it has as many points as some object has outgoing arrows.
@@ -328,7 +259,7 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
         proj = FinFn(carrier, x, proj_table)
         for f in fibers.values():
             if len(f) not in structures:
-                structures[len(f)] = _cayley_fibers(alg, len(f))
+                structures[len(f)] = _transitive_actions(alg, len(f), free=True)
         choices = [[(tuple(f), a) for a in structures[len(f)]] for f in fibers.values()]
         for combo in itertools.product(*choices):
             act = [[None] * carrier.size for _ in range(alg.order)]

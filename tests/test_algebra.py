@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from finbundles import algebra, catalog
+from finbundles import catalog
 from finbundles.finset import FinFn, FinSet, TERMINAL, all_functions, product, pullback
 from finbundles.algebra import (
     AlgebraMismatch,
@@ -402,62 +402,83 @@ def test_pullback_action_names_the_arrow_that_leaves_the_pullback():
 
 
 def test_action_enumeration_counts_match_hom_counts():
-    # actions on n labelled points are homomorphisms G -> S_n, counted by
-    # sum_n |Hom(G, S_n)| x^n/n! = exp(sum_{H <= G} x^[G:H]/[G:H]);
-    # differentiating gives h_n = sum_H (n-1)!/(n-d)! h_(n-d), d = [G:H].
-    # The subgroups are read off the multiplication table by brute force.
+    # a transitive action on d labelled points is fixed by the anchor o and
+    # the stabiliser H <= Aut(o) of its least point, with d = |out(o)|/|H|,
+    # and by the (d-1)! labellings of the other points.  Every action is a
+    # disjoint union of orbits, so the counts h_n on n points satisfy
+    # sum_n h_n x^n/n! = exp(sum_(o, H) x^d/d); differentiating gives
+    # h_n = sum_(o, H) (n-1)!/(n-d)! h_(n-d).  For a group this counts the
+    # homomorphisms G -> S_n.  The subgroups are read off the table by
+    # brute force.
     from itertools import combinations
     from math import factorial
 
-    def subgroups(g):
-        return [sub for size in range(1, g.order + 1) if g.order % size == 0
-                for sub in combinations(range(g.order), size)
-                if all(g.comp[a][b] in sub for a in sub for b in sub)]
+    def subgroups(alg, o):
+        loops = [a for a in range(alg.order) if alg.src.table[a] == o == alg.tgt.table[a]]
+        return [sub for size in range(1, len(loops) + 1) if len(loops) % size == 0
+                for sub in combinations(loops, size)
+                if all(alg.comp[a][b] in sub for a in sub for b in sub)]
 
-    def hom_counts(g, top):
-        indices = [g.order // len(sub) for sub in subgroups(g)]
+    def action_counts(alg, top):
+        indices = [alg.src.table.count(o) // len(sub) for o in range(alg.objects.size)
+                   for sub in subgroups(alg, o)]
         h = [1]
         for n in range(1, top + 1):
             h.append(sum(factorial(n - 1) // factorial(n - d) * h[n - d]
                          for d in indices if d <= n))
         return h
 
-    assert hom_counts(GROUPS["v4"], 6)[6] == 1216
-    for name, top in (("z2", 6), ("z3", 6), ("v4", 6), ("z4", 6), ("z6", 5), ("s3", 5)):
-        g = GROUPS[name]
-        expected = hom_counts(g, top)
+    assert action_counts(GROUPS["v4"], 6)[6] == 1216
+    assert action_counts(GROUPS["d4"], 6)[6] == 2656
+    assert action_counts(GROUPS["z2xz2xz2"], 6)[6] == 12496
+    # on the discrete groupoid an action is an anchor map
+    assert action_counts(GROUPOIDS["discrete3"], 6)[6] == 3 ** 6
+    cases = [(g, 7 if name == "z7" else 6) for name, g in sorted(GROUPS.items())]
+    cases += [(gpd, 6) for _, gpd in sorted(GROUPOIDS.items())]
+    for alg, top in cases:
+        expected = action_counts(alg, top)
         for n in range(top + 1):
-            found = sum(1 for _ in all_actions(g, FinSet(n)))
-            assert found == expected[n], (name, n, found, expected[n])
+            found = sum(1 for _ in all_actions(alg, FinSet(n)))
+            assert found == expected[n], (alg, n, found, expected[n])
 
 
-def _action_sequence(alg, n):
-    return [(a.act, a.anchor.table) for a in all_actions(alg, FinSet(n))]
-
-
-def test_loop_order_pruning_matches_the_unpruned_search(monkeypatch):
-    # with _loop_order pruning nothing, every candidate row goes through
-    # the closure: that generic search is the oracle for the pruned one
+def test_actions_are_valid_distinct_and_in_order():
+    # each action passes validate_action, and the keys (anchor table, rows
+    # with "undefined" read as n) strictly increase, so no action comes
+    # twice; with the counts above, every action comes once, in this order
     cases = [(g, 7 if name == "z7" else 5) for name, g in sorted(GROUPS.items())
              if g.order <= 6 or name == "z7"]
     cases += [(gpd, 4) for _, gpd in sorted(GROUPOIDS.items())]
-    pruned = [_action_sequence(alg, n) for alg, top in cases for n in range(top + 1)]
-    monkeypatch.setattr(algebra, "_loop_order", lambda alg, a: None)
-    unpruned = [_action_sequence(alg, n) for alg, top in cases for n in range(top + 1)]
-    assert pruned == unpruned
-    assert sum(map(len, pruned)) == 1666
+    total = 0
+    for alg, top in cases:
+        for n in range(top + 1):
+            keys = []
+            for a in all_actions(alg, FinSet(n)):
+                assert validate_action(alg, a.carrier, a.act, a.anchor) == a
+                keys.append((a.anchor.table,
+                             tuple(tuple(n if v is None else v for v in row) for row in a.act)))
+            assert all(k1 < k2 for k1, k2 in zip(keys, keys[1:])), (alg, n)
+            total += len(keys)
+    assert total == 1666
 
 
-def test_loop_order_gives_up_on_powers_that_never_return(monkeypatch):
-    # unvalidated: 1 * 1 = 1, so the powers of 1 never reach the unit
+def test_actions_refuse_a_table_without_left_cancellation():
+    # unvalidated: 1 * 0 = 1 * 1 = 1, so the arrow 1 cannot permute the
+    # cosets: on two points it would act by the row (1, 1)
     bad = replace(GROUPS["z2"], comp=((0, 1), (1, 1)))
-    assert algebra._loop_order(bad, 1) is None
-    assert algebra._loop_order(GROUPS["z6"], 2) == 3
-    pruned = [_action_sequence(bad, n) for n in range(5)]
-    monkeypatch.setattr(algebra, "_loop_order", lambda alg, a: None)
-    assert pruned == [_action_sequence(bad, n) for n in range(5)]
-    # 1 * 1 = 1 asks for an idempotent permutation: only the identity
-    assert pruned[2] == [(((0, 1), (0, 1)), (0, 0))]
+    for n in (1, 2, 3):
+        with pytest.raises(NoInverse) as exc:
+            list(all_actions(bad, FinSet(n)))
+        assert exc.value.witness == 1
+
+
+def test_actions_refuse_a_table_without_a_right_unit():
+    # unvalidated: x * y = y, so 1 * 0 = 0 and the coset {1 * 0} of the
+    # arrow 1 would be the coset of 0
+    bad = replace(GROUPS["z2"], comp=((0, 1), (0, 1)))
+    with pytest.raises(NoUnit) as exc:
+        list(all_actions(bad, FinSet(2)))
+    assert exc.value.witness == 1
 
 
 def test_json_fixture_forms_roundtrip():
@@ -486,9 +507,8 @@ def test_json_fixture_forms_roundtrip():
 @given(st.sampled_from(sorted(GROUPS)), st.integers(0, 3), st.data())
 def test_untwist_certificates_on_sampled_actions(name, n, data):
     g = GROUPS[name]
-    actions = list(all_actions(g, FinSet(n))) if g.order <= 4 else [
-        trivial_action(g, FinSet(n)), arrows_action(g)]
-    a = data.draw(st.sampled_from(actions))
+    # every action on n <= 3 points, and the group's action on itself
+    a = data.draw(st.sampled_from(list(all_actions(g, FinSet(n))) + [arrows_action(g)]))
     u = untwist_iso(a)
     assert u.forward.fn.is_bijection()
     assert u.backward.fn == u.cert.backward

@@ -33,8 +33,7 @@ def _module_caches() -> dict:
 def test_clear_caches_empties_every_module_cache():
     run_theorem_suite(FIXTURES, Bounds(group_order=2, base=1))
     caches = _module_caches()
-    assert {"finbundles.algebra.sigma", "finbundles.algebra.action_product",
-            "finbundles.algebra._position_perms"} <= set(caches)
+    assert {"finbundles.algebra.sigma", "finbundles.algebra.action_product"} <= set(caches)
     assert adjunction._tensor_cache
     finbundles.clear_caches()
     assert {name: c.cache_info().currsize for name, c in caches.items()} == \

@@ -19,6 +19,7 @@ from finbundles.finset import (
 )
 from finbundles.algebra import (
     ActionObject,
+    NoInverse,
     NotAssociative,
     NoUnit,
     all_actions,
@@ -256,6 +257,18 @@ def test_construction_matches_the_filtered_search_on_groupoids(name):
         assert len(constructed) == objects * math.factorial(n - 1)
 
 
+@pytest.mark.parametrize("name", sorted(GROUPS) + sorted(GROUPOIDS))
+def test_fiber_torsor_count_by_outgoing_arrows(name):
+    # dividing by the point 0 matches a torsor over a point with the arrows
+    # out of its anchor o, by a bijection that sends id_o to 0: (n-1)! of
+    # them for each object with n outgoing arrows
+    alg = GROUPS.get(name) or GROUPOIDS[name]
+    for n in range(1, 9):
+        objects = sum(alg.src.table.count(o) == n for o in range(alg.objects.size))
+        structures = enumerate_torsors(alg, TERMINAL, FinSet(n)).structures
+        assert structures == objects * math.factorial(n - 1), (n, structures)
+
+
 @pytest.mark.parametrize("name,base", [("z2", 1), ("z2", 2), ("z2", 3), ("z3", 2), ("v4", 2)])
 def test_enumeration_matches_the_closed_form_count(name, base):
     # (|G|.|X|)! bijections of the carrier with X x G, modulo the |G|^|X|
@@ -291,6 +304,14 @@ def test_construction_rejects_a_table_without_a_unit():
     bad = replace(z3, comp=tuple(map(tuple, comp)))
     with pytest.raises(NoUnit) as exc:
         enumerate_torsors(bad, TERMINAL, FinSet(3))
+    assert exc.value.witness == 1
+
+
+def test_construction_rejects_a_table_without_left_cancellation():
+    # 1 * 0 = 1 * 1 = 1: the arrow 1 would send both points to one
+    bad = replace(GROUPS["z2"], comp=((0, 1), (1, 1)))
+    with pytest.raises(NoInverse) as exc:
+        enumerate_torsors(bad, TERMINAL, FinSet(2))
     assert exc.value.witness == 1
 
 
