@@ -38,6 +38,7 @@ from .torsor import (
     TorsorError,
     canonical_descent_datum,
     descent_datum,
+    descent_pullbacks,
     division_map,
     enumerate_torsors,
     glue_descent_data,
@@ -531,7 +532,8 @@ def all_descent_data(f: FinFn, y_size: int):
     fibre of f, with every coherent gluing family.  A family is fixed by a
     bijection from the fibre over the least point of each fibre of f (its
     root) to the fibre over every other point of it; the gluing from p1 to
-    p2 goes back to the root and out again."""
+    p2 goes back to the root and out again.  The data over one slice share
+    its descent shape."""
     p_size = f.dom.size
     y = FinSet(y_size)
     base_fibers: dict[int, list[int]] = {}
@@ -546,7 +548,7 @@ def all_descent_data(f: FinFn, y_size: int):
                  if f.table[p1] == f.table[p2])
         if not ok:
             continue
-        over = FinFn(y, f.dom, p_table)
+        shape = descent_pullbacks(f, FinFn(y, f.dom, p_table))
         options = [list(itertools.permutations(fiber[p])) for p in others]
         for combo in itertools.product(*options):
             # image[p][i] is the point over p glued to the i-th point over
@@ -554,7 +556,7 @@ def all_descent_data(f: FinFn, y_size: int):
             image = {ps[0]: fiber[ps[0]] for ps in base_fibers.values()}
             image.update(zip(others, combo))
             slot = {p: {yv: i for i, yv in enumerate(pts)} for p, pts in image.items()}
-            yield descent_datum(f, over, lambda p1, p2, yv: image[p2][slot[p1][yv]])
+            yield descent_datum(shape, lambda p1, p2, yv: image[p2][slot[p1][yv]])
 
 
 def glue_checks(bounds: Bounds, max_p: int = 4, max_y: int = 4) -> list[dict]:

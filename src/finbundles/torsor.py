@@ -56,6 +56,11 @@ class DivisionLawFail(TorsorError):
     pass
 
 
+class ShapeMismatch(TorsorError, ValueError):
+    """A descent datum checked along a map or slice it was not built on;
+    the witness is what the datum holds, then what it should hold."""
+
+
 @dataclass(frozen=True)
 class Bundle:
     """An action object with an action-invariant projection to a base."""
@@ -78,19 +83,22 @@ class Bundle:
 class TorsorWitness:
     """Evidence that a bundle is principal: the inverse of the
     action-and-projection map, stored as a division table on the fibrewise
-    pairs, plus one fibre representative per base point."""
+    pairs (shared by every witness with one projection), plus one fibre
+    representative per base point."""
 
     bundle: Bundle
-    pairs: tuple[tuple[int, int], ...]
+    fibrewise: Pullback
     division: tuple[int, ...]
     reps: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: k for k, p in enumerate(self.pairs)})
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return self.fibrewise.pairs
 
     def psi(self, p: int, q: int) -> int:
-        """The unique algebra element moving q to p within a fibre."""
-        return self.division[self._index[(p, q)]]
+        """The unique algebra element moving q to p within a fibre; a pair
+        from two fibres raises NotInPullback naming it."""
+        return self.division[self.fibrewise.index(p, q)]
 
 
 def _acting_pairs(a: ActionObject):
@@ -104,6 +112,12 @@ def _acting_pairs(a: ActionObject):
 def is_principal_bundle(b: Bundle) -> TorsorWitness:
     """Decide the torsor predicate, extracting the division table from the
     inverse of (act, pr2) when it exists."""
+    return _divide(b, pullback(b.proj, b.proj))
+
+
+def _divide(b: Bundle, pb: Pullback) -> TorsorWitness:
+    """The torsor predicate on the fibrewise pairs pb, the pullback of
+    b.proj with itself."""
     fibers: dict[int, list[int]] = {x: [] for x in range(b.base.size)}
     for p in range(b.action.carrier.size):
         fibers[b.proj.table[p]].append(p)
@@ -111,7 +125,6 @@ def is_principal_bundle(b: Bundle) -> TorsorWitness:
         if not fibers[x]:
             raise NotSurjective("projection misses a base point", x)
     reps = tuple(fibers[x][0] for x in range(b.base.size))
-    pb = pullback(b.proj, b.proj)
     # per fibrewise pair (g.p, p): how many g solve it, and the last one
     counts = [0] * len(pb.pairs)
     division = [0] * len(pb.pairs)
@@ -126,7 +139,7 @@ def is_principal_bundle(b: Bundle) -> TorsorWitness:
         if count != 1:
             raise NotFreeTransitive("fibrewise pair has %d solutions" % count,
                                     (pb.pairs[k], count))
-    return TorsorWitness(b, pb.pairs, tuple(division), reps)
+    return TorsorWitness(b, pb, tuple(division), reps)
 
 
 @dataclass(frozen=True)
@@ -243,7 +256,9 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
     fibre, built once per fibre size as free coset spaces (Cayley).  A fibre
     is pruned by cardinality before any table is built: dividing by one of
     its points matches it with the arrows out of that point's anchor, so
-    it has as many points as some object has outgoing arrows.
+    it has as many points as some object has outgoing arrows.  The
+    fibrewise pairs are built once per projection table and shared by the
+    witnesses of every structure under it.
     """
     if carrier.size > max_carrier:
         raise BoundsExceeded("carrier too large to enumerate", carrier.size)
@@ -257,6 +272,7 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
         if any(len(f) not in fiber_sizes for f in fibers.values()):
             continue
         proj = FinFn(carrier, x, proj_table)
+        pb = pullback(proj, proj)
         for f in fibers.values():
             if len(f) not in structures:
                 structures[len(f)] = _transitive_actions(alg, len(f), free=True)
@@ -269,7 +285,7 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
             action = ActionObject(alg, carrier, tuple(tuple(r) for r in act),
                                   FinFn(carrier, alg.objects, tuple(anchors)))
             try:
-                witnesses.append(is_principal_bundle(Bundle(action, x, proj)))
+                witnesses.append(_divide(Bundle(action, x, proj), pb))
             except TorsorError:
                 continue
     classes: list[list[int]] = []
@@ -313,69 +329,72 @@ def descent_pullbacks(f: FinFn, over: FinFn) -> DescentShape:
     return DescentShape(pp, pb1, pb2)
 
 
-def _theta(shape: DescentShape, glue: IsoCertificate, w: int, y: int) -> int:
-    k = shape.pb1.index(w, y)
-    w2, y2 = shape.pb2.pairs[glue.forward.table[k]]
-    if w2 != w:
-        raise CocycleFail("glue does not live over the fibrewise pairs", (w, y))
-    return y2
+def _transport(f: FinFn, d: DescentDatum) -> list[int]:
+    """Check the shape, unit and cocycle conditions, and read the glue as
+    a transport table: entry k is the point that the k-th point (w, y) of
+    pb1 is glued to, over the second point of the fibrewise pair w."""
+    shape, pp, pb1, fwd = d.shape, d.shape.pp, d.shape.pb1, d.glue.forward
+    if d.over.cod != f.dom:
+        raise ShapeMismatch("datum must live over the total space of f", (d.over.cod, f.dom))
+    if pp.f != f or pb1.g != d.over:
+        raise ShapeMismatch("datum's shape was built along another map or slice",
+                            (pp.f, f) if pp.f != f else (pb1.g, d.over))
+    if fwd.dom != pb1.carrier or fwd.cod != shape.pb2.carrier:
+        raise ShapeMismatch("glue endpoints do not match the canonical pullbacks",
+                            ((fwd.dom, fwd.cod), (pb1.carrier, shape.pb2.carrier)))
+    to = []
+    for k, (w, y) in enumerate(pb1.pairs):
+        w2, y2 = shape.pb2.pairs[fwd.table[k]]
+        if w2 != w:
+            raise CocycleFail("glue does not live over the fibrewise pairs", (w, y))
+        p1, p2 = pp.pairs[w]
+        if p1 == p2 and y2 != y:
+            raise CocycleFail("glue must be the identity on the diagonal", (w, y))
+        to.append(y2)
+    # the triples of each fibre of f in the order (p1, p2, p3), then y over
+    # p1: this order fixes which failure is reported first
+    for p1 in range(f.dom.size):
+        fiber = [p for p in range(f.dom.size) if f.table[p] == f.table[p1]]
+        ys = [y for y in range(d.over.dom.size) if d.over.table[y] == p1]
+        for p2 in fiber:
+            w12 = pp.index(p1, p2)
+            for p3 in fiber:
+                w23, w13 = pp.index(p2, p3), pp.index(p1, p3)
+                for y in ys:
+                    if to[pb1.index(w23, to[pb1.index(w12, y)])] != to[pb1.index(w13, y)]:
+                        raise CocycleFail("cocycle condition fails", (p1, p2, p3, y))
+    return to
 
 
 def validate_descent_datum(f: FinFn, d: DescentDatum) -> DescentShape:
     """Check the shape, unit and cocycle conditions; returns the pullback
     shape for reuse."""
-    if d.over.cod != f.dom:
-        raise ValueError("datum must live over the total space of f")
-    shape = d.shape
-    if shape.pp.f != f or shape.pb1.g != d.over:
-        raise ValueError("datum's shape was built along another map or slice")
-    if (d.glue.forward.dom != shape.pb1.carrier
-            or d.glue.forward.cod != shape.pb2.carrier):
-        raise ValueError("glue endpoints do not match the canonical pullbacks")
-    p = d.over
-    for w, (p1, p2) in enumerate(shape.pp.pairs):
-        for y in range(p.dom.size):
-            if p.table[y] != p1:
-                continue
-            y2 = _theta(shape, d.glue, w, y)
-            if p1 == p2 and y2 != y:
-                raise CocycleFail("glue must be the identity on the diagonal", (w, y))
-    for w12, (p1, p2) in enumerate(shape.pp.pairs):
-        for w23, (q2, p3) in enumerate(shape.pp.pairs):
-            if q2 != p2 or f.table[p1] != f.table[p3]:
-                continue
-            w13 = shape.pp.index(p1, p3)
-            for y in range(p.dom.size):
-                if p.table[y] != p1:
-                    continue
-                step = _theta(shape, d.glue, w23, _theta(shape, d.glue, w12, y))
-                direct = _theta(shape, d.glue, w13, y)
-                if step != direct:
-                    raise CocycleFail("cocycle condition fails", (p1, p2, p3, y))
-    return shape
+    _transport(f, d)
+    return d.shape
 
 
-def descent_datum(f: FinFn, over: FinFn, transport) -> DescentDatum:
-    """The datum over the slice whose glue sends a point y over p1 to
-    transport(p1, p2, y) over p2, for every fibrewise pair (p1, p2) of f.
-    The backward map transports from p2 to p1.  This is the one place that
-    writes the certificate's indices into the pullbacks pb1 and pb2; an
-    inconsistent transport raises ValueError from IsoCertificate."""
-    shape = descent_pullbacks(f, over)
+def descent_datum(shape: DescentShape, transport) -> DescentDatum:
+    """The datum over the slice shape.pb1.g whose glue sends a point y over
+    p1 to transport(p1, p2, y) over p2, for every fibrewise pair (p1, p2)
+    of the map shape.pp.f.  The backward map transports from p2 to p1.
+    This is the one place that writes the certificate's indices into the
+    pullbacks pb1 and pb2; an inconsistent transport raises ValueError
+    from IsoCertificate."""
     pairs = shape.pp.pairs
     fwd = tuple(shape.pb2.index(w, transport(*pairs[w], y)) for (w, y) in shape.pb1.pairs)
     bwd = tuple(shape.pb1.index(w, transport(pairs[w][1], pairs[w][0], y))
                 for (w, y) in shape.pb2.pairs)
     glue = IsoCertificate(FinFn(shape.pb1.carrier, shape.pb2.carrier, fwd),
                           FinFn(shape.pb2.carrier, shape.pb1.carrier, bwd))
-    return DescentDatum(over, glue, shape)
+    return DescentDatum(shape.pb1.g, glue, shape)
 
 
 def canonical_descent_datum(f: FinFn, s: FinFn) -> DescentDatum:
     """The datum obtained by pulling a slice over the base back along f:
     the glue transports (p1, z) to (p2, z)."""
     pb = pullback(f, s)
-    return descent_datum(f, pb.p1, lambda p1, p2, y: pb.index(p2, pb.pairs[y][1]))
+    return descent_datum(descent_pullbacks(f, pb.p1),
+                         lambda p1, p2, y: pb.index(p2, pb.pairs[y][1]))
 
 
 @dataclass(frozen=True)
@@ -396,25 +415,19 @@ def glue_descent_data(f: FinFn, d: DescentDatum) -> GluedSlice:
     if not f.is_surjection():
         missed = min(set(range(f.cod.size)) - set(f.table))
         raise NotSurjective("cannot glue along a non-surjection", missed)
-    shape = validate_descent_datum(f, d)
-    p = d.over
+    to = _transport(f, d)
+    shape, p = d.shape, d.over
     uf = UnionFind(p.dom.size)
-    for w, (p1, _) in enumerate(shape.pp.pairs):
-        for y in range(p.dom.size):
-            if p.table[y] == p1:
-                uf.union(y, _theta(shape, d.glue, w, y))
+    for k, (_, y) in enumerate(shape.pb1.pairs):
+        uf.union(y, to[k])
     quotient, cls_of, reps = uf.quotient()
     base_of = tuple(f.table[p.table[rep]] for rep in reps)
     result = FinFn(quotient, f.cod, base_of)
     pb = pullback(f, result)
     fwd = FinFn(p.dom, pb.carrier,
                 tuple(pb.index(p.table[y], cls_of[y]) for y in range(p.dom.size)))
-    bwd_table = []
-    for (p0, c) in pb.pairs:
-        rep = reps[c]
-        y = _theta(shape, d.glue, shape.pp.index(p.table[rep], p0), rep)
-        bwd_table.append(y)
-    bwd = FinFn(pb.carrier, p.dom, tuple(bwd_table))
+    bwd = FinFn(pb.carrier, p.dom, tuple(
+        to[shape.pb1.index(shape.pp.index(p.table[reps[c]], p0), reps[c])] for (p0, c) in pb.pairs))
     cert = IsoCertificate(fwd, bwd)
     return GluedSlice(result, pb, cert, shape)
 

@@ -532,7 +532,7 @@ def test_division_map_rejects_shifted_witness_without_asserts():
         "from finbundles.torsor import (DivisionLawFail, TorsorWitness,",
         "                               division_map, trivial_torsor)",
         "w = trivial_torsor(catalog.cyclic(3), TERMINAL)",
-        "shifted = TorsorWitness(w.bundle, w.pairs,",
+        "shifted = TorsorWitness(w.bundle, w.fibrewise,",
         "                        tuple((d + 1) % 3 for d in w.division), w.reps)",
         "try:",
         "    report = division_map(shifted)",
@@ -580,8 +580,9 @@ def test_intertwining_witness_names_the_first_mismatch():
     # carry the swap, first at the transport of point 0 from 0 to 1
     f = FinFn(FinSet(2), TERMINAL, (0, 0))
     y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
-    identity = descent_datum(f, y, lambda p1, p2, v: 2 * p2 + v % 2)
-    swap = descent_datum(f, y, lambda p1, p2, v: 2 * p2 + (v % 2 if p1 == p2 else 1 - v % 2))
+    identity = descent_datum(descent_pullbacks(f, y), lambda p1, p2, v: 2 * p2 + v % 2)
+    swap = descent_datum(descent_pullbacks(f, y),
+                         lambda p1, p2, v: 2 * p2 + (v % 2 if p1 == p2 else 1 - v % 2))
     glued = glue_descent_data(f, identity)
     assert glued.result.dom.size == 2
     assert intertwining_witness(identity, glued) is None
@@ -593,7 +594,7 @@ def test_descent_datum_rejects_a_transport_that_is_not_invertible():
     f = FinFn(FinSet(2), TERMINAL, (0, 0))
     y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
     with pytest.raises(ValueError):
-        descent_datum(f, y, lambda p1, p2, v: 2 * p2)
+        descent_datum(descent_pullbacks(f, y), lambda p1, p2, v: 2 * p2)
 
 
 def test_descent_roundtrip_failure_names_the_slice(monkeypatch):
@@ -622,3 +623,149 @@ def test_failed_gluing_check_reports_its_witnesses(monkeypatch):
     assert first["essentially_surjective"]
     assert first["witnesses"] == [
         {"f": [0], "y": ny, "reason": "glue mismatch", "at": [0, 1, 0]} for ny in range(3)]
+
+
+# Shared fibrewise pairs and the transport table -------------------------------
+
+
+def test_psi_outside_the_fibrewise_pairs_names_the_pair():
+    from finbundles.finset import NotInPullback
+
+    # points 0, 1 lie over 0 and points 2, 3 over 1
+    w = trivial_torsor(GROUPS["z2"], FinSet(2))
+    assert w.psi(1, 0) == 1
+    with pytest.raises(NotInPullback) as exc:
+        w.psi(0, 2)
+    assert exc.value.witness == (0, 2)
+
+
+def test_descent_shape_checks_raise_a_typed_error_with_the_mismatch():
+    from finbundles.torsor import ShapeMismatch, TorsorError
+
+    swap = FinFn(FinSet(2), FinSet(2), (1, 0))
+    identity = FinFn.identity(FinSet(2))
+    d = canonical_descent_datum(swap, identity)
+    with pytest.raises(ShapeMismatch) as exc:
+        validate_descent_datum(FinFn(FinSet(3), FinSet(2), (0, 1, 1)), d)
+    assert exc.value.witness == (FinSet(2), FinSet(3))
+    with pytest.raises(ShapeMismatch) as exc:
+        validate_descent_datum(identity, d)
+    assert exc.value.witness == (swap, identity)
+    with pytest.raises(ShapeMismatch) as exc:
+        validate_descent_datum(swap, DescentDatum(swap, d.glue, d.shape))
+    assert exc.value.witness == (d.over, swap)
+    wider = canonical_descent_datum(swap, FinFn(FinSet(3), FinSet(2), (0, 1, 1)))
+    with pytest.raises(ShapeMismatch) as exc:
+        validate_descent_datum(swap, DescentDatum(d.over, wider.glue, d.shape))
+    assert exc.value.witness == ((FinSet(3), FinSet(3)), (FinSet(2), FinSet(2)))
+    assert isinstance(exc.value, TorsorError) and isinstance(exc.value, ValueError)
+
+
+def shared_pullback_cases():
+    for g in GROUPS.values():
+        if g.order <= 6:
+            yield g, TERMINAL, FinSet(g.order)
+    for gd in GROUPOIDS.values():
+        largest = max(gd.src.table.count(o) for o in range(gd.objects.size))
+        for nx in (1, 2):
+            for n in range(nx, nx * largest + 1):
+                yield gd, FinSet(nx), FinSet(n)
+
+
+def test_enumerated_witnesses_share_one_pullback_per_projection():
+    # the oracle: is_principal_bundle builds the fibrewise pairs afresh
+    checked = 0
+    for alg, x, carrier in shared_pullback_cases():
+        shared = {}
+        for w in enumerate_torsors(alg, x, carrier).witnesses:
+            ref = is_principal_bundle(w.bundle)
+            assert (w.pairs, w.division, w.reps) == (ref.pairs, ref.division, ref.reps)
+            assert w.fibrewise.f is w.fibrewise.g is w.bundle.proj
+            assert shared.setdefault(w.bundle.proj, w.fibrewise) is w.fibrewise
+            checked += 1
+    assert checked == 347
+
+
+def triple_loop_validate(f, d):
+    """The check the transport table replaced: the unit condition on every
+    point of pb1, then the cocycle condition on all pairs x pairs x points,
+    reading the glue afresh at every step."""
+    shape, p = d.shape, d.over
+
+    def theta(w, y):
+        w2, y2 = shape.pb2.pairs[d.glue.forward.table[shape.pb1.index(w, y)]]
+        if w2 != w:
+            raise CocycleFail("glue does not live over the fibrewise pairs", (w, y))
+        return y2
+
+    for w, (p1, p2) in enumerate(shape.pp.pairs):
+        for y in range(p.dom.size):
+            if p.table[y] == p1 and theta(w, y) != y and p1 == p2:
+                raise CocycleFail("glue must be the identity on the diagonal", (w, y))
+    for w12, (p1, p2) in enumerate(shape.pp.pairs):
+        for w23, (q2, p3) in enumerate(shape.pp.pairs):
+            if q2 != p2 or f.table[p1] != f.table[p3]:
+                continue
+            w13 = shape.pp.index(p1, p3)
+            for y in range(p.dom.size):
+                if p.table[y] == p1 and theta(w23, theta(w12, y)) != theta(w13, y):
+                    raise CocycleFail("cocycle condition fails", (p1, p2, p3, y))
+
+
+def swapped_glue(d, k1, k2):
+    """d with the glue targets of the points k1 and k2 of pb1 swapped."""
+    fwd = list(d.glue.forward.table)
+    fwd[k1], fwd[k2] = fwd[k2], fwd[k1]
+    bwd = [0] * len(fwd)
+    for k, v in enumerate(fwd):
+        bwd[v] = k
+    glue = IsoCertificate(FinFn(d.shape.pb1.carrier, d.shape.pb2.carrier, tuple(fwd)),
+                          FinFn(d.shape.pb2.carrier, d.shape.pb1.carrier, tuple(bwd)))
+    return DescentDatum(d.over, glue, d.shape)
+
+
+def check_outcome(check, f, d):
+    try:
+        check(f, d)
+    except CocycleFail as exc:
+        return str(exc), exc.witness
+    return None
+
+
+def descent_data_with_swapped_glues(f, ny):
+    """Every datum along f on ny points, then the same datum with two glue
+    targets swapped over one pair, and across two pairs."""
+    from finbundles.suites import all_descent_data
+
+    for d in all_descent_data(f, ny):
+        yield d
+        blocks = {}
+        for k, (w, _) in enumerate(d.shape.pb1.pairs):
+            blocks.setdefault(w, []).append(k)
+        for ks in blocks.values():
+            if len(ks) > 1:
+                yield swapped_glue(d, ks[0], ks[-1])
+        firsts = [ks[0] for ks in blocks.values()]
+        for a, b in zip(firsts, firsts[1:]):
+            yield swapped_glue(d, a, b)
+
+
+def test_cocycle_check_matches_the_triple_loop_oracle():
+    cases = [(f, ny) for nx in (1, 2) for np in range(1, 4)
+             for f in all_functions(FinSet(np), FinSet(nx)) if f.is_surjection()
+             for ny in range(5)]
+    # a fibre of three points with two over each: one swapped pair breaks
+    # two triples that start with the same (p1, p2), so the order of p3
+    # decides the first witness
+    cases.append((FinFn(FinSet(3), TERMINAL, (0, 0, 0)), 6))
+    outcomes = {}
+    for f, ny in cases:
+        for d in descent_data_with_swapped_glues(f, ny):
+            expected = check_outcome(triple_loop_validate, f, d)
+            assert check_outcome(validate_descent_datum, f, d) == expected
+            key = expected[0] if expected else None
+            outcomes[key] = outcomes.get(key, 0) + 1
+    # 311 data within base 2 and total 3, and 360 along the three-point fibre
+    assert outcomes == {None: 671, "cocycle condition fails": 2328,
+                        "glue does not live over the fibrewise pairs": 3698,
+                        "glue must be the identity on the diagonal": 1405}
