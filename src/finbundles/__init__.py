@@ -49,15 +49,19 @@ from . import adjunction, algebra
 
 __version__ = "0.1.0"
 
-# Every module-level cache.  They are unbounded and live as long as the
-# process; the caches of a presentation's components live and die with
-# the presentation.  finset's FinSet and FinFn pools are not caches:
-# equality there is identity, so they are never emptied.
+# Every module-level cache.  They are unbounded; suites.theorem_torsor_checks
+# empties them after each torsor instance, and the caches of a
+# presentation's components live and die with the presentation.  These
+# references are taken at import, so clearing still works when a tracer
+# has replaced the module attributes by wrappers without cache_clear.
+# finset's FinSet and FinFn pools are not caches: equality there is
+# identity, so they are never emptied.
 _MODULE_CACHES = (algebra.sigma, algebra.action_product)
 
 
 def clear_caches() -> None:
-    """Empty every module-level cache, so that the next run starts cold."""
+    """Empty every module-level cache, so that the next run or torsor
+    instance starts cold."""
     for memo in _MODULE_CACHES:
         memo.cache_clear()
     adjunction._tensor_cache.clear()

@@ -132,7 +132,10 @@ class TensorResult:
 
 
 # A plain dict rather than functools.cache: the benchmark child
-# (perfbench/child.py) reads len(_tensor_cache) in every repetition.
+# (perfbench/child.py) reads len(_tensor_cache) in every repetition.  Its
+# keys are a torsor's actions, so suites.theorem_torsor_checks empties it
+# in place (finbundles.clear_caches) after each torsor instance; the
+# benchmark's count thus covers only the entries since the last instance.
 _tensor_cache: dict = {}
 
 

@@ -12,12 +12,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from . import clear_caches
 from .finset import (
     FinFn,
     FinSet,
+    Pullback,
     TERMINAL,
     all_functions,
     product,
+    pullback,
 )
 from .algebra import (
     ActionObject,
@@ -201,7 +204,7 @@ def descent_roundtrip_check(max_total: int, max_base: int) -> dict:
         for np in range(1, max_total + 1):
             for f in all_functions(FinSet(np), FinSet(nx)):
                 if f.is_surjection():
-                    cases, bad = descent_roundtrip(f, max_total)
+                    cases, bad = descent_roundtrip(pullback(f, f), max_total)
                     count += cases
                     failures.extend(bad)
     return {"check": "descent_roundtrip", "cases": count,
@@ -209,17 +212,19 @@ def descent_roundtrip_check(max_total: int, max_base: int) -> dict:
             "passed": not failures, "witnesses": failures[:3]}
 
 
-def descent_roundtrip(f: FinFn, max_total: int) -> tuple[int, list[dict]]:
+def descent_roundtrip(kp: Pullback, max_total: int) -> tuple[int, list[dict]]:
     """Pull every slice over the base with at most max_total points back
-    along f and glue its canonical datum; the glued slice must have the
-    slice's fibre sizes again.  Returns the number of slices and one
-    witness, naming the slice's projection, per slice that fails."""
+    along the map f of the kernel pair kp (the pullback of f with itself)
+    and glue its canonical datum; the glued slice must have the slice's
+    fibre sizes again.  Returns the number of slices and one witness,
+    naming the slice's projection, per slice that fails."""
+    f = kp.f
     cases = 0
     failures = []
     for nz in range(max_total + 1):
         z = FinSet(nz)
         for zp in all_functions(z, f.cod):
-            glued = glue_descent_data(f, canonical_descent_datum(f, zp))
+            glued = glue_descent_data(f, canonical_descent_datum(kp, zp))
             if glued.result.dom.size != nz or sorted(glued.result.table) != sorted(zp.table):
                 failures.append({"f": list(f.table), "z": nz, "proj": list(zp.table)})
             cases += 1
@@ -248,6 +253,8 @@ def enumerate_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
                             "act": [list(r) for r in w.bundle.action.act]}
                            for w in enum.class_reps()],
                        "passed": enum.structures == expected})
+        # release this group's witnesses before the next group's are built
+        del enum
     for name, gd in sorted(groupoids.items()):
         if not name.startswith("discrete"):
             continue
@@ -315,33 +322,38 @@ def stable_slice_objects(alg, x: FinSet) -> list[ActionObject]:
 
 def theorem_torsor_checks(w, bounds: Bounds) -> dict:
     """The full per-torsor theorem instance: round trip, triangle
-    identities, over-base comparison, stable reciprocity."""
-    b = w.bundle
-    alg = b.action.algebra
-    x = b.base
-    pres = bundle_to_adjunction(w)
-    dom_objs = slice_family(x, bounds.family_total)
-    cod_objs = action_family(alg, bounds.family_carrier)
-    tri = check_triangles(pres, dom_objs, cod_objs)
-    over = check_over_base(pres, dom_objs)
-    results = {"triangles": tri["passed"], "over": over["passed"]}
+    identities, over-base comparison, stable reciprocity.  The module
+    caches are scoped to the instance: they are emptied when it returns or
+    raises, since their keys are this torsor's actions."""
     try:
-        b2 = adjunction_to_bundle(pres, dom_objs, cod_objs)
-        bundle_roundtrip_cert(w, b2)
-        is_principal_bundle(b2)
-        results["roundtrip"] = True
-    except (AdjunctionError, TorsorError):
-        results["roundtrip"] = False
-    stable = check_stably_frobenius(pres, stable_slice_objects(alg, x),
-                                    dom_objs, cod_objs)
-    results["stable"] = stable["passed"]
-    results["tensor_self"] = _tensor_self_iso_ok(w, tensor(b.action, arrows_action(alg)))
-    results["tensor_trivial"] = all(_tensor_trivial_iso_ok(w, ny) for ny in range(4))
-    return {"check": "theorem_roundtrip",
-            "group_order": alg.order, "base": x.size,
-            "carrier": b.action.carrier.size,
-            "results": results,
-            "passed": all(results.values())}
+        b = w.bundle
+        alg = b.action.algebra
+        x = b.base
+        pres = bundle_to_adjunction(w)
+        dom_objs = slice_family(x, bounds.family_total)
+        cod_objs = action_family(alg, bounds.family_carrier)
+        tri = check_triangles(pres, dom_objs, cod_objs)
+        over = check_over_base(pres, dom_objs)
+        results = {"triangles": tri["passed"], "over": over["passed"]}
+        try:
+            b2 = adjunction_to_bundle(pres, dom_objs, cod_objs)
+            bundle_roundtrip_cert(w, b2)
+            is_principal_bundle(b2)
+            results["roundtrip"] = True
+        except (AdjunctionError, TorsorError):
+            results["roundtrip"] = False
+        stable = check_stably_frobenius(pres, stable_slice_objects(alg, x),
+                                        dom_objs, cod_objs)
+        results["stable"] = stable["passed"]
+        results["tensor_self"] = _tensor_self_iso_ok(w, tensor(b.action, arrows_action(alg)))
+        results["tensor_trivial"] = all(_tensor_trivial_iso_ok(w, ny) for ny in range(4))
+        return {"check": "theorem_roundtrip",
+                "group_order": alg.order, "base": x.size,
+                "carrier": b.action.carrier.size,
+                "results": results,
+                "passed": all(results.values())}
+    finally:
+        clear_caches()
 
 
 def _tensor_trivial_iso_ok(w, y_size: int) -> bool:
@@ -526,14 +538,16 @@ def negative_control_check(groups, bounds: Bounds) -> dict:
 
 # glue -----------------------------------------------------------------------
 
-def all_descent_data(f: FinFn, y_size: int):
-    """Every descent datum along f with a total space of the given size:
+def all_descent_data(kp: Pullback, y_size: int):
+    """Every descent datum along the map f of the kernel pair kp (the
+    pullback of f with itself) with a total space of the given size:
     all slices over the total space whose fibre sizes match within each
     fibre of f, with every coherent gluing family.  A family is fixed by a
     bijection from the fibre over the least point of each fibre of f (its
     root) to the fibre over every other point of it; the gluing from p1 to
     p2 goes back to the root and out again.  The data over one slice share
-    its descent shape."""
+    its descent shape, and every shape holds kp."""
+    f = kp.f
     p_size = f.dom.size
     y = FinSet(y_size)
     base_fibers: dict[int, list[int]] = {}
@@ -548,7 +562,7 @@ def all_descent_data(f: FinFn, y_size: int):
                  if f.table[p1] == f.table[p2])
         if not ok:
             continue
-        shape = descent_pullbacks(f, FinFn(y, f.dom, p_table))
+        shape = descent_pullbacks(kp, FinFn(y, f.dom, p_table))
         options = [list(itertools.permutations(fiber[p])) for p in others]
         for combo in itertools.product(*options):
             # image[p][i] is the point over p glued to the i-th point over
@@ -566,10 +580,11 @@ def glue_checks(bounds: Bounds, max_p: int = 4, max_y: int = 4) -> list[dict]:
             for f in all_functions(FinSet(np), FinSet(nx)):
                 if not f.is_surjection():
                     continue
+                kp = pullback(f, f)
                 count = 0
                 failures = []
                 for ny in range(max_y + 1):
-                    for d in all_descent_data(f, ny):
+                    for d in all_descent_data(kp, ny):
                         glued = glue_descent_data(f, d)
                         if glued.pullback.carrier.size != d.over.dom.size:
                             failures.append({"f": list(f.table), "y": ny})
@@ -579,7 +594,7 @@ def glue_checks(bounds: Bounds, max_p: int = 4, max_y: int = 4) -> list[dict]:
                                              "reason": "glue mismatch",
                                              "at": list(witness)})
                         count += 1
-                _, roundtrip_failures = descent_roundtrip(f, max_y)
+                _, roundtrip_failures = descent_roundtrip(kp, max_y)
                 arises = not roundtrip_failures
                 check = {"check": "descent_gluing", "f": list(f.table),
                          "base": nx, "data": count,

@@ -258,7 +258,8 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
     its points matches it with the arrows out of that point's anchor, so
     it has as many points as some object has outgoing arrows.  The
     fibrewise pairs are built once per projection table and shared by the
-    witnesses of every structure under it.
+    witnesses of every structure under it.  Over a point each structure's
+    action is the fibre action itself, not a copy of it.
     """
     if carrier.size > max_carrier:
         raise BoundsExceeded("carrier too large to enumerate", carrier.size)
@@ -278,12 +279,17 @@ def enumerate_torsors(alg, x: FinSet, carrier: FinSet,
                 structures[len(f)] = _transitive_actions(alg, len(f), free=True)
         choices = [[(tuple(f), a) for a in structures[len(f)]] for f in fibers.values()]
         for combo in itertools.product(*choices):
-            act = [[None] * carrier.size for _ in range(alg.order)]
-            anchors = [0] * carrier.size
-            for points, fiber_action in combo:
-                _embed_fiber_action(fiber_action, points, act, anchors)
-            action = ActionObject(alg, carrier, tuple(tuple(r) for r in act),
-                                  FinFn(carrier, alg.objects, tuple(anchors)))
+            if len(combo) == 1:
+                # over a point the one fibre is the whole carrier in order,
+                # so the structure is the fibre action itself
+                action = combo[0][1]
+            else:
+                act = [[None] * carrier.size for _ in range(alg.order)]
+                anchors = [0] * carrier.size
+                for points, fiber_action in combo:
+                    _embed_fiber_action(fiber_action, points, act, anchors)
+                action = ActionObject(alg, carrier, tuple(tuple(r) for r in act),
+                                      FinFn(carrier, alg.objects, tuple(anchors)))
             try:
                 witnesses.append(_divide(Bundle(action, x, proj), pb))
             except TorsorError:
@@ -320,13 +326,19 @@ class DescentShape:
     pb2: Pullback
 
 
-def descent_pullbacks(f: FinFn, over: FinFn) -> DescentShape:
+def descent_pullbacks(kp: Pullback, over: FinFn) -> DescentShape:
     """The two canonical pullbacks of the slice to the fibrewise pairs of
-    f; the glue certificate of a datum runs from the first to the second."""
-    pp = pullback(f, f)
-    pb1 = pullback(pp.p1, over)
-    pb2 = pullback(pp.p2, over)
-    return DescentShape(pp, pb1, pb2)
+    a map f, given as its kernel pair kp (the pullback of f with itself),
+    which the shape holds as pp; the glue certificate of a datum runs from
+    the first to the second.  Every shape over one map can share kp.
+    Fibrewise pairs of two different maps raise ShapeMismatch naming
+    them."""
+    if kp.f != kp.g:
+        raise ShapeMismatch("fibrewise pairs must be the kernel pair of one map",
+                            (kp.f, kp.g))
+    pb1 = pullback(kp.p1, over)
+    pb2 = pullback(kp.p2, over)
+    return DescentShape(kp, pb1, pb2)
 
 
 def _transport(f: FinFn, d: DescentDatum) -> list[int]:
@@ -389,11 +401,11 @@ def descent_datum(shape: DescentShape, transport) -> DescentDatum:
     return DescentDatum(shape.pb1.g, glue, shape)
 
 
-def canonical_descent_datum(f: FinFn, s: FinFn) -> DescentDatum:
-    """The datum obtained by pulling a slice over the base back along f:
-    the glue transports (p1, z) to (p2, z)."""
-    pb = pullback(f, s)
-    return descent_datum(descent_pullbacks(f, pb.p1),
+def canonical_descent_datum(kp: Pullback, s: FinFn) -> DescentDatum:
+    """The datum obtained by pulling a slice over the base back along the
+    map f of the kernel pair kp: the glue transports (p1, z) to (p2, z)."""
+    pb = pullback(kp.f, s)
+    return descent_datum(descent_pullbacks(kp, pb.p1),
                          lambda p1, p2, y: pb.index(p2, pb.pairs[y][1]))
 
 

@@ -4,8 +4,10 @@ import json
 import pkgutil
 from pathlib import Path
 
+import pytest
+
 import finbundles
-from finbundles import adjunction, catalog
+from finbundles import adjunction, algebra, catalog, suites
 from finbundles.adjunction import (
     bundle_to_adjunction,
     corrupt_counit,
@@ -13,7 +15,7 @@ from finbundles.adjunction import (
 )
 from finbundles.cli import run_theorem_suite
 from finbundles.finset import FinSet
-from finbundles.suites import Bounds
+from finbundles.suites import Bounds, theorem_torsor_checks
 from finbundles.torsor import trivial_torsor
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -63,3 +65,27 @@ def test_derived_presentations_reuse_component_caches():
         assert getattr(bad, name) is getattr(pres, name), name
     assert bad.counit_at is not pres.counit_at
     assert factor_to_slice(pres).over_iso_at is pres.over_iso_at
+
+
+def assert_module_caches_empty():
+    assert algebra.sigma.cache_info().currsize == 0
+    assert algebra.action_product.cache_info().currsize == 0
+    assert len(adjunction._tensor_cache) == 0
+
+
+def test_theorem_instance_empties_the_module_caches_when_it_returns():
+    w = trivial_torsor(catalog.cyclic(3), FinSet(2))
+    assert theorem_torsor_checks(w, Bounds())["passed"]
+    assert_module_caches_empty()
+
+
+def test_theorem_instance_empties_the_module_caches_when_it_raises(monkeypatch):
+    def fail(w, t):
+        assert adjunction._tensor_cache
+        raise RuntimeError("sub-check failed")
+
+    monkeypatch.setattr(suites, "_tensor_self_iso_ok", fail)
+    w = trivial_torsor(catalog.cyclic(3), FinSet(2))
+    with pytest.raises(RuntimeError):
+        theorem_torsor_checks(w, Bounds())
+    assert_module_caches_empty()

@@ -16,6 +16,7 @@ from finbundles.finset import (
     all_functions,
     coequalizer,
     product,
+    pullback,
 )
 from finbundles.algebra import (
     ActionObject,
@@ -377,7 +378,7 @@ def test_orbit_coequalizer_collapses_torsor_fibrewise():
 def test_canonical_descent_roundtrip():
     f = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
     s = FinFn(FinSet(3), FinSet(2), (0, 1, 1))
-    d = canonical_descent_datum(f, s)
+    d = canonical_descent_datum(pullback(f, f), s)
     glued = glue_descent_data(f, d)
     assert glued.result.dom.size == 3
     assert sorted(glued.result.table) == sorted(s.table)
@@ -388,7 +389,7 @@ def test_glue_swap_example():
     # swap, quotient to a two-point object
     f = FinFn(FinSet(2), TERMINAL, (0, 0))
     y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
-    shape = descent_pullbacks(f, y)
+    shape = descent_pullbacks(pullback(f, f), y)
     fwd = []
     for (wv, k) in shape.pb1.pairs:
         p1, p2 = shape.pp.pairs[wv]
@@ -414,7 +415,7 @@ def test_glue_rejects_non_surjection():
     f = FinFn(FinSet(1), FinSet(2), (0,))
     s = FinFn.identity(FinSet(1))
     y = FinFn.identity(FinSet(1))
-    d = canonical_descent_datum(FinFn.identity(FinSet(1)), y)
+    d = canonical_descent_datum(pullback(s, s), y)
     with pytest.raises(NotSurjective):
         glue_descent_data(f, DescentDatum(d.over, d.glue, d.shape))
 
@@ -424,7 +425,7 @@ def test_validate_descent_rejects_broken_cocycle():
     # are unital and mutually inverse but fail one transitivity composite
     f = FinFn(FinSet(3), TERMINAL, (0, 0, 0))
     y = FinFn(FinSet(6), FinSet(3), (0, 0, 1, 1, 2, 2))
-    shape = descent_pullbacks(f, y)
+    shape = descent_pullbacks(pullback(f, f), y)
 
     def theta(p1, p2, local):
         if {p1, p2} == {0, 2}:
@@ -450,7 +451,7 @@ def test_validate_descent_rejects_a_datum_built_along_another_map():
     # pairs, so only the map the shape was built along tells them apart
     swap = FinFn(FinSet(2), FinSet(2), (1, 0))
     s = FinFn(FinSet(2), FinSet(2), (0, 1))
-    d = canonical_descent_datum(swap, s)
+    d = canonical_descent_datum(pullback(swap, swap), s)
     assert validate_descent_datum(swap, d) is d.shape
     with pytest.raises(ValueError):
         validate_descent_datum(FinFn.identity(FinSet(2)), d)
@@ -471,11 +472,11 @@ def test_descent_morphisms_biject_with_glued_morphisms():
         k = shape.pb1.index(wv, y)
         return shape.pb2.pairs[glue.forward.table[k]][1]
 
-    data = [d for ny in range(4) for d in all_descent_data(f, ny)]
+    data = [d for ny in range(4) for d in all_descent_data(pullback(f, f), ny)]
     for d1 in data[:6]:
         for d2 in data[:6]:
-            shape1 = descent_pullbacks(f, d1.over)
-            shape2 = descent_pullbacks(f, d2.over)
+            shape1 = descent_pullbacks(pullback(f, f), d1.over)
+            shape2 = descent_pullbacks(pullback(f, f), d2.over)
             datum_maps = []
             for fn in all_functions(d1.over.dom, d2.over.dom):
                 if fn.then(d2.over) != d1.over:
@@ -512,7 +513,7 @@ def test_glue_pullback_certificate_sizes():
     for nz in range(4):
         z = FinSet(nz)
         for zp in all_functions(z, FinSet(2)):
-            d = canonical_descent_datum(f, zp)
+            d = canonical_descent_datum(pullback(f, f), zp)
             glued = glue_descent_data(f, d)
             assert glued.cert.forward.dom == d.over.dom
             assert glued.cert.forward.cod == glued.pullback.carrier
@@ -571,7 +572,7 @@ def test_all_descent_data_matches_counting_formula():
                     expected = sum(factorial(n) // prod(factorial(mx) for mx in m)
                                    for m in itertools.product(range(n + 1), repeat=nx)
                                    if sum(kx * mx for kx, mx in zip(k, m)) == n)
-                    assert sum(1 for _ in all_descent_data(f, n)) == expected, (table, n)
+                    assert sum(1 for _ in all_descent_data(pullback(f, f), n)) == expected, (table, n)
 
 
 def test_intertwining_witness_names_the_first_mismatch():
@@ -580,8 +581,8 @@ def test_intertwining_witness_names_the_first_mismatch():
     # carry the swap, first at the transport of point 0 from 0 to 1
     f = FinFn(FinSet(2), TERMINAL, (0, 0))
     y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
-    identity = descent_datum(descent_pullbacks(f, y), lambda p1, p2, v: 2 * p2 + v % 2)
-    swap = descent_datum(descent_pullbacks(f, y),
+    identity = descent_datum(descent_pullbacks(pullback(f, f), y), lambda p1, p2, v: 2 * p2 + v % 2)
+    swap = descent_datum(descent_pullbacks(pullback(f, f), y),
                          lambda p1, p2, v: 2 * p2 + (v % 2 if p1 == p2 else 1 - v % 2))
     glued = glue_descent_data(f, identity)
     assert glued.result.dom.size == 2
@@ -594,20 +595,20 @@ def test_descent_datum_rejects_a_transport_that_is_not_invertible():
     f = FinFn(FinSet(2), TERMINAL, (0, 0))
     y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
     with pytest.raises(ValueError):
-        descent_datum(descent_pullbacks(f, y), lambda p1, p2, v: 2 * p2)
+        descent_datum(descent_pullbacks(pullback(f, f), y), lambda p1, p2, v: 2 * p2)
 
 
 def test_descent_roundtrip_failure_names_the_slice(monkeypatch):
     from finbundles import suites
 
     f = FinFn(FinSet(3), FinSet(2), (0, 0, 1))
-    assert suites.descent_roundtrip(f, 1) == (3, [])
+    assert suites.descent_roundtrip(pullback(f, f), 1) == (3, [])
     # a broken gluing that forgets the datum and glues the empty slice's
     real = suites.glue_descent_data
     empty = FinFn(FinSet(0), FinSet(2), ())
     monkeypatch.setattr(suites, "glue_descent_data",
-                        lambda f, d: real(f, canonical_descent_datum(f, empty)))
-    assert suites.descent_roundtrip(f, 1) == (3, [
+                        lambda f, d: real(f, canonical_descent_datum(pullback(f, f), empty)))
+    assert suites.descent_roundtrip(pullback(f, f), 1) == (3, [
         {"f": [0, 0, 1], "z": 1, "proj": [0]},
         {"f": [0, 0, 1], "z": 1, "proj": [1]},
     ])
@@ -644,7 +645,7 @@ def test_descent_shape_checks_raise_a_typed_error_with_the_mismatch():
 
     swap = FinFn(FinSet(2), FinSet(2), (1, 0))
     identity = FinFn.identity(FinSet(2))
-    d = canonical_descent_datum(swap, identity)
+    d = canonical_descent_datum(pullback(swap, swap), identity)
     with pytest.raises(ShapeMismatch) as exc:
         validate_descent_datum(FinFn(FinSet(3), FinSet(2), (0, 1, 1)), d)
     assert exc.value.witness == (FinSet(2), FinSet(3))
@@ -654,7 +655,7 @@ def test_descent_shape_checks_raise_a_typed_error_with_the_mismatch():
     with pytest.raises(ShapeMismatch) as exc:
         validate_descent_datum(swap, DescentDatum(swap, d.glue, d.shape))
     assert exc.value.witness == (d.over, swap)
-    wider = canonical_descent_datum(swap, FinFn(FinSet(3), FinSet(2), (0, 1, 1)))
+    wider = canonical_descent_datum(pullback(swap, swap), FinFn(FinSet(3), FinSet(2), (0, 1, 1)))
     with pytest.raises(ShapeMismatch) as exc:
         validate_descent_datum(swap, DescentDatum(d.over, wider.glue, d.shape))
     assert exc.value.witness == ((FinSet(3), FinSet(3)), (FinSet(2), FinSet(2)))
@@ -684,6 +685,57 @@ def test_enumerated_witnesses_share_one_pullback_per_projection():
             assert shared.setdefault(w.bundle.proj, w.fibrewise) is w.fibrewise
             checked += 1
     assert checked == 347
+
+
+def test_witnesses_over_a_point_hold_the_fibre_action(monkeypatch):
+    # the oracle: the action embedded into fresh rows, as a structure over
+    # a larger base is built
+    from finbundles import algebra, torsor
+
+    built = []
+
+    def recording(alg, d, free=False):
+        actions = algebra._transitive_actions(alg, d, free)
+        built.extend(actions)
+        return actions
+
+    monkeypatch.setattr(torsor, "_transitive_actions", recording)
+    checked = 0
+    for alg, x, carrier in shared_pullback_cases():
+        if x.size != 1:
+            continue
+        for w in enumerate_torsors(alg, x, carrier).witnesses:
+            a = w.bundle.action
+            assert any(a is fibre for fibre in built)
+            act = [[None] * carrier.size for _ in range(alg.order)]
+            anchors = [0] * carrier.size
+            algebra._embed_fiber_action(a, tuple(range(carrier.size)), act, anchors)
+            assert a == ActionObject(alg, carrier, tuple(map(tuple, act)),
+                                     FinFn(carrier, alg.objects, tuple(anchors)))
+            checked += 1
+    assert checked == 289
+
+
+def test_descent_data_over_one_map_share_its_kernel_pair():
+    from finbundles.suites import all_descent_data
+
+    f = FinFn(FinSet(3), FinSet(2), (0, 0, 1))
+    kp = pullback(f, f)
+    shapes = [d.shape for n in range(5) for d in all_descent_data(kp, n)]
+    shapes += [canonical_descent_datum(kp, s).shape
+               for n in range(3) for s in all_functions(FinSet(n), FinSet(2))]
+    assert len(shapes) == 37 + 7
+    assert all(shape.pp is kp for shape in shapes)
+
+
+def test_descent_shape_rejects_the_pullback_of_two_maps():
+    from finbundles.torsor import ShapeMismatch
+
+    f = FinFn(FinSet(2), FinSet(2), (0, 1))
+    swap = FinFn(FinSet(2), FinSet(2), (1, 0))
+    with pytest.raises(ShapeMismatch) as exc:
+        descent_pullbacks(pullback(f, swap), FinFn.identity(FinSet(2)))
+    assert exc.value.witness == (f, swap)
 
 
 def triple_loop_validate(f, d):
@@ -737,7 +789,7 @@ def descent_data_with_swapped_glues(f, ny):
     targets swapped over one pair, and across two pairs."""
     from finbundles.suites import all_descent_data
 
-    for d in all_descent_data(f, ny):
+    for d in all_descent_data(pullback(f, f), ny):
         yield d
         blocks = {}
         for k, (w, _) in enumerate(d.shape.pb1.pairs):
