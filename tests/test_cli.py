@@ -348,24 +348,31 @@ def test_any_json_value_in_a_group_field_gives_an_entry(field, value):
     assert all(not f["passed"] for f in failures)
 
 
-# sha256 of each report at default bounds over fixtures/, without
-# elapsed_s, as recorded before groups were run as one-object groupoids.
+def report_digest(report: dict) -> str:
+    """sha256 of a report without elapsed_s, as perfbench computes it."""
+    body = {k: v for k, v in report.items() if k != "elapsed_s"}
+    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+
+
+# sha256 of each report over fixtures/, without elapsed_s: the first three
+# at default bounds, as recorded before groups were run as one-object
+# groupoids; verify at base 3 holds psi_laws' one skip entry.
 GOLDEN_REPORTS = {
-    "verify": (run_verify,
+    "verify": (run_verify, Bounds(),
                "a425f2f4b1d90fd88638cdb5e5c881649a10e030cba50baee74020563f4f93b7"),
-    "enumerate": (run_enumerate,
+    "enumerate": (run_enumerate, Bounds(),
                   "d432d6506ce305548ef63c62e494ac048865389b0f624a5c1903d25a22b41407"),
-    "glue": (run_glue,
+    "glue": (run_glue, Bounds(),
              "6fe33b030296de88e44ccd008f9885930fb8f7896496452dd3c744676d61aa4e"),
+    "verify --bound-base 3": (
+        run_verify, Bounds(base=3),
+        "5e53dd262dd365bf9a79971ac79200f1734ee0469f53415f27f8a653737ae36b"),
 }
 
 
 def test_reports_match_golden_digests():
-    for command, (run, digest) in GOLDEN_REPORTS.items():
-        report = run(FIXTURES, Bounds())
-        report.pop("elapsed_s")
-        body = json.dumps(report, sort_keys=True).encode()
-        assert hashlib.sha256(body).hexdigest() == digest, command
+    for command, (run, bounds, digest) in GOLDEN_REPORTS.items():
+        assert report_digest(run(FIXTURES, bounds)) == digest, command
 
 
 def test_theorem_under_python_O_matches_in_process_report():
@@ -386,6 +393,10 @@ def test_theorem_under_python_O_matches_in_process_report():
     optimised.pop("elapsed_s")
     in_process.pop("elapsed_s")
     assert optimised == in_process
+    # the theorem report at these bounds, pinned byte for byte; the
+    # default-bound report is pinned by perfbench's theorem-default digest
+    assert report_digest(in_process) == \
+        "3ac0a291a4e276edaadfd74f0b6c1b89ca9d0a436df54c97b58c8759d82859a6"
     controls = [c for c in optimised["checks"]
                 if "/corrupt" in c.get("presentation", "")]
     assert len(controls) == 5
