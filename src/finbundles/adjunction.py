@@ -616,7 +616,10 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
                     max_witnesses: int = 3) -> dict:
     """Verify the over-base comparison: the orbit quotient of each left
     value maps bijectively and naturally onto the underlying object.  No
-    object and no morphism means nothing was checked, which fails."""
+    object and no morphism means nothing was checked, which fails.  A
+    failure's witness is the comparison's NotBijective witness (its two
+    ends, when those are wrong), the orbit k with its two base points, or
+    where the two sides of the naturality square differ."""
     if pres.over_iso_at is None:
         raise NotOverBase("presentation carries no over-base comparison")
     failures = []
@@ -628,7 +631,8 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
         under = pres.dom.carrier(o)
         if comp.dom != orb.quotient or comp.cod != under or not comp.is_bijection():
             if len(failures) < max_witnesses:
-                failures.append({"at": _obj_desc(o), "reason": "not a bijection"})
+                failures.append({"at": _obj_desc(o), "reason": "not a bijection",
+                                 **(_verdict(comp) or {"witness": (comp.dom, comp.cod)})})
             continue
         if isinstance(pres.left_obj(o), Mor):
             arrow = pres.left_obj(o).fn
@@ -637,8 +641,8 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
                 xval = arrow.table[orb.reps[k]] % x_size
                 if o.table[comp.table[k]] != xval:
                     if len(failures) < max_witnesses:
-                        failures.append({"at": _obj_desc(o),
-                                         "reason": "projection mismatch"})
+                        failures.append({"at": _obj_desc(o), "reason": "projection mismatch",
+                                         "witness": (k, o.table[comp.table[k]], xval)})
                     break
     dom_mors = list(dom_mors or [])
     for m in dom_mors:
@@ -649,7 +653,8 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
         lhs = induced.then(pres.over_iso_at(m.cod))
         rhs = pres.over_iso_at(m.dom).then(m.fn)
         if lhs != rhs and len(failures) < max_witnesses:
-            failures.append({"square": "over", "at": _obj_desc(m.dom)})
+            failures.append({"square": "over", "at": _obj_desc(m.dom),
+                             "witness": _difference(lhs, rhs)})
     return {"check": "over_base", "presentation": pres.name,
             "objects": len(dom_objs),
             "passed": bool(dom_objs or dom_mors) and not failures,
@@ -742,7 +747,8 @@ def factor_to_slice(pres: AdjunctionPresentation) -> AdjunctionPresentation:
 def corollary_slice_criterion(pres: AdjunctionPresentation, dom_objs, cod_objs,
                               stable_slices, hom_cap: int = 4000) -> dict:
     """Compare the single-slice reciprocity criterion (slicing only at the
-    trivial action on the base) against the full stable check."""
+    trivial action on the base) against the full stable check; the report
+    holds both checks' reports."""
     _require(pres.cod, ActionCategory)
     alg = pres.cod.algebra
     x = pres.dom.base
@@ -756,7 +762,8 @@ def corollary_slice_criterion(pres: AdjunctionPresentation, dom_objs, cod_objs,
             "criterion_passed": criterion["passed"],
             "stable_passed": full["passed"],
             "agree": criterion["passed"] == full["passed"],
-            "passed": criterion["passed"] == full["passed"]}
+            "passed": criterion["passed"] == full["passed"],
+            "criterion": criterion, "stable": full}
 
 
 # Slice/groupoid translation -------------------------------------------------

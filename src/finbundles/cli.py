@@ -3,7 +3,9 @@ and JSON report emission.
 
 Subcommands: verify | enumerate | theorem | glue.  Reports are
 deterministic for a fixed configuration apart from the elapsed_s field;
-the exit code is 0 exactly when every check passed.
+the exit code is 0 exactly when no check failed.  Every entry has the one
+shape of suites.py; a witness that is not a JSON value is written as its
+repr.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from pathlib import Path
 from .algebra import AlgebraError, group_from_json, groupoid_from_json
 from .suites import (
     Bounds,
+    _failed,
+    _outcome,
+    _subject,
     enumerate_checks,
     glue_checks,
     theorem_checks,
@@ -26,10 +31,11 @@ from .torsor import bundle_from_json
 
 
 class ParseError(Exception):
+    """The witness is what the JSON reader reported."""
+
     def __init__(self, path, detail):
         super().__init__("%s: %s" % (path, detail))
-        self.path = str(path)
-        self.detail = detail
+        self.witness = detail
 
 
 class MissingAlgebra(Exception):
@@ -59,26 +65,20 @@ def load_fixtures(fixtures_dir: Path):
     groups, groupoids, bundles, failures = {}, {}, {}, []
 
     def record(path, exc):
-        failures.append({"check": "fixture", "fixture": str(path),
-                         "passed": False, "error": type(exc).__name__,
-                         "witness": getattr(exc, "witness", None)
-                         or getattr(exc, "detail", None)})
+        failures.append(_failed("fixture", exc, fixture=str(path)))
 
     dirs = [fixtures_dir] if not fixtures_dir.is_dir() else [
         fixtures_dir / sub for sub in ("groups", "groupoids", "bundles")]
     for path in dirs:
         if not path.is_dir():
             record(path, NotADirectoryError("no such fixture directory"))
-    for path in sorted((fixtures_dir / "groups").glob("*.json")):
-        try:
-            groups[path.stem] = group_from_json(_load_json(path))
-        except (ParseError, AlgebraError, ValueError, KeyError) as exc:
-            record(path, exc)
-    for path in sorted((fixtures_dir / "groupoids").glob("*.json")):
-        try:
-            groupoids[path.stem] = groupoid_from_json(_load_json(path))
-        except (ParseError, AlgebraError, ValueError, KeyError) as exc:
-            record(path, exc)
+    for sub, parse, into in (("groups", group_from_json, groups),
+                             ("groupoids", groupoid_from_json, groupoids)):
+        for path in sorted((fixtures_dir / sub).glob("*.json")):
+            try:
+                into[path.stem] = parse(_load_json(path))
+            except (ParseError, AlgebraError, ValueError, KeyError) as exc:
+                record(path, exc)
     for path in sorted((fixtures_dir / "bundles").glob("*.json")):
         try:
             data = _load_json(path)
@@ -102,8 +102,7 @@ def build_report(command: str, bounds: Bounds, checks: list[dict],
     return {"command": command,
             "bounds": bounds.to_json(),
             "checks": checks,
-            "all_passed": all(c.get("passed", False) for c in checks
-                              if "skipped" not in c),
+            "all_passed": all(_outcome(c) != "FAIL" for c in checks),
             "elapsed_s": round(elapsed, 3)}
 
 
@@ -165,19 +164,14 @@ def main(argv=None) -> int:
     bounds = Bounds(group_order=args.bound_group, carrier=args.bound_carrier,
                     base=args.bound_base, seed=args.seed)
     report = COMMANDS[args.command](args.fixtures, bounds)
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, default=repr)
     if args.out is not None:
         args.out.write_text(text + "\n")
     if args.json or args.out is None:
         print(text)
     else:
         for check in report["checks"]:
-            label = check.get("fixture") or check.get("group") or \
-                check.get("groupoid") or check.get("presentation") or \
-                check.get("f") or ""
-            verdict = "skipped" if "skipped" in check else \
-                "ok" if check.get("passed") else "FAIL"
-            print("%-28s %-24s %s" % (check["check"], label, verdict))
+            print("%-28s %-24s %s" % (check["check"], _subject(check), _outcome(check)))
         print("all_passed:", report["all_passed"])
     return 0 if report["all_passed"] else 1
 

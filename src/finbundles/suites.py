@@ -1,21 +1,28 @@
 """Check suites: reusable bundles of law checks over explicit bounds.
 The CLI wraps these in reports; the acceptance tests call them directly.
 
-Every check returns a plain dict with at least "check", "passed" and the
-bounds it ran at, so reports are JSON-ready and deterministic.  A check
-left out by the bounds is recorded with "skipped" and the reason in place
-of "passed".
+Every report entry has one shape, built only by _passed, _failed and
+_skipped: "check" names the family and the other fields name the case
+and its bounds.  A passed entry has "passed": true.  A failed one has
+"passed": false, an "error" naming the typed error or the law that
+failed, and the "witness" of what it caught (the bounds, when no case
+was in them).  A skipped one gives its reason under "skipped" and has
+no "passed".  The CLI's "fixture" entries come from the same builders:
+a fixture that cannot be read or validated, a broken group table
+included, is a failed "fixture" entry and never reaches group_axioms.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 from . import clear_caches
 from .finset import (
     FinFn,
     FinSet,
+    NotBijective,
     Pullback,
     TERMINAL,
     all_functions,
@@ -29,6 +36,7 @@ from .algebra import (
     arrows_action,
     equivariance_witness,
     trivial_action,
+    untwist_iso,
     validate_group,
     validate_groupoid,
 )
@@ -51,6 +59,7 @@ from .torsor import (
 )
 from .adjunction import (
     AdjunctionError,
+    FrobeniusFail,
     RoundTripFail,
     adjunction_to_bundle,
     bundle_to_adjunction,
@@ -77,9 +86,55 @@ class Bounds:
     seed: int = 0
 
     def to_json(self) -> dict:
-        return {"group_order": self.group_order, "carrier": self.carrier,
-                "base": self.base, "family_total": self.family_total,
-                "family_carrier": self.family_carrier, "seed": self.seed}
+        return asdict(self)
+
+
+def _passed(check: str, **fields) -> dict:
+    return {"check": check, **fields, "passed": True}
+
+
+def _failed(check: str, error, witness=None, **fields) -> dict:
+    """error names what failed, or is the caught exception: then its class
+    name is the error, and its witness, else its message, the witness."""
+    if isinstance(error, Exception):
+        witness = getattr(error, "witness", None)
+        error, witness = type(error).__name__, str(error) if witness is None else witness
+    return {"check": check, **fields, "passed": False, "error": error, "witness": witness}
+
+
+def _skipped(check: str, measure: str, limit: str, bound: int, **fields) -> dict:
+    return {"check": check, **fields,
+            "skipped": "%s %d exceeds the %s %d" % (measure, fields[measure], limit, bound)}
+
+
+def _tally(check: str, count: int, scope: dict, failures: list, error=None,
+           **fields) -> dict:
+    """A family's entry, its first failure records as "witnesses": failed
+    on the first record (error names it if the record does not), or on the
+    bounds scope when no case was in them."""
+    fields["witnesses"] = failures[:3]
+    if not count:
+        return _failed(check, "no case in bounds", scope, **fields)
+    if failures:
+        return _failed(check, failures[0].get("error", error), failures[0], **fields)
+    return _passed(check, **fields)
+
+
+def _outcome(entry: dict) -> str:
+    return "skipped" if "skipped" in entry else "ok" if entry["passed"] else "FAIL"
+
+
+def _subject(entry: dict) -> str:
+    return next((str(entry[k]) for k in ("fixture", "group", "groupoid", "presentation", "f")
+                 if k in entry), "")
+
+
+def _not_bijective(fn: FinFn):
+    """The NotBijective witness of a map that is not a bijection."""
+    try:
+        fn.inverse()
+    except NotBijective as exc:
+        return exc.witness
 
 
 def point_slice(n: int) -> FinFn:
@@ -95,33 +150,19 @@ def sorted_groups(gs: dict, max_order: int) -> list:
 
 def verify_checks(groups, groupoids, bundles, bounds: Bounds) -> list[dict]:
     checks = []
-    for name, g in sorted(groups.items()):
-        try:
-            validate_group([list(r) for r in g.comp], g.ident.table[0], list(g.inv.table))
-            checks.append({"check": "group_axioms", "fixture": name, "passed": True})
-        except (AlgebraError, ValueError) as exc:
-            checks.append({"check": "group_axioms", "fixture": name, "passed": False,
-                           "error": type(exc).__name__,
-                           "witness": getattr(exc, "witness", None)})
-    for name, g in sorted(groupoids.items()):
-        try:
-            validate_groupoid(g.objects.size, g.arrows.size, list(g.src.table),
-                              list(g.tgt.table), list(g.ident.table),
-                              [list(r) for r in g.comp], list(g.inv.table))
-            checks.append({"check": "groupoid_axioms", "fixture": name, "passed": True})
-        except (AlgebraError, ValueError) as exc:
-            checks.append({"check": "groupoid_axioms", "fixture": name, "passed": False,
-                           "error": type(exc).__name__,
-                           "witness": getattr(exc, "witness", None)})
-    for name, b in sorted(bundles.items()):
-        try:
-            w = is_principal_bundle(b)
-            division_map(w)
-            checks.append({"check": "bundle_torsor", "fixture": name, "passed": True})
-        except TorsorError as exc:
-            checks.append({"check": "bundle_torsor", "fixture": name, "passed": False,
-                           "error": type(exc).__name__,
-                           "witness": getattr(exc, "witness", None)})
+    for check, validate, fixtures in (
+            ("group_axioms", lambda g: validate_group(
+                [list(r) for r in g.comp], g.ident.table[0], list(g.inv.table)), groups),
+            ("groupoid_axioms", lambda g: validate_groupoid(
+                g.objects.size, g.arrows.size, list(g.src.table), list(g.tgt.table),
+                list(g.ident.table), [list(r) for r in g.comp], list(g.inv.table)), groupoids),
+            ("bundle_torsor", lambda b: division_map(is_principal_bundle(b)), bundles)):
+        for name, value in sorted(fixtures.items()):
+            try:
+                validate(value)
+                checks.append(_passed(check, fixture=name))
+            except (AlgebraError, TorsorError, ValueError) as exc:
+                checks.append(_failed(check, exc, fixture=name))
     checks.append(untwist_check(groups, max_order=bounds.group_order,
                                 max_carrier=bounds.family_carrier + 1))
     checks.append(sigma_frobenius_check(groups, max_order=bounds.group_order,
@@ -135,8 +176,6 @@ def verify_checks(groups, groupoids, bundles, bounds: Bounds) -> list[dict]:
 
 
 def untwist_check(groups, max_order: int, max_carrier: int) -> dict:
-    from .algebra import untwist_iso
-
     count = 0
     failures = []
     for name, g in sorted_groups(groups, max_order):
@@ -149,9 +188,8 @@ def untwist_check(groups, max_order: int, max_carrier: int) -> dict:
                                      "error": type(exc).__name__,
                                      "witness": getattr(exc, "witness", None)})
                 count += 1
-    return {"check": "untwist_certificates", "cases": count,
-            "bounds": {"group_order": max_order, "carrier": max_carrier},
-            "passed": not failures, "witnesses": failures[:3]}
+    scope = {"group_order": max_order, "carrier": max_carrier}
+    return _tally("untwist_certificates", count, scope, failures, cases=count, bounds=scope)
 
 
 def sigma_frobenius_check(groups, max_order: int, max_x: int, max_carrier: int) -> dict:
@@ -163,9 +201,10 @@ def sigma_frobenius_check(groups, max_order: int, max_x: int, max_carrier: int) 
                                    action_family(g, max_carrier)))
             for name, g in sorted_groups(groups, max_order)]
     failures = [{"group": name, **w} for name, rep in reps for w in rep["witnesses"]]
-    return {"check": "sigma_frobenius", "cases": sum(rep["pairs"] for _, rep in reps),
-            "bounds": {"group_order": max_order, "x": max_x, "carrier": max_carrier},
-            "passed": all(rep["passed"] for _, rep in reps), "witnesses": failures[:3]}
+    count = sum(rep["pairs"] for _, rep in reps)
+    scope = {"group_order": max_order, "x": max_x, "carrier": max_carrier}
+    return _tally("sigma_frobenius", count, scope, failures, "NotBijective",
+                  cases=count, bounds=scope)
 
 
 def psi_laws_check(groups, max_order: int, max_base: int, skipped=None) -> dict:
@@ -176,15 +215,13 @@ def psi_laws_check(groups, max_order: int, max_base: int, skipped=None) -> dict:
     failures = []
     for name, g in sorted_groups(groups, max_order):
         for nx in range(1, max_base + 1):
-            x = FinSet(nx)
             if g.order * nx > CARRIER_LIMIT:
                 if skipped is not None:
-                    skipped.append({"check": "psi_laws", "group": name, "base": nx,
-                                    "carrier": g.order * nx,
-                                    "skipped": "carrier %d exceeds the enumeration limit %d"
-                                    % (g.order * nx, CARRIER_LIMIT)})
+                    skipped.append(_skipped("psi_laws", "carrier", "enumeration limit",
+                                            CARRIER_LIMIT, group=name, base=nx,
+                                            carrier=g.order * nx))
                 continue
-            enum = enumerate_torsors(g, x, FinSet(g.order * nx))
+            enum = enumerate_torsors(g, FinSet(nx), FinSet(g.order * nx))
             for w in enum.witnesses:
                 try:
                     division_map(w)
@@ -192,9 +229,8 @@ def psi_laws_check(groups, max_order: int, max_base: int, skipped=None) -> dict:
                     failures.append({"group": name, "base": nx, "error": str(exc),
                                      "witness": exc.witness})
                 count += 1
-    return {"check": "psi_laws", "torsors": count,
-            "bounds": {"group_order": max_order, "base": max_base},
-            "passed": not failures, "witnesses": failures[:3]}
+    scope = {"group_order": max_order, "base": max_base}
+    return _tally("psi_laws", count, scope, failures, torsors=count, bounds=scope)
 
 
 def descent_roundtrip_check(max_total: int, max_base: int) -> dict:
@@ -207,9 +243,9 @@ def descent_roundtrip_check(max_total: int, max_base: int) -> dict:
                     cases, bad = descent_roundtrip(pullback(f, f), max_total)
                     count += cases
                     failures.extend(bad)
-    return {"check": "descent_roundtrip", "cases": count,
-            "bounds": {"total": max_total, "base": max_base},
-            "passed": not failures, "witnesses": failures[:3]}
+    scope = {"total": max_total, "base": max_base}
+    return _tally("descent_roundtrip", count, scope, failures, "glued fibre sizes differ",
+                  cases=count, bounds=scope)
 
 
 def descent_roundtrip(kp: Pullback, max_total: int) -> tuple[int, list[dict]]:
@@ -237,38 +273,29 @@ def enumerate_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
     checks = []
     for name, g in sorted_groups(groups, bounds.group_order):
         if g.order > bounds.carrier:
-            checks.append({"check": "torsor_count", "group": name, "base": 1,
-                           "carrier": g.order,
-                           "skipped": "carrier %d exceeds the carrier bound %d"
-                           % (g.order, bounds.carrier)})
+            checks.append(_skipped("torsor_count", "carrier", "carrier bound", bounds.carrier,
+                                   group=name, base=1, carrier=g.order))
             continue
         enum = enumerate_torsors(g, TERMINAL, FinSet(g.order), max_carrier=bounds.carrier)
-        expected = _factorial(g.order) // g.order
-        checks.append({"check": "torsor_count", "group": name, "base": 1,
-                       "carrier": g.order, "structures": enum.structures,
-                       "iso_classes": enum.iso_count,
-                       "expected_structures": expected,
-                       "representatives": [
-                           {"proj": list(w.bundle.proj.table),
-                            "act": [list(r) for r in w.bundle.action.act]}
-                           for w in enum.class_reps()],
-                       "passed": enum.structures == expected})
+        expected = math.factorial(g.order - 1)
+        fields = {"group": name, "base": 1, "carrier": g.order,
+                  "structures": enum.structures, "iso_classes": enum.iso_count,
+                  "expected_structures": expected,
+                  "representatives": [{"proj": list(w.bundle.proj.table),
+                                       "act": [list(r) for r in w.bundle.action.act]}
+                                      for w in enum.class_reps()]}
+        checks.append(_passed("torsor_count", **fields) if enum.structures == expected else
+                      _failed("torsor_count", "structure count differs", enum.structures,
+                              **fields))
         # release this group's witnesses before the next group's are built
         del enum
-    for name, gd in sorted(groupoids.items()):
-        if not name.startswith("discrete"):
-            continue
-        size = gd.objects.size
-        for nx in range(1, bounds.base + 1):
-            if nx > GROUPOID_BASE_LIMIT:
-                checks.append(_base_skip("groupoid_bundle_count", name, nx))
-                continue
-            x = FinSet(nx)
-            enum = enumerate_torsors(gd, x, x, max_carrier=bounds.carrier)
-            checks.append({"check": "groupoid_bundle_count", "groupoid": name,
-                           "base": nx, "iso_classes": enum.iso_count,
-                           "expected": size ** nx,
-                           "passed": enum.iso_count == size ** nx})
+    check = "groupoid_bundle_count"
+    for name, nx, expected, enum in _discrete_cases(groupoids, bounds, check, checks,
+                                                    max_carrier=bounds.carrier):
+        fields = {"groupoid": name, "base": nx, "iso_classes": enum.iso_count,
+                  "expected": expected}
+        checks.append(_passed(check, **fields) if enum.iso_count == expected else
+                      _failed(check, "iso class count differs", enum.iso_count, **fields))
     return checks
 
 
@@ -276,17 +303,18 @@ def enumerate_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
 GROUPOID_BASE_LIMIT = 3
 
 
-def _base_skip(check: str, groupoid: str, base: int) -> dict:
-    return {"check": check, "groupoid": groupoid, "base": base,
-            "skipped": "base %d exceeds the groupoid base limit %d"
-            % (base, GROUPOID_BASE_LIMIT)}
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
+def _discrete_cases(groupoids, bounds: Bounds, check: str, checks: list, **limits):
+    """(name, base, expected number of iso classes, torsor enumeration) for
+    each discrete groupoid and base in bounds, in report order; a base over
+    the limit gets check's skip entry in checks instead."""
+    for name, gd in sorted(groupoids.items()):
+        for nx in range(1, bounds.base + 1) if name.startswith("discrete") else ():
+            if nx > GROUPOID_BASE_LIMIT:
+                checks.append(_skipped(check, "base", "groupoid base limit",
+                                       GROUPOID_BASE_LIMIT, groupoid=name, base=nx))
+            else:
+                x = FinSet(nx)
+                yield name, nx, gd.objects.size ** nx, enumerate_torsors(gd, x, x, **limits)
 
 
 # theorem --------------------------------------------------------------------
@@ -321,8 +349,10 @@ def stable_slice_objects(alg, x: FinSet) -> list[ActionObject]:
 
 
 def theorem_torsor_checks(w, bounds: Bounds) -> dict:
-    """The full per-torsor theorem instance: round trip, triangle
-    identities, over-base comparison, stable reciprocity.  The module
+    """The full per-torsor theorem instance: triangle identities,
+    over-base comparison, round trip, stable reciprocity and the two
+    tensor identities.  A failed instance has its first failing sub-check,
+    in that order, as error and that sub-check's witness.  The module
     caches are scoped to the instance: they are emptied when it returns or
     raises, since their keys are this torsor's actions."""
     try:
@@ -334,46 +364,62 @@ def theorem_torsor_checks(w, bounds: Bounds) -> dict:
         cod_objs = action_family(alg, bounds.family_carrier)
         tri = check_triangles(pres, dom_objs, cod_objs)
         over = check_over_base(pres, dom_objs)
-        results = {"triangles": tri["passed"], "over": over["passed"]}
+        roundtrip = None
         try:
             b2 = adjunction_to_bundle(pres, dom_objs, cod_objs)
             bundle_roundtrip_cert(w, b2)
             is_principal_bundle(b2)
-            results["roundtrip"] = True
-        except (AdjunctionError, TorsorError):
-            results["roundtrip"] = False
+        except (AdjunctionError, TorsorError) as exc:
+            roundtrip = {"error": type(exc).__name__, "witness": exc.witness}
         stable = check_stably_frobenius(pres, stable_slice_objects(alg, x),
                                         dom_objs, cod_objs)
-        results["stable"] = stable["passed"]
-        results["tensor_self"] = _tensor_self_iso_ok(w, tensor(b.action, arrows_action(alg)))
-        results["tensor_trivial"] = all(_tensor_trivial_iso_ok(w, ny) for ny in range(4))
-        return {"check": "theorem_roundtrip",
-                "group_order": alg.order, "base": x.size,
-                "carrier": b.action.carrier.size,
-                "results": results,
-                "passed": all(results.values())}
+        witnesses = {
+            "triangles": None if tri["passed"] else tri["witnesses"],
+            "over": None if over["passed"] else over["witnesses"],
+            "roundtrip": roundtrip,
+            "stable": None if stable["passed"] else _stable_witness(stable),
+            "tensor_self": _tensor_self_iso_witness(w, tensor(b.action, arrows_action(alg))),
+            "tensor_trivial": _tensor_trivial_iso_witness(w)}
+        fields = {"group_order": alg.order, "base": x.size, "carrier": b.action.carrier.size,
+                  "results": {sub: v is None for sub, v in witnesses.items()}}
+        sub = next((sub for sub, v in witnesses.items() if v is not None), None)
+        return _passed("theorem_roundtrip", **fields) if sub is None else \
+            _failed("theorem_roundtrip", sub, witnesses[sub], **fields)
     finally:
         clear_caches()
 
 
-def _tensor_trivial_iso_ok(w, y_size: int) -> bool:
-    """Tensoring with a trivial action collapses the carrier factor to its
-    orbit set: over a point the result is the plain set, in general it is
-    the product with the base."""
+def _stable_witness(rep: dict) -> dict:
+    """The reciprocity report of a failed stable check's first failing
+    slice, which names the slice and its failing pairs with their verdicts;
+    the stable report itself when it had no slice."""
+    return next((r for r in rep["results"] if not r["passed"]), rep)
+
+
+def _tensor_trivial_iso_witness(w):
+    """Tensoring with a trivial action on Y collapses the carrier factor to
+    its orbit set: over a point the result is the plain set, in general it
+    is the product with the base.  Checked for |Y| < 4; None, or the first
+    |Y| where the comparison fails, with its NotBijective witness."""
     b = w.bundle
-    y = FinSet(y_size)
-    t = tensor(b.action, trivial_action(b.action.algebra, y))
-    target = product(b.base, y)
-    # the trivial action's point (o, y) has index o * |Y| + y
-    pairs = map(t.rep_pair, range(t.carrier.size))
-    return FinFn(t.carrier, target.carrier,
-                 tuple(target.index(b.proj.table[p], oy % y_size) for p, oy in pairs)
-                 ).is_bijection()
+    for y_size in range(4):
+        y = FinSet(y_size)
+        t = tensor(b.action, trivial_action(b.action.algebra, y))
+        target = product(b.base, y)
+        # the trivial action's point (o, y) has index o * |Y| + y
+        pairs = map(t.rep_pair, range(t.carrier.size))
+        fn = FinFn(t.carrier, target.carrier,
+                   tuple(target.index(b.proj.table[p], oy % y_size) for p, oy in pairs))
+        if not fn.is_bijection():
+            return {"y": y_size, "witness": _not_bijective(fn)}
+    return None
 
 
-def _tensor_self_iso_ok(w, t) -> bool:
+def _tensor_self_iso_witness(w, t):
     """tensor with the arrows action is the carrier again, over the base:
-    the class of p (x) g corresponds to g^(-1).p."""
+    the class of p (x) g corresponds to g^(-1).p.  None, or the comparison's
+    NotBijective witness, or (k, its base point, p's) for the first class k
+    it sends to another fibre."""
     b = w.bundle
     g = b.action.algebra
     table = [None] * t.carrier.size
@@ -382,12 +428,12 @@ def _tensor_self_iso_ok(w, t) -> bool:
         table[k] = b.action.act[g.inverse(h)][p]
     fn = FinFn(t.carrier, b.action.carrier, tuple(table))
     if not fn.is_bijection():
-        return False
+        return _not_bijective(fn)
     for k in range(t.carrier.size):
         p, h = t.rep_pair(k)
         if b.proj.table[fn.table[k]] != b.proj.table[p]:
-            return False
-    return True
+            return k, b.proj.table[fn.table[k]], b.proj.table[p]
+    return None
 
 
 def theorem_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
@@ -400,28 +446,30 @@ def theorem_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
             try:
                 enum = enumerate_torsors(g, x, FinSet(g.order * nx))
             except BoundsExceeded as exc:
-                checks.append({"check": "theorem_suite_group", "group": name,
-                               "base": nx, "torsors": 0, "error": "BoundsExceeded",
-                               "witness": exc.witness, "passed": False})
+                checks.append(_failed("theorem_suite_group", exc, group=name, base=nx,
+                                      torsors=0))
                 continue
             per = [theorem_torsor_checks(w, bounds) for w in enum.witnesses]
-            checks.append({"check": "theorem_suite_group", "group": name,
-                           "base": nx, "torsors": len(per),
-                           "passed": all(c["passed"] for c in per)})
+            # the first failing torsor, by its index in enumeration order
+            i = next((i for i, c in enumerate(per) if not c["passed"]), None)
+            checks.append(
+                _passed("theorem_suite_group", group=name, base=nx, torsors=len(per))
+                if i is None else
+                _failed("theorem_suite_group", per[i]["error"],
+                        {"torsor": i, "witness": per[i]["witness"]},
+                        group=name, base=nx, torsors=len(per)))
     for name, g in sorted_groups(groups, bounds.group_order):
-        sp = sigma_presentation(g)
         try:
             rep = check_stably_frobenius(
-                sp, [point_slice(n) for n in range(1, 4)],
+                sigma_presentation(g), [point_slice(n) for n in range(1, 4)],
                 action_family(g, bounds.family_carrier + 1),
                 slice_family(TERMINAL, bounds.family_total + 1))
         except FamilyTooLarge as exc:
-            checks.append({"check": "sigma_stably_frobenius", "group": name,
-                           "error": "FamilyTooLarge", "witness": exc.witness,
-                           "passed": False})
+            checks.append(_failed("sigma_stably_frobenius", exc, group=name))
             continue
-        checks.append({"check": "sigma_stably_frobenius", "group": name,
-                       "passed": rep["passed"]})
+        checks.append(_passed("sigma_stably_frobenius", group=name) if rep["passed"] else
+                      _failed("sigma_stably_frobenius", "not stably Frobenius",
+                              _stable_witness(rep), group=name))
     checks.extend(corollary_checks(groups, bounds))
     checks.extend(groupoid_instance_checks(groupoids, bounds))
     checks.append(negative_control_check(groups, bounds))
@@ -441,8 +489,9 @@ def corollary_checks(groups, bounds: Bounds) -> list[dict]:
                 if pres.cod.algebra.order >= 2]
     corrupted = []
     if not eligible:
-        checks.append({"check": "corollary_negative_controls", "passed": False,
-                       "reason": "no presentation over a nontrivial algebra is in bounds"})
+        checks.append(_failed("corollary_negative_controls",
+                              "no presentation over a nontrivial algebra is in bounds",
+                              bounds.to_json()))
     else:
         for style in range(1, 6):
             name, pres = eligible[(style - 1) % len(eligible)]
@@ -455,43 +504,44 @@ def corollary_checks(groups, bounds: Bounds) -> list[dict]:
             action_family(alg, bounds.family_carrier),
             stable_slice_objects(alg, x))
         negative = "corrupt" in name
-        ok = rep["agree"] and (rep["criterion_passed"] != negative)
-        checks.append({"check": "corollary_agreement", "presentation": name,
-                       "criterion_passed": rep["criterion_passed"],
-                       "stable_passed": rep["stable_passed"],
-                       "negative_control": negative, "passed": ok})
+        fields = {"presentation": name, "criterion_passed": rep["criterion_passed"],
+                  "stable_passed": rep["stable_passed"], "negative_control": negative}
+        if rep["agree"] and rep["criterion_passed"] != negative:
+            checks.append(_passed("corollary_agreement", **fields))
+            continue
+        # the failing slice when only the stable check failed, else the
+        # criterion's report: its failing pairs, or the pairs it passed
+        witness = _stable_witness(rep["stable"]) if rep["criterion_passed"] and \
+            not rep["stable_passed"] else rep["criterion"]
+        error = "the criterion and the stable check disagree" if not rep["agree"] else \
+            "a corrupted counit passes" if negative else "reciprocity fails"
+        checks.append(_failed("corollary_agreement", error, witness, **fields))
     return checks
 
 
 def groupoid_instance_checks(groupoids, bounds: Bounds) -> list[dict]:
     checks = []
-    for name, gd in sorted(groupoids.items()):
-        if not name.startswith("discrete"):
-            continue
-        s_size = gd.objects.size
-        for nx in range(1, bounds.base + 1):
-            if nx > GROUPOID_BASE_LIMIT:
-                checks.append(_base_skip("groupoid_instance", name, nx))
-                continue
-            x = FinSet(nx)
-            enum = enumerate_torsors(gd, x, x)
-            ok = enum.iso_count == s_size ** nx
-            match_ok = True
-            for w in enum.class_reps():
-                if not discrete_bundle_matches_basechange(w, bounds):
-                    match_ok = False
-            checks.append({"check": "groupoid_instance", "groupoid": name,
-                           "base": nx, "iso_classes": enum.iso_count,
-                           "expected": s_size ** nx,
-                           "basechange_match": match_ok,
-                           "passed": ok and match_ok})
+    check = "groupoid_instance"
+    for name, nx, expected, enum in _discrete_cases(groupoids, bounds, check, checks):
+        found = ((i, _basechange_witness(w, bounds)) for i, w in enumerate(enum.class_reps()))
+        mismatch = next(({"class_rep": i, "witness": m} for i, m in found if m is not None), None)
+        fields = {"groupoid": name, "base": nx, "iso_classes": enum.iso_count,
+                  "expected": expected, "basechange_match": mismatch is None}
+        if enum.iso_count != expected:
+            checks.append(_failed(check, "iso class count differs", enum.iso_count, **fields))
+        elif mismatch is not None:
+            checks.append(_failed(check, "not base change", mismatch, **fields))
+        else:
+            checks.append(_passed(check, **fields))
     return checks
 
 
-def discrete_bundle_matches_basechange(w, bounds: Bounds) -> bool:
+def _basechange_witness(w, bounds: Bounds):
     """For a discrete groupoid the induced adjunction is base change along
     the anchor-over-projection map, up to a natural isomorphism whose
-    component drops the carrier factor."""
+    component drops the carrier factor.  None, or the first slice where
+    that fails: the component's NotBijective witness, or (k, k's anchor,
+    its image's anchor) for the first point k whose anchor moves."""
     b = w.bundle
     gd = b.action.algebra
     x = b.base
@@ -506,22 +556,23 @@ def discrete_bundle_matches_basechange(w, bounds: Bounds) -> bool:
         component = FinFn(lo.carrier, translated.dom,
                           tuple(wv for (_, wv) in pb.pairs))
         if not component.is_bijection():
-            return False
+            return {"slice": list(o.table), "witness": _not_bijective(component)}
         for k in range(lo.carrier.size):
-            if lo.anchor.table[k] != translated.table[component.table[k]]:
-                return False
-    return True
+            anchors = lo.anchor.table[k], translated.table[component.table[k]]
+            if anchors[0] != anchors[1]:
+                return {"slice": list(o.table), "witness": (k, *anchors)}
+    return None
 
 
 def negative_control_check(groups, bounds: Bounds) -> dict:
     """The trivial-action/fixed-points presentation is over the base but
     must be rejected: reciprocity fails for every nontrivial group."""
-    from .adjunction import FrobeniusFail
-
     failures = []
+    cases = 0
     for name, g in sorted_groups(groups, bounds.group_order):
         if g.order < 2:
             continue
+        cases += 1
         pres = fixedpoints_presentation(g)
         dom_objs = slice_family(TERMINAL, bounds.family_total + 1)
         # the family must reach the group's own carrier size so that a
@@ -529,11 +580,11 @@ def negative_control_check(groups, bounds: Bounds) -> dict:
         cod_objs = action_family(g, max(bounds.family_carrier + 1, g.order))
         try:
             adjunction_to_bundle(pres, dom_objs, cod_objs)
-            failures.append({"group": name, "reason": "accepted"})
+            failures.append({"group": name})
         except FrobeniusFail:
             pass
-    return {"check": "fixedpoints_rejected", "passed": not failures,
-            "witnesses": failures}
+    return _tally("fixedpoints_rejected", cases, bounds.to_json(), failures,
+                  "the fixed-points presentation is accepted")
 
 
 # glue -----------------------------------------------------------------------
@@ -587,7 +638,8 @@ def glue_checks(bounds: Bounds, max_p: int = 4, max_y: int = 4) -> list[dict]:
                     for d in all_descent_data(kp, ny):
                         glued = glue_descent_data(f, d)
                         if glued.pullback.carrier.size != d.over.dom.size:
-                            failures.append({"f": list(f.table), "y": ny})
+                            failures.append({"f": list(f.table), "y": ny,
+                                             "reason": "glued size differs"})
                         witness = intertwining_witness(d, glued)
                         if witness is not None:
                             failures.append({"f": list(f.table), "y": ny,
@@ -595,12 +647,11 @@ def glue_checks(bounds: Bounds, max_p: int = 4, max_y: int = 4) -> list[dict]:
                                              "at": list(witness)})
                         count += 1
                 _, roundtrip_failures = descent_roundtrip(kp, max_y)
-                arises = not roundtrip_failures
-                check = {"check": "descent_gluing", "f": list(f.table),
-                         "base": nx, "data": count,
-                         "essentially_surjective": arises,
-                         "passed": not failures and arises}
-                if not check["passed"]:
-                    check["witnesses"] = (failures + roundtrip_failures)[:3]
-                checks.append(check)
+                fields = {"f": list(f.table), "base": nx, "data": count,
+                          "essentially_surjective": not roundtrip_failures}
+                failures += roundtrip_failures
+                checks.append(
+                    _passed("descent_gluing", **fields) if not failures else
+                    _failed("descent_gluing", failures[0].get("reason", "not essentially surjective"),
+                            failures[0], witnesses=failures[:3], **fields))
     return checks

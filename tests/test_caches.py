@@ -84,7 +84,7 @@ def test_theorem_instance_empties_the_module_caches_when_it_raises(monkeypatch):
         assert adjunction._tensor_cache
         raise RuntimeError("sub-check failed")
 
-    monkeypatch.setattr(suites, "_tensor_self_iso_ok", fail)
+    monkeypatch.setattr(suites, "_tensor_self_iso_witness", fail)
     w = trivial_torsor(catalog.cyclic(3), FinSet(2))
     with pytest.raises(RuntimeError):
         theorem_torsor_checks(w, Bounds())

@@ -259,14 +259,29 @@ def test_missing_fixture_subdirectory_is_a_failed_check(tmp_path, capsys):
 
 def test_theorem_without_negative_controls_fails_without_crashing(tmp_path, capsys):
     # no group of order >= 2 is in bounds, so no presentation can be
-    # corrupted into a negative control
+    # corrupted into a negative control, and no fixed-points presentation
+    # can be rejected
     for fixtures, bound in ((_fixture_tree(tmp_path / "empty"), "4"), (FIXTURES, "1")):
         code = main(["theorem", "--fixtures", str(fixtures), "--bound-group", bound,
                      "--json"])
         report = json.loads(capsys.readouterr().out)
         assert code == 1
         failed = [c for c in report["checks"] if not c["passed"]]
-        assert [c["check"] for c in failed] == ["corollary_negative_controls"]
+        assert [c["check"] for c in failed] == ["corollary_negative_controls",
+                                                "fixedpoints_rejected"]
+        assert failed[1]["witness"] == report["bounds"]
+
+
+def test_verify_on_an_empty_tree_fails_the_checks_that_checked_nothing(tmp_path, capsys):
+    code = main(["verify", "--fixtures", str(_fixture_tree(tmp_path / "empty")), "--json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = {c["check"]: c for c in report["checks"] if not c["passed"]}
+    assert sorted(failed) == ["psi_laws", "sigma_frobenius", "untwist_certificates"]
+    for entry in failed.values():
+        assert entry["error"] == "no case in bounds"
+        assert entry["witness"] == entry["bounds"]
+    assert failed["psi_laws"]["torsors"] == 0
 
 
 def test_theorem_carrier_beyond_the_enumeration_bound_is_a_failed_check():
@@ -420,3 +435,18 @@ def test_glue_under_python_O_matches_in_process_report():
     in_process.pop("elapsed_s")
     assert optimised == in_process
     assert optimised["all_passed"]
+
+
+def test_a_witness_that_is_not_a_json_value_is_written_as_its_repr(monkeypatch, capsys):
+    # a corrupted presentation's comparison map can stop on CodMismatch,
+    # whose witness is the two mismatched sets
+    from finbundles import cli
+    from finbundles.finset import CodMismatch, FinSet
+    from finbundles.suites import _failed
+
+    entry = _failed("corollary_agreement", CodMismatch("mismatch", (FinSet(2), FinSet(3))))
+    monkeypatch.setitem(cli.COMMANDS, "glue",
+                        lambda fixtures, bounds: cli.build_report("glue", bounds, [entry], 0.0))
+    assert main(["glue", "--json"]) == 1
+    witness = json.loads(capsys.readouterr().out)["checks"][0]["witness"]
+    assert witness == [repr(FinSet(2)), repr(FinSet(3))]

@@ -1,7 +1,10 @@
 """Failure entries of the check suites, fed broken inputs: each entry must
 fail for the stated reason and carry the witness of what it caught."""
 
+import json
+import shutil
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,11 +13,12 @@ from finbundles import adjunction, catalog, suites
 from finbundles.finset import FinFn, FinSet, IsoCertificate, NotInverse
 from finbundles.algebra import all_actions, arrows_action, untwist_iso
 from finbundles.torsor import DivisionLawFail, division_map, enumerate_torsors, trivial_torsor
-from finbundles.adjunction import tensor
+from finbundles.adjunction import corrupt_counit, tensor
+from finbundles.cli import main
 from finbundles.suites import (
     Bounds,
-    _tensor_self_iso_ok,
-    discrete_bundle_matches_basechange,
+    _basechange_witness,
+    _tensor_self_iso_witness,
     psi_laws_check,
     sigma_frobenius_check,
     theorem_checks,
@@ -26,6 +30,7 @@ Z3 = catalog.cyclic(3)
 # z3 with every element its own inverse: the multiplication is a group's,
 # so its actions and torsors are genuine, but the inverse table is wrong
 BAD_INV_Z3 = replace(Z3, inv=FinFn.identity(FinSet(3)))
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_family_too_large_is_a_failed_entry():
@@ -104,10 +109,10 @@ def test_tensor_self_iso_checks_the_base():
     w = trivial_torsor(Z2, FinSet(1))
     action = w.bundle.action
     t = tensor(action, arrows_action(Z2))
-    assert _tensor_self_iso_ok(w, t)
+    assert _tensor_self_iso_witness(w, t) is None
     split = SimpleNamespace(bundle=SimpleNamespace(
         action=action, base=FinSet(2), proj=FinFn(action.carrier, FinSet(2), (0, 1))))
-    assert not _tensor_self_iso_ok(split, t)
+    assert _tensor_self_iso_witness(split, t) is not None
 
 
 def test_basechange_match_compares_anchors(monkeypatch):
@@ -118,8 +123,89 @@ def test_basechange_match_compares_anchors(monkeypatch):
     x = FinSet(2)
     w = enumerate_torsors(gd, x, x).class_reps()[0]
     bounds = Bounds()
-    assert discrete_bundle_matches_basechange(w, bounds)
+    assert _basechange_witness(w, bounds) is None
     real = suites.pullback_presentation
     swap = FinFn(gd.objects, gd.objects, (1, 0))
     monkeypatch.setattr(suites, "pullback_presentation", lambda f: real(f.then(swap)))
-    assert not discrete_bundle_matches_basechange(w, bounds)
+    assert _basechange_witness(w, bounds) is not None
+
+
+# The gate: every check name a report can contain, made to fail on purpose.
+CHECK_NAMES = {
+    "fixture", "group_axioms", "groupoid_axioms", "bundle_torsor", "untwist_certificates",
+    "sigma_frobenius", "psi_laws", "descent_roundtrip", "torsor_count",
+    "groupoid_bundle_count", "theorem_suite_group", "sigma_stably_frobenius",
+    "corollary_negative_controls", "corollary_agreement", "groupoid_instance",
+    "fixedpoints_rejected", "descent_gluing"}
+
+
+def _cli_checks(capsys, *args) -> list[dict]:
+    assert main([*args, "--json"]) == 1
+    return json.loads(capsys.readouterr().out)["checks"]
+
+
+def test_every_failed_entry_names_its_error_and_witness(tmp_path, monkeypatch, capsys):
+    entries = []
+    # corrupted fixtures: an unreadable group, a group with a wrong inverse
+    # table (so the bundles over it lose their algebra), a bundle whose
+    # action does not move a point, and a missing directory
+    root = tmp_path / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    (root / "groups" / "broken.json").write_text("{not json")
+    z3 = json.loads((root / "groups" / "z3.json").read_text())
+    (root / "groups" / "z3.json").write_text(json.dumps(dict(z3, inv=[0, 1, 2])))
+    z2_self = json.loads((root / "bundles" / "z2_self.json").read_text())
+    z2_self["action"]["act"][1] = [0, 1]
+    (root / "bundles" / "z2_self.json").write_text(json.dumps(z2_self))
+    shutil.rmtree(root / "groupoids")
+    entries += _cli_checks(capsys, "verify", "--fixtures", str(root))
+    # nothing in bounds: the families that checked nothing fail
+    empty = tmp_path / "empty"
+    for sub in ("groups", "groupoids", "bundles"):
+        (empty / sub).mkdir(parents=True)
+    entries += _cli_checks(capsys, "verify", "--fixtures", str(empty))
+    entries += _cli_checks(capsys, "theorem", "--fixtures", str(FIXTURES), "--bound-group", "1")
+    # unvalidated tables never pass load_fixtures, so they go in directly
+    entries += suites.verify_checks({"bad": BAD_INV_Z3}, {"bad": BAD_INV_Z3}, {}, Bounds())
+    real_enumerate = suites.enumerate_torsors
+    real_glue = suites.glue_descent_data
+    real_sigma = suites.sigma_presentation
+    real_pullback = suites.pullback_presentation
+    real_bundle = suites.bundle_to_adjunction
+
+    def miscount(*args, **kwargs):
+        # one structure too many, and the last class dropped
+        enum = real_enumerate(*args, **kwargs)
+        return replace(enum, structures=enum.structures + 1, iso_classes=enum.iso_classes[:-1])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "enumerate_torsors", miscount)
+        entries += suites.enumerate_checks({"z2": Z2}, catalog.groupoids(), Bounds(base=1))
+    with monkeypatch.context() as patch:
+        # gluing that loses the total space, and a gluing that moves a point
+        patch.setattr(suites, "glue_descent_data", lambda f, d: SimpleNamespace(
+            result=FinFn(FinSet(0), f.cod, ()), pullback=real_glue(f, d).pullback))
+        entries.append(suites.descent_roundtrip_check(max_total=1, max_base=1))
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "intertwining_witness", lambda d, glued: (0, 0))
+        entries += suites.glue_checks(Bounds(base=1), max_p=1, max_y=1)
+    with monkeypatch.context() as patch:
+        # corrupted counits: the theorem, the sigma adjunction's stable
+        # reciprocity and the corollary's positive presentations fail; a
+        # genuine bundle's adjunction stands in for the fixed points one
+        patch.setattr(suites, "bundle_to_adjunction", lambda w: corrupt_counit(real_bundle(w), 1))
+        patch.setattr(suites, "sigma_presentation", lambda g: corrupt_counit(real_sigma(g), 1))
+        patch.setattr(suites, "fixedpoints_presentation",
+                      lambda g: real_bundle(trivial_torsor(g, FinSet(1))))
+        entries += theorem_checks({"z2": Z2}, {}, Bounds(group_order=2, base=1))
+    with monkeypatch.context() as patch:
+        swap = FinFn(FinSet(2), FinSet(2), (1, 0))
+        patch.setattr(suites, "pullback_presentation", lambda f: real_pullback(f.then(swap)))
+        entries += suites.groupoid_instance_checks(
+            {"discrete2": catalog.groupoids()["discrete2"]}, Bounds(base=1))
+    failed = [e for e in entries if "skipped" not in e and not e["passed"]]
+    assert {e["check"] for e in failed} == CHECK_NAMES
+    for entry in failed:
+        assert isinstance(entry["error"], str), entry
+        assert entry["witness"] is not None, entry
+        json.dumps(entry, default=repr)
