@@ -40,6 +40,7 @@ from .adjunction import (
     corollary_slice_criterion,
     factor_to_slice,
     frobenius_canonical_map,
+    presentation,
     slice_adjunction,
     slice_groupoid_equivalence,
     tensor,

@@ -1,6 +1,7 @@
-"""Adjunction presentations between slice and action categories, the
-tensor construction, both directions of the bundle <-> adjunction
-correspondence, and the Frobenius reciprocity checkers.
+"""Adjunction presentations between slice and action categories: the
+one builder of L_P -| R_P for an action over a base, the tensor, both
+directions of the bundle <-> adjunction correspondence, and the
+Frobenius reciprocity checkers.
 
 A presentation is a pair of computable functors with per-object unit and
 counit components.  These fix the adjunction: the hom-set bijection sends
@@ -14,6 +15,7 @@ bounds used.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 
@@ -152,29 +154,52 @@ def tensor(P: ActionObject, a: ActionObject) -> TensorResult:
     return result
 
 
-# The bundle -> adjunction direction ----------------------------------------
+# The presentation of a G-set over a base ----------------------------------
 
-def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
-    """The adjunction induced by a torsor: the left adjoint pairs the
-    carrier with a slice fibrewise, the right adjoint is the tensor with
-    its induced projection, the counit is fibrewise evaluation."""
-    b = w.bundle
-    alg = b.action.algebra
+def presentation(P: ActionObject, proj: FinFn, name: str | None = None
+                 ) -> AdjunctionPresentation:
+    """L_P -| R_P for an action P with an invariant map proj to a base X
+    (Mac Lane & Moerdijk, Sheaves in Geometry and Logic, ch. VII).  L_P
+    pairs P with a slice fibrewise: L_P(Y) = P x_X Y.  R_P(A) is the
+    coproduct over x of the equivariant maps from the fibre P_x to A: the
+    pairs (x, phi), ordered by x, then by phi.  phi is stored as its
+    values at the least point r of each orbit of P_x; each is a point of A
+    with r's anchor that r's stabiliser fixes.  The unit sends y to
+    (o(y), r |-> (r, y)); the counit evaluates, sending (p, (x, phi)) to
+    g.phi(r) for any arrow g that moves r onto p.  For a torsor R_P(A) is
+    the tensor P (x) A; for a point over a point it is the fixed points."""
+    b = Bundle(P, proj.cod, proj)
+    alg = P.algebra
     X = b.base
-    dom = SliceCategory(X)
-    cod = ActionCategory(alg)
-    P = b.action
+    orbits = sigma(P)
+    # the orbit representatives over each base point; per point p, an
+    # arrow moving its representative onto p and that representative's
+    # place among those over p's base point
+    reps = [[r for r in orbits.reps if proj.table[r] == x] for x in X]
+    stabiliser = {r: [g for g in range(alg.order) if P.act[g][r] == r] for r in orbits.reps}
+    mover, place = [None] * P.carrier.size, [None] * P.carrier.size
+    for rs in reps:
+        for i, r in enumerate(rs):
+            for g in range(alg.order):
+                p = P.act[g][r]
+                if p is not None and mover[p] is None:
+                    mover[p], place[p] = g, i
 
     @cache
     def left_data(o: FinFn):
-        pb = pullback(b.proj, o)
+        pb = pullback(proj, o)
         return pullback_action(pb, P), pb
 
     @cache
     def right_data(a: ActionObject):
-        t = tensor(P, a)
-        proj_table = tuple(b.proj.table[t.rep_pair(k)[0]] for k in range(t.carrier.size))
-        return FinFn(t.carrier, X, proj_table), t
+        values = {r: [v for v in range(a.carrier.size)
+                      if a.anchor.table[v] == P.anchor.table[r]
+                      and all(a.act[g][v] == v for g in stabiliser[r])]
+                  for r in orbits.reps}
+        points = [(x, phi) for x in X
+                  for phi in itertools.product(*(values[r] for r in reps[x]))]
+        index = {point: k for k, point in enumerate(points)}
+        return FinFn(FinSet(len(points)), X, tuple(x for x, _ in points)), points, index
 
     def left_obj(o):
         return left_data(o)[0]
@@ -189,31 +214,24 @@ def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
         return right_data(a)[0]
 
     def right_mor(n: Mor):
-        roA, tA = right_data(n.dom)
-        roB, tB = right_data(n.cod)
-        table = []
-        for k in range(tA.carrier.size):
-            p, av = tA.rep_pair(k)
-            table.append(tB.class_of(p, n.fn.table[av]))
-        return Mor(roA, roB, FinFn(roA.dom, roB.dom, tuple(table)))
+        roA, points, _ = right_data(n.dom)
+        roB, _, indexB = right_data(n.cod)
+        f = n.fn.table
+        table = tuple(indexB[x, tuple(f[v] for v in phi)] for x, phi in points)
+        return Mor(roA, roB, FinFn(roA.dom, roB.dom, table))
 
     def unit_at(o: FinFn):
         lo, pbo = left_data(o)
-        ro, t = right_data(lo)
-        table = []
-        for wv in range(o.dom.size):
-            p = w.reps[o.table[wv]]
-            table.append(t.class_of(p, pbo.index(p, wv)))
-        return Mor(o, ro, FinFn(o.dom, ro.dom, tuple(table)))
+        ro, _, index = right_data(lo)
+        table = tuple(index[x, tuple(pbo.index(r, wv) for r in reps[x])]
+                      for wv, x in enumerate(o.table))
+        return Mor(o, ro, FinFn(o.dom, ro.dom, table))
 
     def counit_at(a: ActionObject):
-        ro, t = right_data(a)
+        ro, points, _ = right_data(a)
         lo, pbo = left_data(ro)
-        table = []
-        for (pprime, k) in pbo.pairs:
-            p0, a0 = t.rep_pair(k)
-            table.append(a.apply(w.psi(pprime, p0), a0))
-        return Mor(lo, a, FinFn(lo.carrier, a.carrier, tuple(table)))
+        table = tuple(a.apply(mover[p], points[k][1][place[p]]) for (p, k) in pbo.pairs)
+        return Mor(lo, a, FinFn(lo.carrier, a.carrier, table))
 
     def over_iso_at(o: FinFn):
         lo, pbo = left_data(o)
@@ -222,13 +240,18 @@ def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
         return FinFn(orb.quotient, o.dom, table)
 
     pres = AdjunctionPresentation(
-        "bundle(|G|=%d, |X|=%d, |P|=%d)" % (alg.order, X.size, P.carrier.size),
-        dom, cod, left_obj, left_mor, right_obj, right_mor, unit_at, counit_at,
-        over_iso_at)
-    pres.witness = w
+        name or "bundle(|G|=%d, |X|=%d, |P|=%d)" % (alg.order, X.size, P.carrier.size),
+        SliceCategory(X), ActionCategory(alg), left_obj, left_mor, right_obj, right_mor,
+        unit_at, counit_at, over_iso_at)
+    pres.bundle = b
     pres.left_data = left_data
-    pres.right_data = right_data
     return pres
+
+
+def bundle_to_adjunction(w: TorsorWitness) -> AdjunctionPresentation:
+    """The adjunction induced by a torsor, whose right adjoint is the
+    tensor with its carrier."""
+    return presentation(w.bundle.action, w.bundle.proj)
 
 
 # Stock presentations --------------------------------------------------------
@@ -271,58 +294,6 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
     return AdjunctionPresentation("sigma(|alg|=%d)" % alg.order, dom, cod,
                                   left_obj, left_mor, right_obj, right_mor,
                                   unit_at, counit_at)
-
-
-def fixedpoints_presentation(g: FinGroupoid) -> AdjunctionPresentation:
-    """The trivial-action functor left adjoint to fixed points.  It is
-    over the base but fails Frobenius reciprocity for nontrivial groups,
-    so it is the stock negative control."""
-    dom = SliceCategory(TERMINAL)
-    cod = ActionCategory(g)
-
-    @cache
-    def fixed(a: ActionObject):
-        pts = tuple(p for p in range(a.carrier.size)
-                    if all(a.act[h][p] == p for h in range(g.order)))
-        return pts
-
-    def left_obj(v: FinFn):
-        return trivial_action(g, v.dom)
-
-    def left_mor(m: Mor):
-        return Mor(left_obj(m.dom), left_obj(m.cod),
-                   FinFn(m.dom.dom, m.cod.dom, m.fn.table))
-
-    def right_obj(a: ActionObject):
-        return FinFn.constant(FinSet(len(fixed(a))), TERMINAL, 0)
-
-    def right_mor(n: Mor):
-        ptsA, ptsB = fixed(n.dom), fixed(n.cod)
-        indexB = {p: i for i, p in enumerate(ptsB)}
-        table = tuple(indexB[n.fn.table[p]] for p in ptsA)
-        return Mor(right_obj(n.dom), right_obj(n.cod),
-                   FinFn(FinSet(len(ptsA)), FinSet(len(ptsB)), table))
-
-    def unit_at(v: FinFn):
-        la = left_obj(v)
-        pts = fixed(la)
-        index = {p: i for i, p in enumerate(pts)}
-        rla = right_obj(la)
-        return Mor(v, rla, FinFn(v.dom, rla.dom,
-                                 tuple(index[z] for z in range(v.dom.size))))
-
-    def counit_at(a: ActionObject):
-        pts = fixed(a)
-        lra = left_obj(right_obj(a))
-        return Mor(lra, a, FinFn(lra.carrier, a.carrier, pts))
-
-    def over_iso_at(v: FinFn):
-        orb = sigma(left_obj(v))
-        return FinFn(orb.quotient, v.dom, orb.reps)
-
-    return AdjunctionPresentation("trivial-dashv-fixed(|G|=%d)" % g.order,
-                                  dom, cod, left_obj, left_mor, right_obj,
-                                  right_mor, unit_at, counit_at, over_iso_at)
 
 
 def pullback_presentation(f: FinFn) -> AdjunctionPresentation:
@@ -832,10 +803,10 @@ def transform_to_torsor_map(pres1, pres2, component) -> FinFn:
     lo1, pb1 = pres1.left_data(term)
     lo2, pb2 = pres2.left_data(term)
     m = component(term)
-    p_carrier1 = pres1.witness.bundle.action.carrier
-    p_carrier2 = pres2.witness.bundle.action.carrier
+    p_carrier1 = pres1.bundle.action.carrier
+    p_carrier2 = pres2.bundle.action.carrier
     table = [0] * p_carrier1.size
     for p in range(p_carrier1.size):
-        k = pb1.index(p, pres1.witness.bundle.proj.table[p])
+        k = pb1.index(p, pres1.bundle.proj.table[p])
         table[p] = pb2.pairs[m.fn.table[k]][0]
     return FinFn(p_carrier1, p_carrier2, tuple(table))

@@ -60,16 +60,16 @@ from .torsor import (
 from .adjunction import (
     AdjunctionError,
     FrobeniusFail,
+    NotOverBase,
     RoundTripFail,
     adjunction_to_bundle,
     bundle_to_adjunction,
     check_frobenius,
-    check_over_base,
     check_stably_frobenius,
     check_triangles,
     corollary_slice_criterion,
     corrupt_counit,
-    fixedpoints_presentation,
+    presentation,
     pullback_presentation,
     sigma_presentation,
     tensor,
@@ -352,7 +352,9 @@ def theorem_torsor_checks(w, bounds: Bounds) -> dict:
     """The full per-torsor theorem instance: triangle identities,
     over-base comparison, round trip, stable reciprocity and the two
     tensor identities.  A failed instance has its first failing sub-check,
-    in that order, as error and that sub-check's witness.  The module
+    in that order, as error and that sub-check's witness.  The over-base
+    comparison is the round trip's first check, so its verdict is read
+    off the round trip's NotOverBase witness.  The module
     caches are scoped to the instance: they are emptied when it returns or
     raises, since their keys are this torsor's actions."""
     try:
@@ -363,19 +365,20 @@ def theorem_torsor_checks(w, bounds: Bounds) -> dict:
         dom_objs = slice_family(x, bounds.family_total)
         cod_objs = action_family(alg, bounds.family_carrier)
         tri = check_triangles(pres, dom_objs, cod_objs)
-        over = check_over_base(pres, dom_objs)
-        roundtrip = None
+        over = roundtrip = None
         try:
             b2 = adjunction_to_bundle(pres, dom_objs, cod_objs)
             bundle_roundtrip_cert(w, b2)
             is_principal_bundle(b2)
         except (AdjunctionError, TorsorError) as exc:
             roundtrip = {"error": type(exc).__name__, "witness": exc.witness}
+            if isinstance(exc, NotOverBase):
+                over = exc.witness
         stable = check_stably_frobenius(pres, stable_slice_objects(alg, x),
                                         dom_objs, cod_objs)
         witnesses = {
             "triangles": None if tri["passed"] else tri["witnesses"],
-            "over": None if over["passed"] else over["witnesses"],
+            "over": over,
             "roundtrip": roundtrip,
             "stable": None if stable["passed"] else _stable_witness(stable),
             "tensor_self": _tensor_self_iso_witness(w, tensor(b.action, arrows_action(alg))),
@@ -565,15 +568,18 @@ def _basechange_witness(w, bounds: Bounds):
 
 
 def negative_control_check(groups, bounds: Bounds) -> dict:
-    """The trivial-action/fixed-points presentation is over the base but
-    must be rejected: reciprocity fails for every nontrivial group."""
+    """The trivial-action/fixed-points presentation, L_P -| R_P for P a
+    point over a point, is over the base but must be rejected: reciprocity
+    fails for every nontrivial group.  A family too large to check fails
+    the entry with its size."""
     failures = []
     cases = 0
     for name, g in sorted_groups(groups, bounds.group_order):
         if g.order < 2:
             continue
         cases += 1
-        pres = fixedpoints_presentation(g)
+        pres = presentation(trivial_action(g, TERMINAL), FinFn.identity(TERMINAL),
+                            "trivial-dashv-fixed(|G|=%d)" % g.order)
         dom_objs = slice_family(TERMINAL, bounds.family_total + 1)
         # the family must reach the group's own carrier size so that a
         # non-fixed point is in scope
@@ -583,6 +589,8 @@ def negative_control_check(groups, bounds: Bounds) -> dict:
             failures.append({"group": name})
         except FrobeniusFail:
             pass
+        except FamilyTooLarge as exc:
+            return _failed("fixedpoints_rejected", exc, group=name)
     return _tally("fixedpoints_rejected", cases, bounds.to_json(), failures,
                   "the fixed-points presentation is accepted")
 

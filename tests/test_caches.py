@@ -8,6 +8,7 @@ import pytest
 
 import finbundles
 from finbundles import adjunction, algebra, catalog, suites
+from finbundles.algebra import arrows_action
 from finbundles.adjunction import (
     bundle_to_adjunction,
     corrupt_counit,
@@ -34,6 +35,9 @@ def _module_caches() -> dict:
 
 def test_clear_caches_empties_every_module_cache():
     run_theorem_suite(FIXTURES, Bounds(group_order=2, base=1))
+    # presentations build no tensors, so the tensor cache is filled directly
+    z3 = catalog.cyclic(3)
+    adjunction.tensor(trivial_torsor(z3, FinSet(2)).bundle.action, arrows_action(z3))
     caches = _module_caches()
     assert {"finbundles.algebra.sigma", "finbundles.algebra.action_product"} <= set(caches)
     assert adjunction._tensor_cache

@@ -44,6 +44,14 @@ def test_family_too_large_is_a_failed_entry():
     assert checks[-1]["passed"]
 
 
+def test_fixed_points_family_too_large_is_a_failed_entry():
+    # the control's family pairs 19 slices of a point with the 1,116
+    # actions of z2 on at most 8 points, over the cap of 20,000
+    rep = suites.negative_control_check({"z2": Z2}, Bounds(family_carrier=7, family_total=17))
+    assert rep == {"check": "fixedpoints_rejected", "group": "z2",
+                   "error": "FamilyTooLarge", "witness": 21204, "passed": False}
+
+
 def test_psi_laws_failure_keeps_the_division_witness():
     rep = psi_laws_check({"bad": BAD_INV_Z3}, max_order=3, max_base=1)
     assert not rep["passed"]
@@ -194,8 +202,8 @@ def test_every_failed_entry_names_its_error_and_witness(tmp_path, monkeypatch, c
         # genuine bundle's adjunction stands in for the fixed points one
         patch.setattr(suites, "bundle_to_adjunction", lambda w: corrupt_counit(real_bundle(w), 1))
         patch.setattr(suites, "sigma_presentation", lambda g: corrupt_counit(real_sigma(g), 1))
-        patch.setattr(suites, "fixedpoints_presentation",
-                      lambda g: real_bundle(trivial_torsor(g, FinSet(1))))
+        patch.setattr(suites, "presentation",
+                      lambda P, proj, name: real_bundle(trivial_torsor(P.algebra, FinSet(1))))
         entries += theorem_checks({"z2": Z2}, {}, Bounds(group_order=2, base=1))
     with monkeypatch.context() as patch:
         swap = FinFn(FinSet(2), FinSet(2), (1, 0))
