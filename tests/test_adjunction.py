@@ -615,6 +615,7 @@ def small_sets():
 
 
 def fibre_action(P, proj, x):
+    """The action of P on its fibre over x."""
     points = [p for p in range(P.carrier.size) if proj.table[p] == x]
     return validate_action(P.algebra, FinSet(len(points)),
                            [[points.index(row[p]) for p in points] for row in P.act])
