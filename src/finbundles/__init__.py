@@ -38,7 +38,6 @@ from .adjunction import (
     check_frobenius,
     check_stably_frobenius,
     corollary_slice_criterion,
-    factor_to_slice,
     frobenius_canonical_map,
     presentation,
     slice_adjunction,

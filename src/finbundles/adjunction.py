@@ -1,20 +1,26 @@
 """Adjunction presentations between slice and action categories: the
 one builder of L_P -| R_P for an action over a base, the tensor, both
-directions of the bundle <-> adjunction correspondence, and the
-Frobenius reciprocity checkers.
+directions of the bundle <-> adjunction correspondence, and the law
+checkers.
 
 A presentation is a pair of computable functors with per-object unit and
 counit components.  These fix the adjunction: the hom-set bijection sends
 f: o -> R a to counit_at(a) . L f and g: L o -> a to R g . unit_at(o).
+The theorem's side of the correspondence is a presentation from a slice
+category into an action category that is over the base and stably
+Frobenius; each of those two properties has one check here.  The sliced
+forms that the stable check builds are the only presentations between
+other kinds of category.
 
 Categories of actions have unboundedly many objects, so every law
 (triangle identities, naturality, reciprocity, over-base comparisons) is
-verified on an explicit finite family and the reports carry the family
-bounds used.
+verified on an explicit finite family, and each law's report (one
+builder, _law_report) carries the family sizes used.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 from dataclasses import dataclass
 from functools import cache
@@ -83,30 +89,27 @@ def _require(cat, kind):
         raise WrongCategory("needs a %s" % kind.__name__, cat)
 
 
-def _cached(fn):
-    """fn itself when it is already a cache (a component handed on from
-    another presentation), otherwise a cache of it."""
-    return fn if hasattr(fn, "cache_info") else cache(fn)
-
-
 class AdjunctionPresentation:
     """A computable left/right functor pair with unit and counit
     components, between two of the wrapped categories.  Every component
     is cached per presentation: the checks evaluate them again and again
-    on equal objects."""
+    on equal objects.  over_iso_at, the comparison of each left value's
+    orbit set with the underlying set of its argument, is present exactly
+    on the presentations of actions over a base (presentation), whose
+    left values are actions."""
 
     def __init__(self, name, dom, cod, left_obj, left_mor, right_obj, right_mor,
                  unit_at, counit_at, over_iso_at=None):
         self.name = name
         self.dom = dom
         self.cod = cod
-        self.left_obj = _cached(left_obj)
-        self.left_mor = _cached(left_mor)
-        self.right_obj = _cached(right_obj)
-        self.right_mor = _cached(right_mor)
-        self.unit_at = _cached(unit_at)
-        self.counit_at = _cached(counit_at)
-        self.over_iso_at = _cached(over_iso_at) if over_iso_at is not None else None
+        self.left_obj = cache(left_obj)
+        self.left_mor = cache(left_mor)
+        self.right_obj = cache(right_obj)
+        self.right_mor = cache(right_mor)
+        self.unit_at = cache(unit_at)
+        self.counit_at = cache(counit_at)
+        self.over_iso_at = cache(over_iso_at) if over_iso_at is not None else None
         # the presentation this one is the sliced form of (slice_adjunction)
         self.source = None
 
@@ -347,7 +350,8 @@ def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresen
     """A deliberately broken copy of a presentation: the counit components
     are post-composed with a collapsing (non-injective) map whenever the
     target carrier has at least two points, so reciprocity genuinely fails.
-    Used as a negative control."""
+    Used as a negative control.  Every other component, and its cache, is
+    the source's own."""
 
     def collapse(n: int) -> tuple[int, ...]:
         if n < 2:
@@ -361,10 +365,10 @@ def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresen
         return Mor(m.dom, m.cod,
                    FinFn(m.fn.dom, m.fn.cod, tuple(fold[v] for v in m.fn.table)))
 
-    return AdjunctionPresentation(
-        "%s!corrupt%d" % (pres.name, style), pres.dom, pres.cod,
-        pres.left_obj, pres.left_mor, pres.right_obj, pres.right_mor,
-        pres.unit_at, counit_at, pres.over_iso_at)
+    bad = copy.copy(pres)
+    bad.name = "%s!corrupt%d" % (pres.name, style)
+    bad.counit_at = cache(counit_at)
+    return bad
 
 
 # Frobenius checks -----------------------------------------------------------
@@ -412,8 +416,21 @@ def _obj_desc(o) -> str:
     return repr(o)
 
 
+# failures a law report keeps as witnesses
+_WITNESSES = 3
+
+
+def _law_report(check: str, pres: AdjunctionPresentation, failures: list,
+                checked, **counts) -> dict:
+    """The report of a law checked on a finite family: the family's
+    counts, the first failures found and the verdict.  A check that
+    checked nothing fails."""
+    return {"check": check, "presentation": pres.name, **counts,
+            "passed": bool(checked) and not failures, "witnesses": failures}
+
+
 def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
-                    max_pairs: int = 20000, max_witnesses: int = 3) -> dict:
+                    max_pairs: int = 20000, max_witnesses: int = _WITNESSES) -> dict:
     """Assert bijectivity of the canonical map on every family pair, and
     a family with no pair fails: it checked nothing.  A failure entry
     names its pair and carries one of two verdicts: a comparison map that
@@ -423,14 +440,12 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
     and its witness."""
     cod_objs = list(cod_objs)
     dom_objs = list(dom_objs)
-    if len(cod_objs) * len(dom_objs) > max_pairs:
-        raise FamilyTooLarge("frobenius family too large",
-                             len(cod_objs) * len(dom_objs))
+    pairs = len(cod_objs) * len(dom_objs)
+    if pairs > max_pairs:
+        raise FamilyTooLarge("frobenius family too large", pairs)
     failures = []
-    checked = 0
     for a in cod_objs:
         for wobj in dom_objs:
-            checked += 1
             try:
                 m = frobenius_canonical_map(pres, a, wobj)
                 if pres.cod.is_iso(m):
@@ -441,10 +456,9 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
             if len(failures) < max_witnesses:
                 failures.append({"cod_obj": _obj_desc(a), "dom_obj": _obj_desc(wobj),
                                  **_verdict(outcome)})
-    return {"check": "frobenius", "presentation": pres.name,
-            "family": {"cod_objects": len(cod_objs), "dom_objects": len(dom_objs)},
-            "pairs": checked, "passed": checked > 0 and not failures,
-            "witnesses": failures}
+    return _law_report("frobenius", pres, failures, pairs,
+                       family={"cod_objects": len(cod_objs), "dom_objects": len(dom_objs)},
+                       pairs=pairs)
 
 
 def _verdict(outcome) -> dict:
@@ -523,36 +537,32 @@ def _difference(f: FinFn, g: FinFn):
                  if f.table[z] != g.table[z]), (f.cod, g.cod))
 
 
-def check_triangles(pres: AdjunctionPresentation, dom_objs, cod_objs,
-                    max_witnesses: int = 3) -> dict:
+def check_triangles(pres: AdjunctionPresentation, dom_objs, cod_objs) -> dict:
     """Both triangle identities at every family object; no object means
     nothing was checked, which fails.  A failure names the object and the
     first point z where the composite moves, as (z, composite(z), z)."""
     dom_objs = list(dom_objs)
     cod_objs = list(cod_objs)
     failures = []
+
+    def record(triangle, at, composite, ident):
+        if composite.fn != ident.fn and len(failures) < _WITNESSES:
+            failures.append({"triangle": triangle, "at": _obj_desc(at),
+                             "witness": _difference(composite.fn, ident.fn)})
+
     for o in dom_objs:
         lo = pres.left_obj(o)
-        composite = pres.cod.compose(pres.counit_at(lo), pres.left_mor(pres.unit_at(o)))
-        ident = pres.cod.identity(lo).fn
-        if composite.fn != ident and len(failures) < max_witnesses:
-            failures.append({"triangle": "left", "at": _obj_desc(o),
-                             "witness": _difference(composite.fn, ident)})
+        record("left", o, pres.cod.compose(pres.counit_at(lo), pres.left_mor(pres.unit_at(o))),
+               pres.cod.identity(lo))
     for a in cod_objs:
         ra = pres.right_obj(a)
-        composite = pres.dom.compose(pres.right_mor(pres.counit_at(a)), pres.unit_at(ra))
-        ident = pres.dom.identity(ra).fn
-        if composite.fn != ident and len(failures) < max_witnesses:
-            failures.append({"triangle": "right", "at": _obj_desc(a),
-                             "witness": _difference(composite.fn, ident)})
+        record("right", a, pres.dom.compose(pres.right_mor(pres.counit_at(a)), pres.unit_at(ra)),
+               pres.dom.identity(ra))
     objects = len(dom_objs) + len(cod_objs)
-    return {"check": "triangles", "presentation": pres.name,
-            "objects": objects,
-            "passed": objects > 0 and not failures, "witnesses": failures}
+    return _law_report("triangles", pres, failures, objects, objects=objects)
 
 
-def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors,
-                     max_witnesses: int = 3) -> dict:
+def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors) -> dict:
     """Unit and counit naturality squares on families of morphisms; no
     morphism means nothing was checked, which fails.  A failure names the
     morphism's domain and codomain and the first point z where the two
@@ -562,7 +572,7 @@ def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors,
     failures = []
 
     def record(square, m, lhs, rhs):
-        if lhs.fn != rhs.fn and len(failures) < max_witnesses:
+        if lhs.fn != rhs.fn and len(failures) < _WITNESSES:
             failures.append({"square": square, "dom": _obj_desc(m.dom),
                              "cod": _obj_desc(m.cod),
                              "witness": _difference(lhs.fn, rhs.fn)})
@@ -574,62 +584,37 @@ def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors,
         record("counit", n, pres.cod.compose(n, pres.counit_at(n.dom)),
                pres.cod.compose(pres.counit_at(n.cod), pres.left_mor(pres.right_mor(n))))
     morphisms = len(dom_mors) + len(cod_mors)
-    return {"check": "naturality", "presentation": pres.name,
-            "morphisms": morphisms,
-            "passed": morphisms > 0 and not failures, "witnesses": failures}
+    return _law_report("naturality", pres, failures, morphisms, morphisms=morphisms)
 
 
-def _cod_action(lobj):
-    return lobj.dom if isinstance(lobj, Mor) else lobj
-
-
-def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None,
-                    max_witnesses: int = 3) -> dict:
+def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None) -> dict:
     """Verify the over-base comparison: the orbit quotient of each left
     value maps bijectively and naturally onto the underlying object.  No
     object and no morphism means nothing was checked, which fails.  A
     failure's witness is the comparison's NotBijective witness (its two
-    ends, when those are wrong), the orbit k with its two base points, or
-    where the two sides of the naturality square differ."""
+    ends, when those are wrong) or where the two sides of the naturality
+    square differ."""
     if pres.over_iso_at is None:
         raise NotOverBase("presentation carries no over-base comparison")
     failures = []
     dom_objs = list(dom_objs)
     for o in dom_objs:
-        lo = _cod_action(pres.left_obj(o))
         comp = pres.over_iso_at(o)
-        orb = sigma(lo)
-        under = pres.dom.carrier(o)
-        if comp.dom != orb.quotient or comp.cod != under or not comp.is_bijection():
-            if len(failures) < max_witnesses:
-                failures.append({"at": _obj_desc(o), "reason": "not a bijection",
-                                 **(_verdict(comp) or {"witness": (comp.dom, comp.cod)})})
-            continue
-        if isinstance(pres.left_obj(o), Mor):
-            arrow = pres.left_obj(o).fn
-            x_size = pres.dom.base.size
-            for k in range(orb.quotient.size):
-                xval = arrow.table[orb.reps[k]] % x_size
-                if o.table[comp.table[k]] != xval:
-                    if len(failures) < max_witnesses:
-                        failures.append({"at": _obj_desc(o), "reason": "projection mismatch",
-                                         "witness": (k, o.table[comp.table[k]], xval)})
-                    break
+        ok = (comp.dom == sigma(pres.left_obj(o)).quotient
+              and comp.cod == pres.dom.carrier(o) and comp.is_bijection())
+        if not ok and len(failures) < _WITNESSES:
+            failures.append({"at": _obj_desc(o), "reason": "not a bijection",
+                             **(_verdict(comp) or {"witness": (comp.dom, comp.cod)})})
     dom_mors = list(dom_mors or [])
     for m in dom_mors:
-        lo = _cod_action(pres.left_obj(m.dom))
-        lc = _cod_action(pres.left_obj(m.cod))
-        lm = pres.left_mor(m)
-        induced = sigma_mor(lo, lc, lm.fn)
+        induced = sigma_mor(pres.left_obj(m.dom), pres.left_obj(m.cod), pres.left_mor(m).fn)
         lhs = induced.then(pres.over_iso_at(m.cod))
         rhs = pres.over_iso_at(m.dom).then(m.fn)
-        if lhs != rhs and len(failures) < max_witnesses:
+        if lhs != rhs and len(failures) < _WITNESSES:
             failures.append({"square": "over", "at": _obj_desc(m.dom),
                              "witness": _difference(lhs, rhs)})
-    return {"check": "over_base", "presentation": pres.name,
-            "objects": len(dom_objs),
-            "passed": bool(dom_objs or dom_mors) and not failures,
-            "witnesses": failures}
+    return _law_report("over_base", pres, failures, dom_objs or dom_mors,
+                       objects=len(dom_objs))
 
 
 # The adjunction -> bundle direction ----------------------------------------
@@ -639,80 +624,17 @@ def adjunction_to_bundle(pres: AdjunctionPresentation, dom_objs, cod_objs,
     """Validate a presentation on the family, then extract its bundle:
     the left value at the terminal slice, projected by the orbit quotient
     through the over-base comparison."""
+    _require(pres.cod, ActionCategory)
     over = check_over_base(pres, dom_objs, dom_mors)
     if not over["passed"]:
         raise NotOverBase("presentation is not over the base", over["witnesses"])
     frob = check_frobenius(pres, cod_objs, dom_objs)
     if not frob["passed"]:
         raise FrobeniusFail("reciprocity fails on the family", frob["witnesses"])
-    _require(pres.cod, ActionCategory)
     term = pres.dom.terminal()
     p_act = pres.left_obj(term)
-    orb = sigma(p_act)
-    proj = orb.q.then(pres.over_iso_at(term))
+    proj = sigma(p_act).q.then(pres.over_iso_at(term))
     return Bundle(p_act, pres.dom.base, proj)
-
-
-# Slice factorisation --------------------------------------------------------
-
-def factor_to_slice(pres: AdjunctionPresentation) -> AdjunctionPresentation:
-    """Refactor a presentation over the base into one landing in the slice
-    of the action category over the trivial action on the base."""
-    if pres.over_iso_at is None:
-        raise NotOverBase("factorisation needs the over-base comparison")
-    dom = pres.dom
-    _require(dom, SliceCategory)
-    _require(pres.cod, ActionCategory)
-    alg = pres.cod.algebra
-    X = dom.base
-    triv_x = trivial_action(alg, X)
-    cod2 = SliceOverCategory(pres.cod, triv_x)
-
-    @cache
-    def kappa(o: FinFn) -> Mor:
-        lo = pres.left_obj(o)
-        orb = sigma(lo)
-        comp = pres.over_iso_at(o)
-        table = tuple(lo.anchor.table[p] * X.size + o.table[comp.table[orb.q.table[p]]]
-                      for p in range(lo.carrier.size))
-        return pres.cod.mor(lo, triv_x, FinFn(lo.carrier, triv_x.carrier, table))
-
-    def left_mor(m: Mor):
-        inner = pres.left_mor(m)
-        return Mor(kappa(m.dom), kappa(m.cod), inner.fn)
-
-    term = dom.terminal()
-    m1 = dom.compose(pres.right_mor(kappa(term)), pres.unit_at(term))
-
-    @cache
-    def right_data(o2: Mor):
-        return dom.pullback(m1, pres.right_mor(o2))
-
-    def right_obj(o2: Mor):
-        return right_data(o2).obj
-
-    def right_mor(m2: Mor):
-        pb_a = right_data(m2.dom)
-        pb_b = right_data(m2.cod)
-        rm = pres.right_mor(Mor(m2.dom.dom, m2.cod.dom, m2.fn))
-        leg = dom.compose(rm, pb_a.p2)
-        return Mor(right_obj(m2.dom), right_obj(m2.cod),
-                   pb_b.mediate(pb_a.p1, leg).fn)
-
-    def unit_at(o: FinFn):
-        pb = right_data(kappa(o))
-        med = pb.mediate(dom.bang(o), pres.unit_at(o))
-        return Mor(o, pb.obj, med.fn)
-
-    def counit_at(o2: Mor):
-        pb = right_data(o2)
-        lp2 = pres.left_mor(pb.p2)
-        eps = pres.cod.compose(pres.counit_at(o2.dom), lp2)
-        return cod2.mor(kappa(pb.obj), o2, eps.fn)
-
-    return AdjunctionPresentation("factored(%s)" % pres.name, dom, cod2,
-                                  kappa, left_mor, right_obj, right_mor,
-                                  unit_at, counit_at, pres.over_iso_at)
 
 
 def corollary_slice_criterion(pres: AdjunctionPresentation, dom_objs, cod_objs,

@@ -481,16 +481,16 @@ def theorem_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
 
 def corollary_checks(groups, bounds: Bounds) -> list[dict]:
     checks = []
+    # (name, presentation, whether it is a negative control)
     presentations = []
     for name, g in sorted_groups(groups, bounds.group_order):
         for nx in range(1, bounds.base + 1):
             if g.order * nx > bounds.carrier:
                 continue
             presentations.append((name + "/x%d" % nx,
-                                  bundle_to_adjunction(trivial_torsor(g, FinSet(nx)))))
-    eligible = [(name, pres) for name, pres in presentations
+                                  bundle_to_adjunction(trivial_torsor(g, FinSet(nx))), False))
+    eligible = [(name, pres) for name, pres, _ in presentations
                 if pres.cod.algebra.order >= 2]
-    corrupted = []
     if not eligible:
         checks.append(_failed("corollary_negative_controls",
                               "no presentation over a nontrivial algebra is in bounds",
@@ -498,15 +498,14 @@ def corollary_checks(groups, bounds: Bounds) -> list[dict]:
     else:
         for style in range(1, 6):
             name, pres = eligible[(style - 1) % len(eligible)]
-            corrupted.append((name + "/corrupt%d" % style, corrupt_counit(pres, style)))
-    for name, pres in presentations + corrupted:
+            presentations.append((name + "/corrupt%d" % style, corrupt_counit(pres, style), True))
+    for name, pres, negative in presentations:
         x = pres.dom.base
         alg = pres.cod.algebra
         rep = corollary_slice_criterion(
             pres, slice_family(x, bounds.family_total),
             action_family(alg, bounds.family_carrier),
             stable_slice_objects(alg, x))
-        negative = "corrupt" in name
         fields = {"presentation": name, "criterion_passed": rep["criterion_passed"],
                   "stable_passed": rep["stable_passed"], "negative_control": negative}
         if rep["agree"] and rep["criterion_passed"] != negative:

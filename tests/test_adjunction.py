@@ -53,7 +53,6 @@ from finbundles.adjunction import (
     check_triangles,
     corollary_slice_criterion,
     corrupt_counit,
-    factor_to_slice,
     frobenius_canonical_map,
     presentation,
     pullback_presentation,
@@ -329,8 +328,6 @@ def test_error_paths():
     w = trivial_torsor(z2, TERMINAL)
     with pytest.raises(AlgebraMismatch):
         tensor(w.bundle.action, arrows_action(z3))
-    with pytest.raises(NotOverBase):
-        factor_to_slice(sigma_presentation(z2))
 
 
 def test_pullback_presentation_names_the_point_off_the_pullback():
@@ -406,20 +403,25 @@ def test_category_checks_run_without_asserts():
 ADJUNCTION_CHECKS = """
 from finbundles import catalog
 from finbundles.adjunction import (
-    AdjunctionError, adjunction_to_bundle, bundle_to_adjunction,
-    corollary_slice_criterion, factor_to_slice, pullback_presentation,
-    sigma_presentation, slice_groupoid_equivalence)
+    AdjunctionError, AdjunctionPresentation, adjunction_to_bundle,
+    bundle_to_adjunction, corollary_slice_criterion, pullback_presentation,
+    slice_groupoid_equivalence)
 from finbundles.algebra import AlgebraError, arrows_action
-from finbundles.categories import slice_family
+from finbundles.categories import SliceOverCategory, slice_family
 from finbundles.finset import FinFn, FinSet, FinSetError, TERMINAL
 from finbundles.torsor import trivial_torsor
 
 z2, z3 = catalog.groups(3)["z2"], catalog.groups(3)["z3"]
 two = FinSet(2)
 translation = slice_groupoid_equivalence(z2, two)
-sp = sigma_presentation(z2)
-sp.over_iso_at = sp.counit_at  # only its presence matters to factor_to_slice
-factored = factor_to_slice(bundle_to_adjunction(trivial_torsor(z2, TERMINAL)))
+# a torsor's components over the base, handed a codomain that is a slice
+# of its action category: it has an over-base comparison, but its left
+# values are not the actions of a bundle
+pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+into_slice = AdjunctionPresentation(
+    "into a slice", pres.dom, SliceOverCategory(pres.cod, arrows_action(z2)),
+    pres.left_obj, pres.left_mor, pres.right_obj, pres.right_mor,
+    pres.unit_at, pres.counit_at, pres.over_iso_at)
 dom_objs = slice_family(TERMINAL, 2)
 
 
@@ -435,9 +437,8 @@ cases = [
     lambda: translation.to_anchored(arrows_action(z2), FinFn(FinSet(3), two, (0, 0, 1))),
     lambda: translation.to_anchored(arrows_action(z3), FinFn(FinSet(3), two, (0, 0, 1))),
     lambda: translation.from_anchored(arrows_action(z2)),
-    lambda: factor_to_slice(sp),
     lambda: corollary_slice_criterion(pullback_presentation(FinFn.identity(two)), [], [], []),
-    lambda: adjunction_to_bundle(factored, dom_objs, [factored.left_obj(o) for o in dom_objs]),
+    lambda: adjunction_to_bundle(into_slice, dom_objs, []),
 ]
 for case in cases:
     try:
@@ -468,7 +469,6 @@ def test_adjunction_checks_run_without_asserts():
         "REJECTED DomMismatch (3, 2)",
         "REJECTED AlgebraMismatch (3, 2)",
         "REJECTED AlgebraMismatch (2, 4)",
-        "REJECTED WrongCategory ActionCategory",
         "REJECTED WrongCategory SliceCategory",
         "REJECTED WrongCategory SliceOverCategory",
     ]
@@ -909,67 +909,10 @@ def test_slice_adjunction_triangles():
     assert check_triangles(sliced, dom_fam, cod_fam)["passed"]
 
 
-# Factorisation ---------------------------------------------------------------
-
-def test_factor_to_slice_at_point_is_identity_like():
-    z2 = GROUPS["z2"]
-    w = trivial_torsor(z2, TERMINAL)
-    pres = bundle_to_adjunction(w)
-    factored = factor_to_slice(pres)
-    for o in slice_family(TERMINAL, 2):
-        assert factored.left_obj(o).dom == pres.left_obj(o)
-        assert (factored.right_obj(factored.left_obj(o)).dom.size
-                == pres.right_obj(pres.left_obj(o)).dom.size)
-
-
-def test_factor_to_slice_laws_and_recompose():
-    for name, nx in (("z2", 2), ("z3", 2)):
-        g = GROUPS[name]
-        w = trivial_torsor(g, FinSet(nx))
-        pres = bundle_to_adjunction(w)
-        factored = factor_to_slice(pres)
-        dom_objs = slice_family(FinSet(nx), 2)
-        cod2_objs = [factored.left_obj(o) for o in dom_objs]
-        assert check_triangles(factored, dom_objs, cod2_objs)["passed"]
-        assert check_frobenius(factored, cod2_objs, dom_objs)["passed"]
-        assert check_over_base(factored, dom_objs,
-                               dom_mors(factored.dom, dom_objs, 60))["passed"]
-        # forgetting the structure map recovers the original left adjoint
-        for o in dom_objs:
-            assert factored.left_obj(o).dom == pres.left_obj(o)
-
-
-def test_over_base_compares_base_points_of_factored_values():
-    # the factored left values carry their base points in their structure
-    # map; an over-base comparison that is still a bijection onto the
-    # right set, but rotates it, must fail on those base points alone
-    factored = factor_to_slice(bundle_to_adjunction(trivial_torsor(GROUPS["z2"], FinSet(2))))
-    dom_objs = slice_family(FinSet(2), 2)
-
-    def rotated(o):
-        comp = factored.over_iso_at(o)
-        n = comp.cod.size
-        return comp.then(FinFn(comp.cod, comp.cod, tuple((i + 1) % n for i in range(n))))
-
-    bad = AdjunctionPresentation(
-        "rotated", factored.dom, factored.cod, factored.left_obj, factored.left_mor,
-        factored.right_obj, factored.right_mor, factored.unit_at, factored.counit_at,
-        rotated)
-    assert check_over_base(factored, dom_objs)["passed"]
-    rep = check_over_base(bad, dom_objs)
-    # each witness is the orbit k, the base point its comparison value
-    # lies over, and the base point of k itself
-    assert rep["witnesses"] == [
-        {"at": "slice(total=2,proj=[0, 1])", "reason": "projection mismatch",
-         "witness": (0, 1, 0)},
-        {"at": "slice(total=2,proj=[1, 0])", "reason": "projection mismatch",
-         "witness": (0, 1, 0)}]
-    assert not rep["passed"]
-
-
 def test_factored_matches_translated_groupoid_torsor():
-    # refactoring the adjunction of a torsor over a base agrees, table by
-    # table, with the adjunction of the fibrewise-groupoid torsor
+    # the left values of a torsor over a base, each with the base point of
+    # its points, agree table by table with the left values of the
+    # fibrewise-groupoid torsor, read back as group actions over the base
     for name, nx in (("z2", 2), ("z3", 2)):
         g = GROUPS[name]
         x = FinSet(nx)
@@ -978,15 +921,12 @@ def test_factored_matches_translated_groupoid_torsor():
         anchored = translation.to_anchored(w.bundle.action, w.bundle.proj)
         gw = is_principal_bundle(Bundle(anchored, x, w.bundle.proj))
         gpres = bundle_to_adjunction(gw)
-        factored = factor_to_slice(bundle_to_adjunction(w))
+        pres = presentation(w.bundle.action, w.bundle.proj)
         for o in slice_family(x, 2):
-            lo2 = factored.left_obj(o)
-            glo = gpres.left_obj(o)
-            plain, invariant = translation.from_anchored(glo)
-            assert plain.act == lo2.dom.act
-            x_component = tuple(
-                v % nx for v in lo2.fn.table)
-            assert x_component == invariant.table
+            lo, pb = pres.left_data(o)
+            plain, invariant = translation.from_anchored(gpres.left_obj(o))
+            assert plain.act == lo.act
+            assert invariant.table == tuple(o.table[v] for _, v in pb.pairs)
 
 
 # Slice/groupoid translation --------------------------------------------------

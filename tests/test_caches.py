@@ -9,11 +9,7 @@ import pytest
 import finbundles
 from finbundles import adjunction, algebra, catalog, suites
 from finbundles.algebra import arrows_action
-from finbundles.adjunction import (
-    bundle_to_adjunction,
-    corrupt_counit,
-    factor_to_slice,
-)
+from finbundles.adjunction import bundle_to_adjunction, corrupt_counit
 from finbundles.cli import run_theorem_suite
 from finbundles.finset import FinSet
 from finbundles.suites import Bounds, theorem_torsor_checks
@@ -68,7 +64,6 @@ def test_derived_presentations_reuse_component_caches():
                  "over_iso_at"):
         assert getattr(bad, name) is getattr(pres, name), name
     assert bad.counit_at is not pres.counit_at
-    assert factor_to_slice(pres).over_iso_at is pres.over_iso_at
 
 
 def assert_module_caches_empty():

@@ -52,6 +52,16 @@ def test_fixed_points_family_too_large_is_a_failed_entry():
                    "error": "FamilyTooLarge", "witness": 21204, "passed": False}
 
 
+def test_corollary_negative_control_does_not_follow_the_fixture_name():
+    # a genuine presentation whose group fixture is named like a corrupted
+    # one is still a positive case, and the five corrupted copies of it
+    # are still the negative controls
+    checks = suites.corollary_checks({"corrupted_z2": Z2}, Bounds(base=1))
+    assert [(c["presentation"], c["negative_control"], c["passed"]) for c in checks] == \
+        [("corrupted_z2/x1", False, True)] + \
+        [("corrupted_z2/x1/corrupt%d" % style, True, True) for style in range(1, 6)]
+
+
 def test_psi_laws_failure_keeps_the_division_witness():
     rep = psi_laws_check({"bad": BAD_INV_Z3}, max_order=3, max_base=1)
     assert not rep["passed"]
