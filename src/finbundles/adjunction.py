@@ -35,6 +35,7 @@ from .finset import (
     NotBijective,
     Pullback,
     TERMINAL,
+    _numbering,
     pullback,
 )
 from .algebra import (
@@ -96,10 +97,11 @@ class AdjunctionPresentation:
     on equal objects.  over_iso_at, the comparison of each left value's
     orbit set with the underlying set of its argument, is present exactly
     on the presentations of actions over a base (presentation), whose
-    left values are actions."""
+    left values are actions.  The optional, uncached legs_at(ra, w) lists
+    (L p1 z, L p2 z) over L(D)'s points z, D the pullback of ra and w."""
 
     def __init__(self, name, dom, cod, left_obj, left_mor, right_obj, right_mor,
-                 unit_at, counit_at, over_iso_at=None):
+                 unit_at, counit_at, over_iso_at=None, legs_at=None):
         self.name = name
         self.dom = dom
         self.cod = cod
@@ -110,6 +112,7 @@ class AdjunctionPresentation:
         self.unit_at = cache(unit_at)
         self.counit_at = cache(counit_at)
         self.over_iso_at = cache(over_iso_at) if over_iso_at is not None else None
+        self.legs_at = legs_at
         # the presentation this one is the sliced form of (slice_adjunction)
         self.source = None
 
@@ -242,10 +245,19 @@ def presentation(P: ActionObject, proj: FinFn, name: str | None = None
         table = tuple(pbo.pairs[orb.reps[k]][1] for k in range(orb.quotient.size))
         return FinFn(orb.quotient, o.dom, table)
 
+    def legs_at(ra: Mor, w: Mor):
+        # L(D) = P x_X D holds (p, d) for the points d = (r, v) of D over
+        # p's base point; its legs keep p and drop one factor of d
+        (_, pb1), (_, pb2) = left_data(ra.dom), left_data(w.dom)
+        d = [(r, v) for r, y in enumerate(ra.fn.table)
+             for v, y2 in enumerate(w.fn.table) if y == y2]
+        return [(pb1.index(p, r), pb2.index(p, v)) for p, x in enumerate(proj.table)
+                for r, v in d if ra.dom.table[r] == x]
+
     pres = AdjunctionPresentation(
         name or "bundle(|G|=%d, |X|=%d, |P|=%d)" % (alg.order, X.size, P.carrier.size),
         SliceCategory(X), ActionCategory(alg), left_obj, left_mor, right_obj, right_mor,
-        unit_at, counit_at, over_iso_at)
+        unit_at, counit_at, over_iso_at, legs_at)
     pres.bundle = b
     pres.left_data = left_data
     return pres
@@ -294,9 +306,19 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
         table = tuple(r % v.dom.size for r in orb.reps)
         return Mor(lrv, v, FinFn(lrv.dom, v.dom, table))
 
+    def legs_at(ra: Mor, w: Mor):
+        # R a and w land in trivial actions, so the orbit in D = R a x w of
+        # (k, alpha), k = (o, u), and its legs depend only on (u, orbit of
+        # alpha); D's points in order meet each orbit first at its least one
+        n = ra.dom.carrier.size // alg.objects.size
+        triv, orbit = sigma(ra.dom).q.table, sigma(w.dom).q.table
+        return list({(k % n, orbit[alpha]): (triv[k], orbit[alpha])
+                     for k, y in enumerate(ra.fn.table)
+                     for alpha, y2 in enumerate(w.fn.table) if y == y2}.values())
+
     return AdjunctionPresentation("sigma(|alg|=%d)" % alg.order, dom, cod,
                                   left_obj, left_mor, right_obj, right_mor,
-                                  unit_at, counit_at)
+                                  unit_at, counit_at, legs_at=legs_at)
 
 
 def pullback_presentation(f: FinFn) -> AdjunctionPresentation:
@@ -376,8 +398,8 @@ def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresen
 def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
     """The comparison map from the left adjoint applied to a product with
     a right-adjoint value, into the plain product.  For the sliced form of
-    a presentation it is built in the source's categories and returned as
-    the source morphism under it, which has the same table."""
+    a presentation the returned Mor's endpoints are carriers (FinSets):
+    those of L(D), for D the pullback of R a and w, and of a x_b L'w."""
     if pres.source is not None:
         return _sliced_canonical_map(pres, a, wobj)
     ra = pres.right_obj(a)
@@ -390,20 +412,28 @@ def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
 
 
 def _sliced_canonical_map(pres: AdjunctionPresentation, a: Mor, wobj: Mor) -> Mor:
-    """The comparison map of a presentation sliced over b, built from its
-    source P: the product of R a and w over R b is their pullback in P's
-    domain, that of a and L'w over b their pullback in P's codomain, and
-    the sliced functors act on underlying maps as P's do.  The legs are
-    checked as SliceOverCategory.product's mediate checks them."""
+    """The comparison map of a presentation sliced over b, from its source
+    P: where table_route allows, z goes to (counit_A(L p1 z), L p2 z) in the
+    pullback of a and L'w, read off P's tables; else the category route
+    builds both pullbacks in P's categories and checks the legs and cone."""
     src = pres.source
-    pb = src.dom.pullback(src.right_mor(a), wobj)
-    lp1 = src.left_mor(pb.p1)
-    lp2 = src.left_mor(pb.p2)
-    left_leg = src.cod.compose(src.counit_at(a.dom), lp1)
-    lw = pres.left_obj(wobj)
-    pbc = src.cod.pullback(a, lw)
-    return pbc.mediate(src.cod.mor(lp1.dom, a.dom, left_leg.fn),
-                       src.cod.mor(lp2.dom, lw.dom, lp2.fn))
+    ra = src.right_mor(a)
+    if pres.table_route(a, wobj):
+        counit = src.counit_at(a.dom).fn.table
+        start, rank = _numbering(a.fn, pres.left_obj(wobj).fn)
+        legs = src.legs_at(ra, wobj)
+        fn = FinFn(FinSet(len(legs)), FinSet(start[-1]),
+                   tuple(start[counit[u]] + rank[v] for u, v in legs))
+    else:
+        pb = src.dom.pullback(ra, wobj)
+        lp1 = src.left_mor(pb.p1)
+        lp2 = src.left_mor(pb.p2)
+        left_leg = src.cod.compose(src.counit_at(a.dom), lp1)
+        lw = pres.left_obj(wobj)
+        pbc = src.cod.pullback(a, lw)
+        fn = pbc.mediate(src.cod.mor(lp1.dom, a.dom, left_leg.fn),
+                         src.cod.mor(lp2.dom, lw.dom, lp2.fn)).fn
+    return Mor(fn.dom, fn.cod, fn)
 
 
 def _obj_desc(o) -> str:
@@ -502,6 +532,31 @@ def slice_adjunction(pres: AdjunctionPresentation, b) -> AdjunctionPresentation:
                                     dom2, cod2, left_obj, left_mor, pres.right_mor,
                                     right_mor, unit_at, counit_at)
     sliced.source = pres
+
+    # The table route is sound where the counits at b and at A = a.dom are
+    # morphisms, the counit square along a commutes and L(w) is a morphism:
+    # the legs are then morphisms and a cone, as a . counit_A . L p1 = counit_b
+    # . L(R a . p1) = L'w . L p2.  A check runs once per object; raising fails.
+    def checked(facts):
+        def run(*obj):
+            try:
+                return facts(*obj)
+            except (FinSetError, NotEquivariant, AnchorMismatch, ValueError):
+                return False
+        return cache(run)
+
+    def morphism(m: Mor) -> bool:
+        pres.cod.mor(m.dom, m.cod, m.fn)
+        return True
+
+    def natural(a: Mor) -> bool:
+        lhs, rhs = _counit_square(pres, a)
+        return morphism(pres.counit_at(a.dom)) and lhs.fn == rhs.fn
+
+    at_b = checked(lambda: morphism(pres.counit_at(b)))
+    at_cod, at_dom = checked(natural), checked(lambda w: morphism(pres.left_mor(w)))
+    sliced.table_route = lambda a, w: (pres.legs_at is not None and at_b()
+                                       and at_cod(a) and at_dom(w))
     return sliced
 
 
@@ -562,6 +617,13 @@ def check_triangles(pres: AdjunctionPresentation, dom_objs, cod_objs) -> dict:
     return _law_report("triangles", pres, failures, objects, objects=objects)
 
 
+def _counit_square(pres: AdjunctionPresentation, n: Mor) -> tuple[Mor, Mor]:
+    """The two sides of the counit's naturality square along n:
+    n . counit_(n.dom) and counit_(n.cod) . L R n."""
+    return (pres.cod.compose(n, pres.counit_at(n.dom)),
+            pres.cod.compose(pres.counit_at(n.cod), pres.left_mor(pres.right_mor(n))))
+
+
 def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors) -> dict:
     """Unit and counit naturality squares on families of morphisms; no
     morphism means nothing was checked, which fails.  A failure names the
@@ -581,8 +643,7 @@ def check_naturality(pres: AdjunctionPresentation, dom_mors, cod_mors) -> dict:
         record("unit", m, pres.dom.compose(pres.unit_at(m.cod), m),
                pres.dom.compose(pres.right_mor(pres.left_mor(m)), pres.unit_at(m.dom)))
     for n in cod_mors:
-        record("counit", n, pres.cod.compose(n, pres.counit_at(n.dom)),
-               pres.cod.compose(pres.counit_at(n.cod), pres.left_mor(pres.right_mor(n))))
+        record("counit", n, *_counit_square(pres, n))
     morphisms = len(dom_mors) + len(cod_mors)
     return _law_report("naturality", pres, failures, morphisms, morphisms=morphisms)
 

@@ -352,11 +352,12 @@ def theorem_torsor_checks(w, bounds: Bounds) -> dict:
     """The full per-torsor theorem instance: triangle identities,
     over-base comparison, round trip, stable reciprocity and the two
     tensor identities.  A failed instance has its first failing sub-check,
-    in that order, as error and that sub-check's witness.  The over-base
-    comparison is the round trip's first check, so its verdict is read
-    off the round trip's NotOverBase witness.  The module
-    caches are scoped to the instance: they are emptied when it returns or
-    raises, since their keys are this torsor's actions."""
+    in that order, as error and that sub-check's witness; a family too
+    large to check fails it with its size.  The over-base comparison is
+    the round trip's first check, so its verdict is read off the round
+    trip's NotOverBase witness.  The module caches are scoped to the
+    instance: they are emptied when it returns or raises, since their
+    keys are this torsor's actions."""
     try:
         b = w.bundle
         alg = b.action.algebra
@@ -388,6 +389,9 @@ def theorem_torsor_checks(w, bounds: Bounds) -> dict:
         sub = next((sub for sub, v in witnesses.items() if v is not None), None)
         return _passed("theorem_roundtrip", **fields) if sub is None else \
             _failed("theorem_roundtrip", sub, witnesses[sub], **fields)
+    except FamilyTooLarge as exc:
+        return _failed("theorem_roundtrip", exc, group_order=alg.order, base=x.size,
+                       carrier=b.action.carrier.size)
     finally:
         clear_caches()
 
@@ -502,10 +506,14 @@ def corollary_checks(groups, bounds: Bounds) -> list[dict]:
     for name, pres, negative in presentations:
         x = pres.dom.base
         alg = pres.cod.algebra
-        rep = corollary_slice_criterion(
-            pres, slice_family(x, bounds.family_total),
-            action_family(alg, bounds.family_carrier),
-            stable_slice_objects(alg, x))
+        try:
+            rep = corollary_slice_criterion(pres, slice_family(x, bounds.family_total),
+                                            action_family(alg, bounds.family_carrier),
+                                            stable_slice_objects(alg, x))
+        except FamilyTooLarge as exc:
+            checks.append(_failed("corollary_agreement", exc, presentation=name,
+                                  negative_control=negative))
+            continue
         fields = {"presentation": name, "criterion_passed": rep["criterion_passed"],
                   "stable_passed": rep["stable_passed"], "negative_control": negative}
         if rep["agree"] and rep["criterion_passed"] != negative:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from finbundles import catalog
@@ -821,34 +823,52 @@ def canonical_map_outcome(pres, a, w):
         return type(exc).__name__
 
 
+def counting_legs(pres):
+    """Wrap pres's legs component so that it counts the comparison maps
+    that take the table route; the list it returns receives one entry per
+    call."""
+    calls, legs = [], pres.legs_at
+
+    def legs_at(ra, w):
+        calls.append(w)
+        return legs(ra, w)
+
+    pres.legs_at = legs_at
+    return calls
+
+
 def test_sliced_canonical_map_matches_the_category_route():
-    # the sliced route computes in the source presentation's categories;
-    # the category route through the sliced categories is its oracle
+    # the sliced route reads each comparison map off the source's tables
+    # where its once-per-object checks pass, and builds it in the source's
+    # categories otherwise; the category route through the sliced
+    # categories is the oracle of both, on the families theorem runs
     from finbundles.suites import point_slice
 
-    z2, z3, pair2 = GROUPS["z2"], GROUPS["z3"], GROUPOIDS["pair2"]
     cases = []  # (presentation, slicing objects, dom family, cod family)
-    for alg, nx in ((z2, 1), (z2, 2), (z3, 1), (z3, 2), (pair2, 1), (pair2, 2)):
+    for alg, nx in itertools.product([GROUPS[n] for n in ("z2", "z3", "z4", "v4")]
+                                     + [GROUPOIDS["pair2"]], (1, 2)):
         x = FinSet(nx)
         fibre = alg.src.table.count(0)
-        w = enumerate_torsors(alg, x, FinSet(fibre * nx)).witnesses[0]
-        pres = bundle_to_adjunction(w)
+        pres = bundle_to_adjunction(enumerate_torsors(alg, x, FinSet(fibre * nx)).witnesses[-1])
         presentations = [pres]
-        if (alg, nx) == (z2, 2):
+        if (alg, nx) == (GROUPS["z2"], 2):
             presentations += [corrupt_counit(pres, style) for style in range(1, 6)]
         for p in presentations:
             cases.append((p, stable_slice_objects(alg, x),
                           slice_family(x, 2), action_family(alg, 2)))
-    for alg in (z2, pair2):
+    for alg in (GROUPS["z2"], GROUPOIDS["pair2"]):
         cases.append((sigma_presentation(alg), [point_slice(n) for n in (1, 2, 3)],
-                      action_family(alg, 2), slice_family(TERMINAL, 2)))
+                      action_family(alg, 3), slice_family(TERMINAL, 3)))
     f = FinFn(FinSet(3), FinSet(2), (0, 0, 1))
     cases.append((pullback_presentation(f), slice_family(f.cod, 1),
                   slice_family(f.dom, 2), slice_family(f.cod, 2)))
-    cases.append((fixedpoints(z2), stable_slice_objects(z2, TERMINAL),
-                  slice_family(TERMINAL, 2), action_family(z2, 2)))
-    pairs, outcomes = 0, set()
+    cases.append((fixedpoints(GROUPS["z2"]), stable_slice_objects(GROUPS["z2"], TERMINAL),
+                  slice_family(TERMINAL, 2), action_family(GROUPS["z2"], 2)))
+    outcomes = set()
+    routes = []  # (presentation, its pairs, its pairs on the table route)
     for pres, slicing, dom_objs, cod_objs in cases:
+        calls = counting_legs(pres) if pres.legs_at is not None else []
+        pairs = 0
         for b in slicing:
             sliced = slice_adjunction(pres, b)
             assert sliced.source is pres
@@ -862,10 +882,37 @@ def test_sliced_canonical_map_matches_the_category_route():
                     outcomes.add(got if isinstance(got, str) else
                                  len(set(got)) == len(got))
                     pairs += 1
+        routes.append((pres.name, pairs, len(calls)))
     # every verdict is exercised: bijections, non-injective maps and both
     # typed errors of a malformed comparison map
     assert outcomes == {True, False, "NotACone", "NotEquivariant"}
-    assert pairs > 2000
+    # every genuine presentation with legs takes the table route on every
+    # pair; each corrupted one sends some pairs to the category route, and
+    # a presentation without legs sends all of them there
+    for name, pairs, table in routes:
+        assert pairs > 0
+        if "!corrupt" in name:
+            assert 0 < table < pairs, name
+        else:
+            assert table == (0 if name.startswith("basechange") else pairs), name
+    assert len(routes) == 19 and sum(pairs for _, pairs, _ in routes) > 6000
+
+
+def test_corrupted_counit_reports_match_the_category_route():
+    # the table route reads every component through the presentation, so
+    # a corrupted copy's counit is the one its checks and tables use
+    for alg, x in ((GROUPS["z2"], FinSet(2)), (GROUPS["z3"], TERMINAL)):
+        pres = bundle_to_adjunction(trivial_torsor(alg, x))
+        for style in range(1, 6):
+            bad = corrupt_counit(pres, style)
+            for b in stable_slice_objects(alg, x):
+                sliced = slice_adjunction(bad, b)
+                dom_fam = list(sliced.dom.objects_over(slice_family(x, 2)))
+                cod_fam = list(sliced.cod.objects_over(action_family(alg, 2)))
+                got = check_frobenius(sliced, cod_fam, dom_fam, max_witnesses=10 ** 6)
+                want = check_frobenius(category_route(sliced), cod_fam, dom_fam,
+                                       max_witnesses=10 ** 6)
+                assert got == want, (sliced.name, style)
 
 
 def test_corollary_agreement_positive_and_negative():

@@ -52,6 +52,28 @@ def test_fixed_points_family_too_large_is_a_failed_entry():
                    "error": "FamilyTooLarge", "witness": 21204, "passed": False}
 
 
+def test_torsor_instance_family_too_large_is_a_failed_entry():
+    # sliced at the arrows action of z2, the slices of a point with at
+    # most 11 points have 2^0 + ... + 2^11 maps into R b, over the cap of
+    # 4,000 structure morphisms
+    bounds = Bounds(family_total=11)
+    rep = suites.theorem_torsor_checks(trivial_torsor(Z2, FinSet(1)), bounds)
+    assert rep == {"check": "theorem_roundtrip", "group_order": 2, "base": 1, "carrier": 2,
+                   "passed": False, "error": "FamilyTooLarge", "witness": 4000}
+    checks = theorem_checks({"z2": Z2}, {}, replace(bounds, base=1))
+    assert checks[0] == {"check": "theorem_suite_group", "group": "z2", "base": 1,
+                         "torsors": 1, "passed": False, "error": "FamilyTooLarge",
+                         "witness": {"torsor": 0, "witness": 4000}}
+
+
+def test_corollary_family_too_large_is_a_failed_entry():
+    checks = suites.corollary_checks({"z2": Z2}, Bounds(base=1, family_total=11))
+    names = ["z2/x1"] + ["z2/x1/corrupt%d" % style for style in range(1, 6)]
+    assert checks == [{"check": "corollary_agreement", "presentation": name,
+                       "negative_control": name != "z2/x1", "passed": False,
+                       "error": "FamilyTooLarge", "witness": 4000} for name in names]
+
+
 def test_corollary_negative_control_does_not_follow_the_fixture_name():
     # a genuine presentation whose group fixture is named like a corrupted
     # one is still a positive case, and the five corrupted copies of it
