@@ -13,7 +13,7 @@ Conventions, fixed so repeated runs are bit-identical:
 from __future__ import annotations
 
 import itertools
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass
 
 
 class FinSetError(Exception):
@@ -211,27 +211,44 @@ class IsoCertificate:
                                  (j, fwd.table[bwd.table[j]]))
 
 
-@dataclass(frozen=True)
+class _Indices(dict):
+    """Pairs to indices; a pair that is not a point raises NotInPullback."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair):
+        raise NotInPullback("pair is not a point of the pullback", pair)
+
+
 class Pullback:
-    """The pullback of f and g: pairs (a, b) with f(a) = g(b), in
-    lexicographic order."""
+    """The pullback of f and g: pairs (a, b) with f(a) = g(b), in lexicographic
+    order, and the index of each pair in ``indices``.  The legs p1 and p2 are
+    built on first read.  Immutable, and not pooled: equality is identity."""
 
-    carrier: FinSet
-    pairs: tuple[tuple[int, int], ...]
-    p1: FinFn
-    p2: FinFn
-    f: FinFn
-    g: FinFn
-    _index: dict = field(compare=False, hash=False, repr=False, default=None)
+    __slots__ = ("carrier", "pairs", "f", "g", "indices", "p1", "p2")
+    __setattr__, __delattr__ = _Interned.__setattr__, _Interned.__delattr__
 
-    def __post_init__(self):
-        object.__setattr__(self, "_index", {p: k for k, p in enumerate(self.pairs)})
+    def __init__(self, carrier: FinSet, pairs, f: FinFn, g: FinFn):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "indices", _Indices(zip(pairs, range(len(pairs)))))
+
+    def __reduce__(self):
+        return pullback, (self.f, self.g)
+
+    def __getattr__(self, name):
+        # reached only while the slot of a leg is empty
+        if name not in ("p1", "p2"):
+            raise AttributeError(name)
+        i = int(name[1]) - 1
+        leg = FinFn(self.carrier, (self.f, self.g)[i].dom, tuple(pair[i] for pair in self.pairs))
+        object.__setattr__(self, name, leg)
+        return leg
 
     def index(self, a: int, b: int) -> int:
-        try:
-            return self._index[(a, b)]
-        except KeyError:
-            raise NotInPullback("pair is not a point of the pullback", (a, b)) from None
+        return self.indices[(a, b)]
 
     def mediate(self, u: FinFn, v: FinFn) -> FinFn:
         """The unique map into the pullback induced by a cone (u, v)."""
@@ -251,12 +268,9 @@ class Pullback:
 def pullback(f: FinFn, g: FinFn) -> Pullback:
     if f.cod != g.cod:
         raise CodMismatch("pullback needs a common codomain", (f.cod, g.cod))
-    pairs = tuple((a, b) for a in range(f.dom.size) for b in range(g.dom.size)
-                  if f.table[a] == g.table[b])
-    carrier = FinSet(len(pairs))
-    p1 = FinFn(carrier, f.dom, tuple(a for a, _ in pairs))
-    p2 = FinFn(carrier, g.dom, tuple(b for _, b in pairs))
-    return Pullback(carrier, pairs, p1, p2, f, g)
+    gt = tuple(enumerate(g.table))
+    pairs = tuple([(a, b) for a, x in enumerate(f.table) for b, y in gt if x == y])
+    return Pullback(FinSet(len(pairs)), pairs, f, g)
 
 
 def _numbering(f: FinFn, g: FinFn) -> tuple[list[int], list[int]]:

@@ -255,12 +255,11 @@ def descent_roundtrip(kp: Pullback, max_total: int) -> tuple[int, list[dict]]:
     fibre sizes again.  Returns the number of slices and one witness,
     naming the slice's projection, per slice that fails."""
     f = kp.f
-    cases = 0
-    failures = []
+    cases, failures, shapes = 0, [], {}
     for nz in range(max_total + 1):
         z = FinSet(nz)
         for zp in all_functions(z, f.cod):
-            glued = glue_descent_data(f, canonical_descent_datum(kp, zp))
+            glued = glue_descent_data(f, canonical_descent_datum(kp, zp, shapes))
             if glued.result.dom.size != nz or sorted(glued.result.table) != sorted(zp.table):
                 failures.append({"f": list(f.table), "z": nz, "proj": list(zp.table)})
             cases += 1
@@ -621,12 +620,10 @@ def all_descent_data(kp: Pullback, y_size: int):
         base_fibers.setdefault(f.table[p], []).append(p)
     others = [p for xval in sorted(base_fibers) for p in base_fibers[xval][1:]]
     for p_table in itertools.product(range(p_size), repeat=y_size):
-        fiber = {p: [yv for yv in range(y_size) if p_table[yv] == p]
-                 for p in range(p_size)}
-        ok = all(len(fiber[p1]) == len(fiber[p2])
-                 for p1 in range(p_size) for p2 in range(p_size)
-                 if f.table[p1] == f.table[p2])
-        if not ok:
+        fiber = [[] for _ in range(p_size)]
+        for yv, p in enumerate(p_table):
+            fiber[p].append(yv)
+        if any(len(fiber[p]) != len(fiber[ps[0]]) for ps in base_fibers.values() for p in ps):
             continue
         shape = descent_pullbacks(kp, FinFn(y, f.dom, p_table))
         options = [list(itertools.permutations(fiber[p])) for p in others]

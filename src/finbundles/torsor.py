@@ -18,7 +18,6 @@ from .finset import (
     FinSet,
     IsoCertificate,
     Pullback,
-    UnionFind,
     product,
     pullback,
 )
@@ -345,18 +344,22 @@ def _transport(f: FinFn, d: DescentDatum) -> list[int]:
     """Check the shape, unit and cocycle conditions, and read the glue as
     a transport table: entry k is the point that the k-th point (w, y) of
     pb1 is glued to, over the second point of the fibrewise pair w."""
-    shape, pp, pb1, fwd = d.shape, d.shape.pp, d.shape.pb1, d.glue.forward
+    pp, pb1, pb2, fwd = d.shape.pp, d.shape.pb1, d.shape.pb2, d.glue.forward
     if d.over.cod != f.dom:
         raise ShapeMismatch("datum must live over the total space of f", (d.over.cod, f.dom))
     if pp.f != f or pb1.g != d.over:
         raise ShapeMismatch("datum's shape was built along another map or slice",
                             (pp.f, f) if pp.f != f else (pb1.g, d.over))
-    if fwd.dom != pb1.carrier or fwd.cod != shape.pb2.carrier:
+    for i, pb, leg in (1, pb1, pp.p1), (2, pb2, pp.p2):
+        if pb.f is not leg or pb.g is not d.over:
+            raise ShapeMismatch("shape's pb%d must pull the datum back along the fibrewise "
+                                "pairs' leg p%d" % (i, i), ((pb.f, pb.g), (leg, d.over)))
+    if fwd.dom != pb1.carrier or fwd.cod != pb2.carrier:
         raise ShapeMismatch("glue endpoints do not match the canonical pullbacks",
-                            ((fwd.dom, fwd.cod), (pb1.carrier, shape.pb2.carrier)))
+                            ((fwd.dom, fwd.cod), (pb1.carrier, pb2.carrier)))
     to = []
-    for k, (w, y) in enumerate(pb1.pairs):
-        w2, y2 = shape.pb2.pairs[fwd.table[k]]
+    for (w, y), k2 in zip(pb1.pairs, fwd.table):
+        w2, y2 = pb2.pairs[k2]
         if w2 != w:
             raise CocycleFail("glue does not live over the fibrewise pairs", (w, y))
         p1, p2 = pp.pairs[w]
@@ -364,16 +367,22 @@ def _transport(f: FinFn, d: DescentDatum) -> list[int]:
             raise CocycleFail("glue must be the identity on the diagonal", (w, y))
         to.append(y2)
     # the triples of each fibre of f in the order (p1, p2, p3), then y over
-    # p1: this order fixes which failure is reported first
-    for p1 in range(f.dom.size):
-        fiber = [p for p in range(f.dom.size) if f.table[p] == f.table[p1]]
-        ys = [y for y in range(d.over.dom.size) if d.over.table[y] == p1]
+    # p1: this order fixes which failure is reported first.  The leg checks
+    # make every lookup below a point of its pullback.
+    fibers, ys = [[] for _ in range(f.cod.size)], [[] for _ in range(f.dom.size)]
+    for p, x in enumerate(f.table):
+        fibers[x].append(p)
+    for y, p in enumerate(d.over.table):
+        ys[p].append(y)
+    w_at, k_at = pp.indices, pb1.indices
+    for p1, ys1 in enumerate(ys):
+        fiber = fibers[f.table[p1]]
         for p2 in fiber:
-            w12 = pp.index(p1, p2)
+            w12 = w_at[(p1, p2)]
             for p3 in fiber:
-                w23, w13 = pp.index(p2, p3), pp.index(p1, p3)
-                for y in ys:
-                    if to[pb1.index(w23, to[pb1.index(w12, y)])] != to[pb1.index(w13, y)]:
+                w23, w13 = w_at[(p2, p3)], w_at[(p1, p3)]
+                for y in ys1:
+                    if to[k_at[(w23, to[k_at[(w12, y)]])]] != to[k_at[(w13, y)]]:
                         raise CocycleFail("cocycle condition fails", (p1, p2, p3, y))
     return to
 
@@ -392,21 +401,28 @@ def descent_datum(shape: DescentShape, transport) -> DescentDatum:
     This is the one place that writes the certificate's indices into the
     pullbacks pb1 and pb2; an inconsistent transport raises ValueError
     from IsoCertificate."""
-    pairs = shape.pp.pairs
-    fwd = tuple(shape.pb2.index(w, transport(*pairs[w], y)) for (w, y) in shape.pb1.pairs)
-    bwd = tuple(shape.pb1.index(w, transport(pairs[w][1], pairs[w][0], y))
-                for (w, y) in shape.pb2.pairs)
-    glue = IsoCertificate(FinFn(shape.pb1.carrier, shape.pb2.carrier, fwd),
-                          FinFn(shape.pb2.carrier, shape.pb1.carrier, bwd))
-    return DescentDatum(shape.pb1.g, glue, shape)
+    pairs, pb1, pb2 = shape.pp.pairs, shape.pb1, shape.pb2
+    fwd = tuple([pb2.indices[(w, transport(*pairs[w], y))] for (w, y) in pb1.pairs])
+    bwd = tuple([pb1.indices[(w, transport(pairs[w][1], pairs[w][0], y))] for (w, y) in pb2.pairs])
+    glue = IsoCertificate(FinFn(pb1.carrier, pb2.carrier, fwd),
+                          FinFn(pb2.carrier, pb1.carrier, bwd))
+    return DescentDatum(pb1.g, glue, shape)
 
 
-def canonical_descent_datum(kp: Pullback, s: FinFn) -> DescentDatum:
+def canonical_descent_datum(kp: Pullback, s: FinFn, shapes: dict | None = None) -> DescentDatum:
     """The datum obtained by pulling a slice over the base back along the
-    map f of the kernel pair kp: the glue transports (p1, z) to (p2, z)."""
+    map f of the kernel pair kp: the glue transports (p1, z) to (p2, z).
+    The shape depends only on that pullback's first leg: the shapes dict
+    shares one per leg, and one built on another kernel pair raises
+    ShapeMismatch."""
     pb = pullback(kp.f, s)
-    return descent_datum(descent_pullbacks(kp, pb.p1),
-                         lambda p1, p2, y: pb.index(p2, pb.pairs[y][1]))
+    shapes = {} if shapes is None else shapes
+    shape = shapes.get(pb.p1)
+    if shape is None:
+        shape = shapes[pb.p1] = descent_pullbacks(kp, pb.p1)
+    elif shape.pp is not kp:
+        raise ShapeMismatch("shared shape was built on another kernel pair", (shape.pp, kp))
+    return descent_datum(shape, lambda p1, p2, y: pb.indices[(p2, pb.pairs[y][1])])
 
 
 @dataclass(frozen=True)
@@ -429,17 +445,19 @@ def glue_descent_data(f: FinFn, d: DescentDatum) -> GluedSlice:
         raise NotSurjective("cannot glue along a non-surjection", missed)
     to = _transport(f, d)
     shape, p = d.shape, d.over
-    uf = UnionFind(p.dom.size)
-    for k, (_, y) in enumerate(shape.pb1.pairs):
-        uf.union(y, to[k])
-    quotient, cls_of, reps = uf.quotient()
-    base_of = tuple(f.table[p.table[rep]] for rep in reps)
-    result = FinFn(quotient, f.cod, base_of)
+    # unit and cocycle make a point's class its transport to the least point
+    # of its fibre of f; numbering in point order numbers by least member
+    w_at, k_at, ft = shape.pp.indices, shape.pb1.indices, f.table
+    roots = [to[k_at[(w_at[(py, ft.index(ft[py]))], y)]] for y, py in enumerate(p.table)]
+    cls_at: dict[int, int] = {}
+    cls_of = [cls_at.setdefault(root, len(cls_at)) for root in roots]
+    reps = [roots.index(root) for root in cls_at]
+    result = FinFn(FinSet(len(reps)), f.cod, tuple(f.table[p.table[rep]] for rep in reps))
     pb = pullback(f, result)
     fwd = FinFn(p.dom, pb.carrier,
-                tuple(pb.index(p.table[y], cls_of[y]) for y in range(p.dom.size)))
+                tuple([pb.indices[(py, c)] for py, c in zip(p.table, cls_of)]))
     bwd = FinFn(pb.carrier, p.dom, tuple(
-        to[shape.pb1.index(shape.pp.index(p.table[reps[c]], p0), reps[c])] for (p0, c) in pb.pairs))
+        [to[k_at[(w_at[(p.table[reps[c]], p0)], reps[c])]] for (p0, c) in pb.pairs]))
     cert = IsoCertificate(fwd, bwd)
     return GluedSlice(result, pb, cert, shape)
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -913,6 +914,41 @@ def test_corrupted_counit_reports_match_the_category_route():
                 want = check_frobenius(category_route(sliced), cod_fam, dom_fam,
                                        max_witnesses=10 ** 6)
                 assert got == want, (sliced.name, style)
+
+
+def test_a_counit_corrupted_only_at_the_slicing_object_keeps_the_category_route():
+    # z2 over a point, sliced over b = the arrows action plus a fixed point
+    # 2; one point q of L(R b) that no L(R a) of the family reaches is sent
+    # to 2, so every counit square along the family still commutes and
+    # only the check of the counit at b keeps the pairs off the table route
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    b = validate_action(z2, FinSet(3), ((0, 1, 2), (1, 0, 2)))
+    sliced = slice_adjunction(pres, b)
+    cod_fam = list(sliced.cod.objects_over(action_family(z2, 1)))
+    dom_fam = list(sliced.dom.objects_over(slice_family(TERMINAL, 2)))
+    reached = {v for a in cod_fam for v in pres.left_mor(pres.right_mor(a)).fn.table}
+    q = min(set(range(pres.counit_at(b).fn.dom.size)) - reached)
+
+    def counit_at(o):
+        m = pres.counit_at(o)
+        if o != b:
+            return m
+        table = tuple(2 if v == q else e for v, e in enumerate(m.fn.table))
+        return Mor(m.dom, m.cod, FinFn(m.fn.dom, m.fn.cod, table))
+
+    bad = copy.copy(pres)
+    bad.counit_at = counit_at
+    for a in cod_fam:
+        assert (bad.counit_at(a.dom).fn.then(a.fn)
+                == bad.left_mor(bad.right_mor(a)).fn.then(bad.counit_at(b).fn))
+    sliced = slice_adjunction(bad, b)
+    got = check_frobenius(sliced, cod_fam, dom_fam, max_witnesses=10 ** 6)
+    want = check_frobenius(category_route(sliced), cod_fam, dom_fam, max_witnesses=10 ** 6)
+    assert got == want and not got["passed"]
+    assert len(got["witnesses"]) == 6
+    assert all(e["error"] == "NotEquivariant" for e in got["witnesses"])
+    assert got["witnesses"][0]["witness"] == (1, (0, 0))
 
 
 def test_corollary_agreement_positive_and_negative():

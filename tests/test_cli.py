@@ -371,7 +371,8 @@ def report_digest(report: dict) -> str:
 
 # sha256 of each report over fixtures/, without elapsed_s: the first three
 # at default bounds, as recorded before groups were run as one-object
-# groupoids; verify at base 3 holds psi_laws' one skip entry.
+# groupoids; verify at base 3 holds psi_laws' one skip entry; glue at
+# base 3 is perfbench's glue-base3 report, which reads no fixture.
 GOLDEN_REPORTS = {
     "verify": (run_verify, Bounds(),
                "a425f2f4b1d90fd88638cdb5e5c881649a10e030cba50baee74020563f4f93b7"),
@@ -382,6 +383,9 @@ GOLDEN_REPORTS = {
     "verify --bound-base 3": (
         run_verify, Bounds(base=3),
         "5e53dd262dd365bf9a79971ac79200f1734ee0469f53415f27f8a653737ae36b"),
+    "glue --bound-base 3": (
+        run_glue, Bounds(base=3),
+        "bfc708a4e8791aeb223e7596c43a2f530405a6b3261822bfd23303264c1c53c4"),
 }
 
 

@@ -1,3 +1,8 @@
+import copy
+import itertools
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,6 +16,7 @@ from finbundles.finset import (
     IsoCertificate,
     NotACone,
     NotBijective,
+    NotInPullback,
     TERMINAL,
     all_functions,
     coequalizer,
@@ -109,6 +115,41 @@ def test_pullback_matches_counting_oracle(f, g):
     for k, (a, b) in enumerate(pb.pairs):
         assert pb.p1.table[k] == a and pb.p2.table[k] == b
         assert f.table[a] == g.table[b]
+
+
+def test_pullback_matches_the_double_loop_on_every_small_cospan():
+    # every f: A -> C and g: B -> C with |A|, |B| <= 3 and |C| <= 2; the
+    # legs are built on first read, so read them only after the pairs
+    checked = 0
+    for nc in range(3):
+        c = FinSet(nc)
+        cospans = [fn for n in range(4) for fn in all_functions(FinSet(n), c)]
+        for f, g in itertools.product(cospans, repeat=2):
+            pb = pullback(f, g)
+            pairs = [(a, b) for a in range(f.dom.size) for b in range(g.dom.size)
+                     if f.table[a] == g.table[b]]
+            assert list(pb.pairs) == pairs and pb.carrier.size == len(pairs)
+            assert pb.p1 == FinFn(pb.carrier, f.dom, tuple(a for a, _ in pairs))
+            assert pb.p2 == FinFn(pb.carrier, g.dom, tuple(b for _, b in pairs))
+            assert pb.p1 is pb.p1 and (pb.f, pb.g) == (f, g)
+            for a in range(f.dom.size + 1):
+                for b in range(g.dom.size + 1):
+                    if (a, b) in pairs:
+                        assert pb.index(a, b) == pairs.index((a, b))
+                        continue
+                    with pytest.raises(NotInPullback) as exc:
+                        pb.index(a, b)
+                    assert exc.value.witness == (a, b)
+            for name in ("carrier", "pairs", "p1", "p2", "f", "g", "indices"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(pb, name, None)
+            assert pb != pullback(f, g)
+            checked += 1
+    assert checked == 1 + 4 ** 2 + 15 ** 2
+    # a copy is the pullback of the same cospan again: equal pairs and
+    # legs, another object
+    for clone in (copy.copy(pb), copy.deepcopy(pb), pickle.loads(pickle.dumps(pb))):
+        assert clone is not pb and (clone.pairs, clone.p1, clone.p2) == (pb.pairs, pb.p1, pb.p2)
 
 
 def test_pullback_spec_examples():

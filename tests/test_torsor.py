@@ -13,6 +13,7 @@ from finbundles.finset import (
     FinSet,
     IsoCertificate,
     TERMINAL,
+    UnionFind,
     all_functions,
     coequalizer,
     product,
@@ -34,8 +35,10 @@ from finbundles.torsor import (
     BoundsExceeded,
     CocycleFail,
     DescentDatum,
+    DescentShape,
     NotFreeTransitive,
     NotSurjective,
+    ShapeMismatch,
     canonical_descent_datum,
     descent_datum,
     descent_pullbacks,
@@ -460,6 +463,50 @@ def test_validate_descent_rejects_a_datum_built_along_another_map():
         validate_descent_datum(swap, DescentDatum(other, d.glue, d.shape))
 
 
+def test_a_shape_built_along_the_wrong_leg_raises_shape_mismatch():
+    # a datum whose second pullback runs along the first leg, or whose
+    # two pullbacks are swapped, names the leg and what it should be
+    f = FinFn(FinSet(2), TERMINAL, (0, 0))
+    over = FinFn(FinSet(2), FinSet(2), (0, 1))
+    kp = pullback(f, f)
+    d = descent_datum(descent_pullbacks(kp, over), lambda p1, p2, y: p2)
+    pb1, pb2 = d.shape.pb1, d.shape.pb2
+    cases = [(DescentShape(kp, pb1, pullback(kp.p1, over)), ((kp.p1, over), (kp.p2, over))),
+             (DescentShape(kp, pb2, pb1), ((kp.p2, over), (kp.p1, over)))]
+    for shape, witness in cases:
+        for check in (validate_descent_datum, glue_descent_data):
+            with pytest.raises(ShapeMismatch) as exc:
+                check(f, DescentDatum(over, d.glue, shape))
+            assert exc.value.witness == witness
+    assert validate_descent_datum(f, d) is d.shape
+
+
+def test_glued_classes_match_the_union_find_quotient():
+    # the oracle: the gluing relation read off the certificate, closed by
+    # UnionFind, whose classes are numbered by least member
+    from finbundles.suites import all_descent_data
+
+    checked = 0
+    for nx in (1, 2):
+        for np in range(1, 5):
+            for f in all_functions(FinSet(np), FinSet(nx)):
+                if not f.is_surjection():
+                    continue
+                for ny in range(4):
+                    for d in all_descent_data(pullback(f, f), ny):
+                        uf = UnionFind(ny)
+                        for k, (_, y) in enumerate(d.shape.pb1.pairs):
+                            uf.union(y, d.shape.pb2.pairs[d.glue.forward.table[k]][1])
+                        quotient, cls_of, reps = uf.quotient()
+                        glued = glue_descent_data(f, d)
+                        pb, fwd = glued.pullback, glued.cert.forward.table
+                        assert glued.result.dom == quotient
+                        assert tuple(pb.pairs[fwd[y]][1] for y in range(ny)) == cls_of
+                        assert glued.result.table == tuple(f.table[d.over.table[r]] for r in reps)
+                        checked += 1
+    assert checked == 227
+
+
 def test_descent_morphisms_biject_with_glued_morphisms():
     # maps of descent data (over the total space, commuting with the
     # gluing) correspond exactly to maps of the glued slices over the base
@@ -598,6 +645,18 @@ def test_descent_datum_rejects_a_transport_that_is_not_invertible():
         descent_datum(descent_pullbacks(pullback(f, f), y), lambda p1, p2, v: 2 * p2)
 
 
+def test_descent_datum_names_the_first_transport_off_its_fibre():
+    from finbundles.finset import NotInPullback
+
+    f = FinFn(FinSet(2), TERMINAL, (0, 0))
+    y = FinFn(FinSet(4), FinSet(2), (0, 0, 1, 1))
+    # every point goes to 0, which lies over 0, so the first miss is the
+    # transport of point 0 along the fibrewise pair (0, 1), numbered 1
+    with pytest.raises(NotInPullback) as exc:
+        descent_datum(descent_pullbacks(pullback(f, f), y), lambda p1, p2, v: 0)
+    assert exc.value.witness == (1, 0)
+
+
 def test_descent_roundtrip_failure_names_the_slice(monkeypatch):
     from finbundles import suites
 
@@ -726,6 +785,25 @@ def test_descent_data_over_one_map_share_its_kernel_pair():
                for n in range(3) for s in all_functions(FinSet(n), FinSet(2))]
     assert len(shapes) == 37 + 7
     assert all(shape.pp is kp for shape in shapes)
+
+
+def test_canonical_data_share_one_shape_per_first_leg():
+    # the first leg of the pullback of f and a slice depends only on the
+    # slice's fibre sizes, here (m0, m1) with m0 + m1 <= 3
+    f = FinFn(FinSet(3), FinSet(2), (0, 0, 1))
+    kp = pullback(f, f)
+    shapes = {}
+    slices = [s for n in range(4) for s in all_functions(FinSet(n), FinSet(2))]
+    data = [canonical_descent_datum(kp, s, shapes) for s in slices]
+    assert len(shapes) == len({id(d.shape) for d in data}) == 10
+    for s, d in zip(slices, data):
+        alone = canonical_descent_datum(kp, s)
+        assert d.shape is shapes[d.over] and alone.shape is not d.shape
+        assert (d.over, d.glue) == (alone.over, alone.glue)
+    other = pullback(f, f)
+    with pytest.raises(ShapeMismatch) as exc:
+        canonical_descent_datum(other, slices[1], shapes)
+    assert exc.value.witness == (kp, other)
 
 
 def test_descent_shape_rejects_the_pullback_of_two_maps():
