@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import FrozenInstanceError, dataclass
+from functools import cached_property
 
 
 class FinSetError(Exception):
@@ -225,7 +226,7 @@ class Pullback:
     order, and the index of each pair in ``indices``.  The legs p1 and p2 are
     built on first read.  Immutable, and not pooled: equality is identity."""
 
-    __slots__ = ("carrier", "pairs", "f", "g", "indices", "p1", "p2")
+    __slots__ = ("carrier", "pairs", "f", "g", "indices", "__dict__")
     __setattr__, __delattr__ = _Interned.__setattr__, _Interned.__delattr__
 
     def __init__(self, carrier: FinSet, pairs, f: FinFn, g: FinFn):
@@ -238,14 +239,13 @@ class Pullback:
     def __reduce__(self):
         return pullback, (self.f, self.g)
 
-    def __getattr__(self, name):
-        # reached only while the slot of a leg is empty
-        if name not in ("p1", "p2"):
-            raise AttributeError(name)
-        i = int(name[1]) - 1
-        leg = FinFn(self.carrier, (self.f, self.g)[i].dom, tuple(pair[i] for pair in self.pairs))
-        object.__setattr__(self, name, leg)
-        return leg
+    @cached_property
+    def p1(self) -> FinFn:
+        return FinFn(self.carrier, self.f.dom, tuple(a for a, _ in self.pairs))
+
+    @cached_property
+    def p2(self) -> FinFn:
+        return FinFn(self.carrier, self.g.dom, tuple(b for _, b in self.pairs))
 
     def index(self, a: int, b: int) -> int:
         return self.indices[(a, b)]

@@ -340,10 +340,10 @@ def descent_pullbacks(kp: Pullback, over: FinFn) -> DescentShape:
     return DescentShape(kp, pb1, pb2)
 
 
-def _transport(f: FinFn, d: DescentDatum) -> list[int]:
+def _transport(f: FinFn, d: DescentDatum) -> list[dict[int, int]]:
     """Check the shape, unit and cocycle conditions, and read the glue as
-    a transport table: entry k is the point that the k-th point (w, y) of
-    pb1 is glued to, over the second point of the fibrewise pair w."""
+    a transport table: entry w maps each point y over p1 to the point over
+    p2 that it is glued to, for the w-th fibrewise pair (p1, p2)."""
     pp, pb1, pb2, fwd = d.shape.pp, d.shape.pb1, d.shape.pb2, d.glue.forward
     if d.over.cod != f.dom:
         raise ShapeMismatch("datum must live over the total space of f", (d.over.cod, f.dom))
@@ -357,7 +357,7 @@ def _transport(f: FinFn, d: DescentDatum) -> list[int]:
     if fwd.dom != pb1.carrier or fwd.cod != pb2.carrier:
         raise ShapeMismatch("glue endpoints do not match the canonical pullbacks",
                             ((fwd.dom, fwd.cod), (pb1.carrier, pb2.carrier)))
-    to = []
+    to: list[dict[int, int]] = [{} for _ in pp.pairs]
     for (w, y), k2 in zip(pb1.pairs, fwd.table):
         w2, y2 = pb2.pairs[k2]
         if w2 != w:
@@ -365,24 +365,24 @@ def _transport(f: FinFn, d: DescentDatum) -> list[int]:
         p1, p2 = pp.pairs[w]
         if p1 == p2 and y2 != y:
             raise CocycleFail("glue must be the identity on the diagonal", (w, y))
-        to.append(y2)
+        to[w][y] = y2
     # the triples of each fibre of f in the order (p1, p2, p3), then y over
     # p1: this order fixes which failure is reported first.  The leg checks
-    # make every lookup below a point of its pullback.
+    # put each glued point over p2, so every lookup below finds its key.
     fibers, ys = [[] for _ in range(f.cod.size)], [[] for _ in range(f.dom.size)]
     for p, x in enumerate(f.table):
         fibers[x].append(p)
     for y, p in enumerate(d.over.table):
         ys[p].append(y)
-    w_at, k_at = pp.indices, pb1.indices
+    w_at = pp.indices
     for p1, ys1 in enumerate(ys):
         fiber = fibers[f.table[p1]]
         for p2 in fiber:
-            w12 = w_at[(p1, p2)]
+            to12 = to[w_at[(p1, p2)]]
             for p3 in fiber:
-                w23, w13 = w_at[(p2, p3)], w_at[(p1, p3)]
+                to23, to13 = to[w_at[(p2, p3)]], to[w_at[(p1, p3)]]
                 for y in ys1:
-                    if to[k_at[(w23, to[k_at[(w12, y)]])]] != to[k_at[(w13, y)]]:
+                    if to23[to12[y]] != to13[y]:
                         raise CocycleFail("cocycle condition fails", (p1, p2, p3, y))
     return to
 
@@ -447,8 +447,8 @@ def glue_descent_data(f: FinFn, d: DescentDatum) -> GluedSlice:
     shape, p = d.shape, d.over
     # unit and cocycle make a point's class its transport to the least point
     # of its fibre of f; numbering in point order numbers by least member
-    w_at, k_at, ft = shape.pp.indices, shape.pb1.indices, f.table
-    roots = [to[k_at[(w_at[(py, ft.index(ft[py]))], y)]] for y, py in enumerate(p.table)]
+    w_at, ft = shape.pp.indices, f.table
+    roots = [to[w_at[(py, ft.index(ft[py]))]][y] for y, py in enumerate(p.table)]
     cls_at: dict[int, int] = {}
     cls_of = [cls_at.setdefault(root, len(cls_at)) for root in roots]
     reps = [roots.index(root) for root in cls_at]
@@ -457,7 +457,7 @@ def glue_descent_data(f: FinFn, d: DescentDatum) -> GluedSlice:
     fwd = FinFn(p.dom, pb.carrier,
                 tuple([pb.indices[(py, c)] for py, c in zip(p.table, cls_of)]))
     bwd = FinFn(pb.carrier, p.dom, tuple(
-        [to[k_at[(w_at[(p.table[reps[c]], p0)], reps[c])]] for (p0, c) in pb.pairs]))
+        [to[w_at[(p.table[reps[c]], p0)]][reps[c]] for (p0, c) in pb.pairs]))
     cert = IsoCertificate(fwd, bwd)
     return GluedSlice(result, pb, cert, shape)
 
