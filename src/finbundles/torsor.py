@@ -127,11 +127,11 @@ def _divide(b: Bundle, pb: Pullback) -> TorsorWitness:
     # per fibrewise pair (g.p, p): how many g solve it, and the last one
     counts = [0] * len(pb.pairs)
     division = [0] * len(pb.pairs)
-    index = pb.index
+    at = pb.indices
     for g, row in enumerate(b.action.act):
         for p, v in enumerate(row):
             if v is not None:
-                k = index(v, p)
+                k = at[(v, p)]
                 counts[k] += 1
                 division[k] = g
     for k, count in enumerate(counts):
