@@ -35,7 +35,6 @@ from .finset import (
     NotBijective,
     Pullback,
     TERMINAL,
-    _numbering,
     pullback,
 )
 from .algebra import (
@@ -97,7 +96,8 @@ class AdjunctionPresentation:
     on equal objects.  over_iso_at, the comparison of each left value's
     orbit set with the underlying set of its argument, is present exactly
     on the presentations of actions over a base (presentation), whose
-    left values are actions.  The optional, uncached legs_at(ra, w) lists
+    left values are actions.  The optional legs_at is three uncached
+    functions (ra_side, w_side, join): join(ra_side(ra), w_side(w)) lists
     (L p1 z, L p2 z) over L(D)'s points z, D the pullback of ra and w."""
 
     def __init__(self, name, dom, cod, left_obj, left_mor, right_obj, right_mor,
@@ -113,8 +113,7 @@ class AdjunctionPresentation:
         self.counit_at = cache(counit_at)
         self.over_iso_at = cache(over_iso_at) if over_iso_at is not None else None
         self.legs_at = legs_at
-        # the presentation this one is the sliced form of (slice_adjunction)
-        self.source = None
+        self.records = None  # the table route's records (_records)
 
     def __repr__(self):
         return "AdjunctionPresentation(%s)" % self.name
@@ -245,19 +244,24 @@ def presentation(P: ActionObject, proj: FinFn, name: str | None = None
         table = tuple(pbo.pairs[orb.reps[k]][1] for k in range(orb.quotient.size))
         return FinFn(orb.quotient, o.dom, table)
 
-    def legs_at(ra: Mor, w: Mor):
-        # L(D) = P x_X D holds (p, d) for the points d = (r, v) of D over
-        # p's base point; its legs keep p and drop one factor of d
-        (_, pb1), (_, pb2) = left_data(ra.dom), left_data(w.dom)
-        d = [(r, v) for r, y in enumerate(ra.fn.table)
-             for v, y2 in enumerate(w.fn.table) if y == y2]
-        return [(pb1.index(p, r), pb2.index(p, v)) for p, x in enumerate(proj.table)
-                for r, v in d if ra.dom.table[r] == x]
+    # L(D) = P x_X D holds (p, d) for d = (r, v) over p's base point: the
+    # sides key L(R a)'s points (p, r) and L(W)'s (p, v) by p and the image
+    def ra_side(ra: Mor):
+        return [((p, ra.fn.table[r]), k) for k, (p, r) in enumerate(left_data(ra.dom)[1].pairs)]
+
+    def w_side(w: Mor):
+        side = {}
+        for k, (p, v) in enumerate(left_data(w.dom)[1].pairs):
+            side.setdefault((p, w.fn.table[v]), []).append(k)
+        return side
+
+    def join(sa, sw):
+        return [(u, v) for key, u in sa for v in sw.get(key, ())]
 
     pres = AdjunctionPresentation(
         name or "bundle(|G|=%d, |X|=%d, |P|=%d)" % (alg.order, X.size, P.carrier.size),
         SliceCategory(X), ActionCategory(alg), left_obj, left_mor, right_obj, right_mor,
-        unit_at, counit_at, over_iso_at, legs_at)
+        unit_at, counit_at, over_iso_at, (ra_side, w_side, join))
     pres.bundle = b
     pres.left_data = left_data
     return pres
@@ -306,19 +310,29 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
         table = tuple(r % v.dom.size for r in orb.reps)
         return Mor(lrv, v, FinFn(lrv.dom, v.dom, table))
 
-    def legs_at(ra: Mor, w: Mor):
-        # R a and w land in trivial actions, so the orbit in D = R a x w of
-        # (k, alpha), k = (o, u), and its legs depend only on (u, orbit of
-        # alpha); D's points in order meet each orbit first at its least one
+    # when R a is trivial (anchored by o, arrows keep u; else no side), the
+    # orbit of (k, alpha) in D = R a x w, k = (o, u), and its legs depend on
+    # (u, orbit of alpha) only; D meets each orbit first at its least point
+    def ra_side(ra: Mor):
         n = ra.dom.carrier.size // alg.objects.size
-        triv, orbit = sigma(ra.dom).q.table, sigma(w.dom).q.table
-        return list({(k % n, orbit[alpha]): (triv[k], orbit[alpha])
-                     for k, y in enumerate(ra.fn.table)
-                     for alpha, y2 in enumerate(w.fn.table) if y == y2}.values())
+        if any(o != k // n for k, o in enumerate(ra.dom.anchor.table)) or any(
+                v is not None and v % n != k % n for row in ra.dom.act for k, v in enumerate(row)):
+            return None
+        triv = sigma(ra.dom).q.table
+        return [(y, k % n, triv[k]) for k, y in enumerate(ra.fn.table)]
+
+    def w_side(w: Mor):
+        orbit, side = sigma(w.dom).q.table, {}
+        for alpha, y in enumerate(w.fn.table):
+            side.setdefault(y, {})[orbit[alpha]] = None
+        return side
+
+    def join(sa, sw):
+        return list({(u, o): (t, o) for y, u, t in sa for o in sw.get(y, ())}.values())
 
     return AdjunctionPresentation("sigma(|alg|=%d)" % alg.order, dom, cod,
                                   left_obj, left_mor, right_obj, right_mor,
-                                  unit_at, counit_at, legs_at=legs_at)
+                                  unit_at, counit_at, legs_at=(ra_side, w_side, join))
 
 
 def pullback_presentation(f: FinFn) -> AdjunctionPresentation:
@@ -397,11 +411,19 @@ def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresen
 
 def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
     """The comparison map from the left adjoint applied to a product with
-    a right-adjoint value, into the plain product.  For the sliced form of
-    a presentation the returned Mor's endpoints are carriers (FinSets):
-    those of L(D), for D the pullback of R a and w, and of a x_b L'w."""
-    if pres.source is not None:
-        return _sliced_canonical_map(pres, a, wobj)
+    a right-adjoint value, into the plain product.  Where both records
+    (_records) of the pair are open, z goes to (counit_A(L p1 z), L p2 z)
+    in the pullback of a and L'w, read off tables, and the Mor's ends are
+    the carriers of L(D), D the pullback of R a and w, and of a x_b L'w.
+    Else pres's categories build both products and check legs and cone."""
+    records = pres.records
+    ra_rec, w_rec = (records[0](a), records[1](wobj)) if records else (None, None)
+    if ra_rec is not None and w_rec is not None:
+        (ra_side, counit, a_table), (w_side, counts, rank) = ra_rec, w_rec
+        start = list(itertools.accumulate([counts[y] for y in a_table], initial=0))
+        table = tuple([start[counit[u]] + rank[v] for u, v in records[2](ra_side, w_side)])
+        fn = FinFn(FinSet(len(table)), FinSet(start[-1]), table)
+        return Mor(fn.dom, fn.cod, fn)
     ra = pres.right_obj(a)
     prod_d = pres.dom.product(ra, wobj)
     lp1 = pres.left_mor(prod_d.p1)
@@ -411,29 +433,60 @@ def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
     return prod_c.mediate(left_leg, lp2)
 
 
-def _sliced_canonical_map(pres: AdjunctionPresentation, a: Mor, wobj: Mor) -> Mor:
-    """The comparison map of a presentation sliced over b, from its source
-    P: where table_route allows, z goes to (counit_A(L p1 z), L p2 z) in the
-    pullback of a and L'w, read off P's tables; else the category route
-    builds both pullbacks in P's categories and checks the legs and cone."""
-    src = pres.source
-    ra = src.right_mor(a)
-    if pres.table_route(a, wobj):
-        counit = src.counit_at(a.dom).fn.table
-        start, rank = _numbering(a.fn, pres.left_obj(wobj).fn)
-        legs = src.legs_at(ra, wobj)
-        fn = FinFn(FinSet(len(legs)), FinSet(start[-1]),
-                   tuple(start[counit[u]] + rank[v] for u, v in legs))
-    else:
-        pb = src.dom.pullback(ra, wobj)
-        lp1 = src.left_mor(pb.p1)
-        lp2 = src.left_mor(pb.p2)
-        left_leg = src.cod.compose(src.counit_at(a.dom), lp1)
-        lw = pres.left_obj(wobj)
-        pbc = src.cod.pullback(a, lw)
-        fn = pbc.mediate(src.cod.mor(lp1.dom, a.dom, left_leg.fn),
-                         src.cod.mor(lp2.dom, lw.dom, lp2.fn)).fn
-    return Mor(fn.dom, fn.cod, fn)
+def _records(src: AdjunctionPresentation, b, sliced_a, sliced_w):
+    """The table route of src sliced over b, None unless the counit at b
+    is a morphism: cached records per codomain object a (R a's side, the
+    counit table at A = a.dom, a's table) and per domain object w (its
+    side, the fibre counts and ranks of L'w = counit_b . L w), and the
+    join of two sides; sliced_a and sliced_w give an object's sliced form.
+    a's record needs the counit at A to be a morphism and the counit square
+    along a to commute, w's needs L(w) to be one; a check that raises fails.
+    Then the legs are morphisms and a cone: a . counit_A . L p1 = counit_b .
+    L(R a . p1) = L'w . L p2.  No record refers to a presentation holding it."""
+    ra_side, w_side, join = src.legs_at
+    errors = (FinSetError, NotEquivariant, AnchorMismatch, ValueError)
+    try:
+        src.cod.mor(*src.counit_at(b))
+    except errors:
+        return None
+
+    def ra_record(key):
+        try:
+            a = sliced_a(key)
+            counit, (lhs, rhs) = src.cod.mor(*src.counit_at(a.dom)), _counit_square(src, a)
+            side = ra_side(src.right_mor(a))
+        except errors:
+            return None
+        if side is not None and lhs.fn == rhs.fn:
+            return side, counit.fn.table, a.fn.table
+
+    def w_record(key):
+        try:
+            w = sliced_w(key)
+            lw = src.cod.compose(src.counit_at(b), src.cod.mor(*src.left_mor(w))).fn
+        except errors:
+            return None
+        counts, rank = [0] * lw.cod.size, []
+        for y in lw.table:
+            rank.append(counts[y])
+            counts[y] += 1
+        return w_side(w), counts, rank
+
+    return cache(ra_record), cache(w_record), join
+
+
+def _terminal_view(pres: AdjunctionPresentation) -> AdjunctionPresentation:
+    """A copy of a plain presentation with the records of its slice over
+    the terminal object 1, where a is a -> 1 and w the unique w -> R1."""
+    term = pres.cod.terminal()
+
+    def over_r1(w):  # through the isomorphism R1 -> 1
+        r1 = pres.right_obj(term)
+        return Mor(w, r1, pres.dom.bang(w).fn.then(pres.dom.bang(r1).fn.inverse()))
+
+    view = copy.copy(pres)
+    view.records = _records(pres, term, lambda a: Mor(a, term, pres.cod.bang(a).fn), over_r1)
+    return view
 
 
 def _obj_desc(o) -> str:
@@ -473,6 +526,8 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
     pairs = len(cod_objs) * len(dom_objs)
     if pairs > max_pairs:
         raise FamilyTooLarge("frobenius family too large", pairs)
+    if pres.records is None and pres.legs_at is not None:
+        pres = _terminal_view(pres)
     failures = []
     for a in cod_objs:
         for wobj in dom_objs:
@@ -531,32 +586,7 @@ def slice_adjunction(pres: AdjunctionPresentation, b) -> AdjunctionPresentation:
     sliced = AdjunctionPresentation("%s@%s" % (pres.name, _obj_desc(b)),
                                     dom2, cod2, left_obj, left_mor, pres.right_mor,
                                     right_mor, unit_at, counit_at)
-    sliced.source = pres
-
-    # The table route is sound where the counits at b and at A = a.dom are
-    # morphisms, the counit square along a commutes and L(w) is a morphism:
-    # the legs are then morphisms and a cone, as a . counit_A . L p1 = counit_b
-    # . L(R a . p1) = L'w . L p2.  A check runs once per object; raising fails.
-    def checked(facts):
-        def run(*obj):
-            try:
-                return facts(*obj)
-            except (FinSetError, NotEquivariant, AnchorMismatch, ValueError):
-                return False
-        return cache(run)
-
-    def morphism(m: Mor) -> bool:
-        pres.cod.mor(m.dom, m.cod, m.fn)
-        return True
-
-    def natural(a: Mor) -> bool:
-        lhs, rhs = _counit_square(pres, a)
-        return morphism(pres.counit_at(a.dom)) and lhs.fn == rhs.fn
-
-    at_b = checked(lambda: morphism(pres.counit_at(b)))
-    at_cod, at_dom = checked(natural), checked(lambda w: morphism(pres.left_mor(w)))
-    sliced.table_route = lambda a, w: (pres.legs_at is not None and at_b()
-                                       and at_cod(a) and at_dom(w))
+    sliced.records = _records(pres, b, lambda a: a, lambda w: w) if pres.legs_at else None
     return sliced
 
 

@@ -12,7 +12,7 @@ exactly when that map is a bijection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .finset import (
     CodMismatch,
@@ -49,8 +49,7 @@ class NotAMorphism(FinSetError):
     maps; the witness is the first point where the square fails."""
 
 
-@dataclass(frozen=True)
-class Mor:
+class Mor(NamedTuple):
     dom: Any
     cod: Any
     fn: FinFn

@@ -273,16 +273,6 @@ def pullback(f: FinFn, g: FinFn) -> Pullback:
     return Pullback(FinSet(len(pairs)), pairs, f, g)
 
 
-def _numbering(f: FinFn, g: FinFn) -> tuple[list[int], list[int]]:
-    """The numbering of pullback(f, g) without its pairs: (a, b) is
-    start[a] + rank[b], and start[-1] is the number of pairs."""
-    seen, rank = [0] * g.cod.size, []
-    for y in g.table:
-        rank.append(seen[y])
-        seen[y] += 1
-    return list(itertools.accumulate((seen[y] for y in f.table), initial=0)), rank
-
-
 def product(a: FinSet, b: FinSet) -> Pullback:
     """The product as the pullback of the two maps to the terminal set:
     its pairs are in row-major order, so (i, j) is at i * b.size + j."""

@@ -618,13 +618,21 @@ def all_descent_data(kp: Pullback, y_size: int):
     base_fibers: dict[int, list[int]] = {}
     for p in range(p_size):
         base_fibers.setdefault(f.table[p], []).append(p)
-    others = [p for xval in sorted(base_fibers) for p in base_fibers[xval][1:]]
-    for p_table in itertools.product(range(p_size), repeat=y_size):
+    xs = sorted(base_fibers)
+    others = [p for xval in xs for p in base_fibers[xval][1:]]
+    # the tables of each choice of fibre sizes constant on the fibres of f
+    tables = []
+    for m in itertools.product(*(range(y_size // len(base_fibers[xval]) + 1) for xval in xs)):
+        counts = [m[xs.index(xval)] for xval in f.table]
+        if sum(counts) == y_size:
+            run = [()]
+            for _ in range(y_size):
+                run = [t + (p,) for t in run for p in range(p_size) if t.count(p) < counts[p]]
+            tables += run
+    for p_table in sorted(tables):
         fiber = [[] for _ in range(p_size)]
         for yv, p in enumerate(p_table):
             fiber[p].append(yv)
-        if any(len(fiber[p]) != len(fiber[ps[0]]) for ps in base_fibers.values() for p in ps):
-            continue
         shape = descent_pullbacks(kp, FinFn(y, f.dom, p_table))
         options = [list(itertools.permutations(fiber[p])) for p in others]
         for combo in itertools.product(*options):

@@ -1,5 +1,7 @@
 import copy
+import gc
 import itertools
+import weakref
 
 import pytest
 
@@ -47,6 +49,7 @@ from finbundles.adjunction import (
     NotOverBase,
     RoundTripFail,
     _obj_desc,
+    _terminal_view,
     adjunction_to_bundle,
     bundle_to_adjunction,
     check_frobenius,
@@ -828,13 +831,13 @@ def counting_legs(pres):
     """Wrap pres's legs component so that it counts the comparison maps
     that take the table route; the list it returns receives one entry per
     call."""
-    calls, legs = [], pres.legs_at
+    calls, (ra_side, w_side, join) = [], pres.legs_at
 
-    def legs_at(ra, w):
-        calls.append(w)
-        return legs(ra, w)
+    def counted(sa, sw):
+        calls.append(sw)
+        return join(sa, sw)
 
-    pres.legs_at = legs_at
+    pres.legs_at = (ra_side, w_side, counted)
     return calls
 
 
@@ -872,7 +875,7 @@ def test_sliced_canonical_map_matches_the_category_route():
         pairs = 0
         for b in slicing:
             sliced = slice_adjunction(pres, b)
-            assert sliced.source is pres
+            assert pres.legs_at is not None or sliced.records is None
             oracle = category_route(sliced)
             dom_fam = list(sliced.dom.objects_over(dom_objs))
             cod_fam = list(sliced.cod.objects_over(cod_objs))
@@ -914,6 +917,90 @@ def test_corrupted_counit_reports_match_the_category_route():
                 want = check_frobenius(category_route(sliced), cod_fam, dom_fam,
                                        max_witnesses=10 ** 6)
                 assert got == want, (sliced.name, style)
+
+
+def product_route(pres):
+    """A copy of a plain presentation without legs, so that its comparison
+    maps are built from the two products."""
+    oracle = copy.copy(pres)
+    oracle.legs_at = None
+    return oracle
+
+
+def test_plain_map_through_the_terminal_slice_matches_the_product_route():
+    # check_frobenius reads a plain comparison map off the tables of the
+    # slice over the terminal object; the product route is its oracle,
+    # table for table, and every genuine presentation takes the table
+    # route on every pair
+    cases = []  # (presentation, dom family, cod family)
+    for alg, nx in itertools.product([GROUPS[n] for n in ("z2", "z3", "z4", "v4")]
+                                     + [GROUPOIDS["pair2"], GROUPOIDS["z2_loop"]], (1, 2)):
+        x = FinSet(nx)
+        fibre = alg.src.table.count(0)
+        witnesses = enumerate_torsors(alg, x, FinSet(fibre * nx)).witnesses
+        for w in {witnesses[0].bundle: witnesses[0], witnesses[-1].bundle: witnesses[-1]}.values():
+            cases.append((bundle_to_adjunction(w), slice_family(x, 2), action_family(alg, 3)))
+    for alg in (GROUPS["z2"], GROUPOIDS["pair2"]):
+        cases.append((sigma_presentation(alg), action_family(alg, 3), slice_family(TERMINAL, 3)))
+    pairs = 0
+    for pres, dom_objs, cod_objs in cases:
+        calls = counting_legs(pres)
+        view, oracle = _terminal_view(pres), product_route(pres)
+        for a in cod_objs:
+            for w in dom_objs:
+                got = canonical_map_outcome(view, a, w)
+                assert got == canonical_map_outcome(oracle, a, w), (pres.name, a, w)
+                pairs += 1
+        assert len(calls) == len(cod_objs) * len(dom_objs), pres.name
+        assert check_frobenius(pres, cod_objs, dom_objs)["passed"], pres.name
+    assert len(cases) == 24 and pairs > 900
+
+
+def test_plain_reports_match_the_product_route():
+    # the fixed-points presentations fail on the same pairs with the same
+    # NotBijective witnesses; a corrupted counit closes the table route
+    # on some pairs or all, which then take the product route, and its
+    # whole report, witnesses included, is the product route's
+    reports = []
+    for g in (GROUPS["z2"], GROUPS["z3"]):
+        reports.append((fixedpoints(g), slice_family(TERMINAL, 2), action_family(g, g.order)))
+    for alg, x in ((GROUPS["z2"], FinSet(2)), (GROUPS["z3"], TERMINAL),
+                   (GROUPOIDS["pair2"], TERMINAL)):
+        w = enumerate_torsors(alg, x, FinSet(alg.src.table.count(0) * x.size)).witnesses[0]
+        pres = bundle_to_adjunction(w)
+        reports += [(corrupt_counit(pres, style), slice_family(x, 2), action_family(alg, 2))
+                    for style in range(1, 6)]
+    verdicts, routes = set(), set()
+    for pres, dom_objs, cod_objs in reports:
+        calls = counting_legs(pres)
+        got = check_frobenius(pres, cod_objs, dom_objs, max_witnesses=10 ** 6)
+        want = check_frobenius(product_route(pres), cod_objs, dom_objs, max_witnesses=10 ** 6)
+        assert got == want and not got["passed"], pres.name
+        verdicts.update(e.get("error") for e in got["witnesses"])
+        routes.update(["table"] * bool(calls) + ["product"] * (len(calls) < got["pairs"]))
+    # NotBijective witnesses from both routes, and NotACone from the
+    # product route where pair2's corrupted counit at 1 closes the table
+    assert verdicts == {None, "NotACone"} and routes == {"table", "product"}
+
+
+def test_checks_leave_no_cycle_through_the_presentation():
+    # every record and memo of the checks hangs off the presentation or a
+    # sliced form of it, and none refers back to a presentation that holds
+    # it: with the cycle collector off, the presentation dies with its
+    # last reference
+    z3, x = GROUPS["z3"], FinSet(2)
+    gc.disable()
+    try:
+        pres = bundle_to_adjunction(trivial_torsor(z3, x))
+        dom_objs, cod_objs = slice_family(x, 2), action_family(z3, 2)
+        assert check_stably_frobenius(pres, stable_slice_objects(z3, x),
+                                      dom_objs, cod_objs)["passed"]
+        adjunction_to_bundle(pres, dom_objs, cod_objs)
+        ref = weakref.ref(pres)
+        del pres
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_a_counit_corrupted_only_at_the_slicing_object_keeps_the_category_route():

@@ -622,6 +622,46 @@ def test_all_descent_data_matches_counting_formula():
                     assert sum(1 for _ in all_descent_data(pullback(f, f), n)) == expected, (table, n)
 
 
+def test_all_descent_data_follows_the_filtered_product():
+    # the oracle builds every table p: Y -> P in lexicographic order, drops
+    # those whose fibre sizes differ within a fibre of f and glues the rest
+    # through the root of each fibre; the data are the same, in the same
+    # order, for every surjection onto at most three points from at most
+    # four, with at most four points over them
+    from finbundles.suites import all_descent_data
+
+    def filtered(kp, n):
+        f = kp.f
+        fibres = [[p for p in range(f.dom.size) if f.table[p] == x] for x in range(f.cod.size)]
+        others = [p for ps in fibres for p in ps[1:]]
+        for table in itertools.product(range(f.dom.size), repeat=n):
+            fiber = [[yv for yv in range(n) if table[yv] == p] for p in range(f.dom.size)]
+            if any(len(fiber[p]) != len(fiber[ps[0]]) for ps in fibres for p in ps):
+                continue
+            shape = descent_pullbacks(kp, FinFn(FinSet(n), f.dom, table))
+            for combo in itertools.product(*(itertools.permutations(fiber[p]) for p in others)):
+                image = {ps[0]: fiber[ps[0]] for ps in fibres}
+                image.update(zip(others, combo))
+                yield descent_datum(shape, lambda p1, p2, yv: image[p2][image[p1].index(yv)])
+
+    def key(d):
+        return d.over, d.glue.forward, d.glue.backward
+
+    maps = data = 0
+    for nx in (1, 2, 3):
+        for np in range(nx, 5):
+            for f in all_functions(FinSet(np), FinSet(nx)):
+                if not f.is_surjection():
+                    continue
+                kp = pullback(f, f)
+                maps += 1
+                for n in range(5):
+                    want = [key(d) for d in filtered(kp, n)]
+                    assert [key(d) for d in all_descent_data(kp, n)] == want, (f.table, n)
+                    data += len(want)
+    assert (maps, data) == (68, 5440)
+
+
 def test_intertwining_witness_names_the_first_mismatch():
     # two points over each point of a two-to-one map, glued by the
     # identity and by the swap; the identity gluing's certificate does not
