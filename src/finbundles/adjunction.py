@@ -97,8 +97,8 @@ class AdjunctionPresentation:
     orbit set with the underlying set of its argument, is present exactly
     on the presentations of actions over a base (presentation), whose
     left values are actions.  The optional legs_at is three uncached
-    functions (ra_side, w_side, join): join(ra_side(ra), w_side(w)) lists
-    (L p1 z, L p2 z) over L(D)'s points z, D the pullback of ra and w."""
+    functions: join(ra_side(ra, L ra), w_side(w, L w)) lists (L p1 z,
+    L p2 z) over L(D)'s points z, D the pullback of ra and w."""
 
     def __init__(self, name, dom, cod, left_obj, left_mor, right_obj, right_mor,
                  unit_at, counit_at, over_iso_at=None, legs_at=None):
@@ -244,19 +244,19 @@ def presentation(P: ActionObject, proj: FinFn, name: str | None = None
         table = tuple(pbo.pairs[orb.reps[k]][1] for k in range(orb.quotient.size))
         return FinFn(orb.quotient, o.dom, table)
 
-    # L(D) = P x_X D holds (p, d) for d = (r, v) over p's base point: the
-    # sides key L(R a)'s points (p, r) and L(W)'s (p, v) by p and the image
-    def ra_side(ra: Mor):
-        return [((p, ra.fn.table[r]), k) for k, (p, r) in enumerate(left_data(ra.dom)[1].pairs)]
+    # L(D) = P x_X D is the pullback of L(R a) and L(W) over L(R b), in its
+    # order: the sides are L's tables on R a and on w, bucketed for w
+    def ra_side(ra: Mor, lra: Mor):
+        return lra.fn.table
 
-    def w_side(w: Mor):
+    def w_side(w: Mor, lw: Mor):
         side = {}
-        for k, (p, v) in enumerate(left_data(w.dom)[1].pairs):
-            side.setdefault((p, w.fn.table[v]), []).append(k)
+        for v, y in enumerate(lw.fn.table):
+            side.setdefault(y, []).append(v)
         return side
 
     def join(sa, sw):
-        return [(u, v) for key, u in sa for v in sw.get(key, ())]
+        return [(u, v) for u, y in enumerate(sa) for v in sw.get(y, ())]
 
     pres = AdjunctionPresentation(
         name or "bundle(|G|=%d, |X|=%d, |P|=%d)" % (alg.order, X.size, P.carrier.size),
@@ -313,7 +313,7 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
     # when R a is trivial (anchored by o, arrows keep u; else no side), the
     # orbit of (k, alpha) in D = R a x w, k = (o, u), and its legs depend on
     # (u, orbit of alpha) only; D meets each orbit first at its least point
-    def ra_side(ra: Mor):
+    def ra_side(ra: Mor, lra: Mor):
         n = ra.dom.carrier.size // alg.objects.size
         if any(o != k // n for k, o in enumerate(ra.dom.anchor.table)) or any(
                 v is not None and v % n != k % n for row in ra.dom.act for k, v in enumerate(row)):
@@ -321,7 +321,7 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
         triv = sigma(ra.dom).q.table
         return [(y, k % n, triv[k]) for k, y in enumerate(ra.fn.table)]
 
-    def w_side(w: Mor):
+    def w_side(w: Mor, lw: Mor):
         orbit, side = sigma(w.dom).q.table, {}
         for alpha, y in enumerate(w.fn.table):
             side.setdefault(y, {})[orbit[alpha]] = None
@@ -412,10 +412,11 @@ def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresen
 def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
     """The comparison map from the left adjoint applied to a product with
     a right-adjoint value, into the plain product.  Where both records
-    (_records) of the pair are open, z goes to (counit_A(L p1 z), L p2 z)
-    in the pullback of a and L'w, read off tables, and the Mor's ends are
-    the carriers of L(D), D the pullback of R a and w, and of a x_b L'w.
-    Else pres's categories build both products and check legs and cone."""
+    (_records) of the pair are open, as in a sliced presentation and in
+    check_frobenius's view of a plain one at the terminal slice, z goes to
+    (counit_A(L p1 z), L p2 z) in the pullback of a and L'w, and the Mor's
+    ends are carriers: those of L(D), D = R a x_{R b} w, and of a x_b L'w.
+    Else pres's categories build both products, checking legs and cone."""
     records = pres.records
     ra_rec, w_rec = (records[0](a), records[1](wobj)) if records else (None, None)
     if ra_rec is not None and w_rec is not None:
@@ -454,7 +455,8 @@ def _records(src: AdjunctionPresentation, b, sliced_a, sliced_w):
         try:
             a = sliced_a(key)
             counit, (lhs, rhs) = src.cod.mor(*src.counit_at(a.dom)), _counit_square(src, a)
-            side = ra_side(src.right_mor(a))
+            ra = src.right_mor(a)
+            side = ra_side(ra, src.left_mor(ra))
         except errors:
             return None
         if side is not None and lhs.fn == rhs.fn:
@@ -463,14 +465,15 @@ def _records(src: AdjunctionPresentation, b, sliced_a, sliced_w):
     def w_record(key):
         try:
             w = sliced_w(key)
-            lw = src.cod.compose(src.counit_at(b), src.cod.mor(*src.left_mor(w))).fn
+            lw = src.cod.mor(*src.left_mor(w))
+            lpw = src.cod.compose(src.counit_at(b), lw).fn
         except errors:
             return None
-        counts, rank = [0] * lw.cod.size, []
-        for y in lw.table:
+        counts, rank = [0] * lpw.cod.size, []
+        for y in lpw.table:
             rank.append(counts[y])
             counts[y] += 1
-        return w_side(w), counts, rank
+        return w_side(w, lw), counts, rank
 
     return cache(ra_record), cache(w_record), join
 
@@ -526,8 +529,7 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
     pairs = len(cod_objs) * len(dom_objs)
     if pairs > max_pairs:
         raise FamilyTooLarge("frobenius family too large", pairs)
-    if pres.records is None and pres.legs_at is not None:
-        pres = _terminal_view(pres)
+    pres = _terminal_view(pres) if pres.records is None and pres.legs_at else pres
     failures = []
     for a in cod_objs:
         for wobj in dom_objs:

@@ -812,7 +812,7 @@ def test_triangle_and_naturality_failures_name_a_point():
 
 
 def category_route(sliced):
-    """The sliced presentation's own components without their source, so
+    """The sliced presentation's own components without its records, so
     that frobenius_canonical_map builds its comparison maps through
     SliceOverCategory.product."""
     return AdjunctionPresentation(
@@ -842,10 +842,10 @@ def counting_legs(pres):
 
 
 def test_sliced_canonical_map_matches_the_category_route():
-    # the sliced route reads each comparison map off the source's tables
-    # where its once-per-object checks pass, and builds it in the source's
-    # categories otherwise; the category route through the sliced
-    # categories is the oracle of both, on the families theorem runs
+    # a sliced presentation reads each comparison map off its source's
+    # tables where both of the pair's records are open, and builds it
+    # through the sliced categories' products otherwise; those products
+    # are the oracle of the table route, on the families theorem runs
     from finbundles.suites import point_slice
 
     cases = []  # (presentation, slicing objects, dom family, cod family)
