@@ -84,9 +84,34 @@ class WrongCategory(AdjunctionError):
     kind; the witness is the offending category."""
 
 
+class NotNatural(AdjunctionError):
+    """A counit square that does not commute; the witness is the first
+    point z where its two sides differ, as (z, lhs(z), rhs(z))."""
+
+
+class NotTrivial(AdjunctionError):
+    """A value of a right adjoint that should be a trivial action is not;
+    the witness is (g, k) for an arrow g that moves the point k, or
+    ("anchor", k) for a point anchored off its object."""
+
+
 def _require(cat, kind):
     if not isinstance(cat, kind):
         raise WrongCategory("needs a %s" % kind.__name__, cat)
+
+
+def _bucketed_w_side(w: Mor, lw: Mor):
+    side = {}
+    for v, y in enumerate(lw.fn.table):
+        side.setdefault(y, []).append(v)
+    return side
+
+
+# L(D), D the pullback of ra: R a -> R b and w, as the pullback of L(R a)
+# and L(w) over L(R b), in its order: the sides are L's tables on R a and
+# on w, bucketed for w
+_PULLBACK_LEGS = (lambda ra, lra: lra.fn.table, _bucketed_w_side,
+                  lambda sa, sw: [(u, v) for u, y in enumerate(sa) for v in sw.get(y, ())])
 
 
 class AdjunctionPresentation:
@@ -96,12 +121,14 @@ class AdjunctionPresentation:
     on equal objects.  over_iso_at, the comparison of each left value's
     orbit set with the underlying set of its argument, is present exactly
     on the presentations of actions over a base (presentation), whose
-    left values are actions.  The optional legs_at is three uncached
-    functions: join(ra_side(ra, L ra), w_side(w, L w)) lists (L p1 z,
-    L p2 z) over L(D)'s points z, D the pullback of ra and w."""
+    left values are actions.  legs_at is three uncached functions:
+    join(ra_side(ra, L ra), w_side(w, L w)) lists (L p1 z, L p2 z) over
+    L(D)'s points z, D the pullback of ra and w.  Its default is right
+    for every L that keeps that pullback, as P x_X - and post-composition
+    do; sigma_presentation's orbits do not, and bring their own."""
 
     def __init__(self, name, dom, cod, left_obj, left_mor, right_obj, right_mor,
-                 unit_at, counit_at, over_iso_at=None, legs_at=None):
+                 unit_at, counit_at, over_iso_at=None, legs_at=_PULLBACK_LEGS):
         self.name = name
         self.dom = dom
         self.cod = cod
@@ -113,7 +140,7 @@ class AdjunctionPresentation:
         self.counit_at = cache(counit_at)
         self.over_iso_at = cache(over_iso_at) if over_iso_at is not None else None
         self.legs_at = legs_at
-        self.records = None  # the table route's records (_records)
+        self.records = None  # a sliced form's records (_records)
 
     def __repr__(self):
         return "AdjunctionPresentation(%s)" % self.name
@@ -244,24 +271,10 @@ def presentation(P: ActionObject, proj: FinFn, name: str | None = None
         table = tuple(pbo.pairs[orb.reps[k]][1] for k in range(orb.quotient.size))
         return FinFn(orb.quotient, o.dom, table)
 
-    # L(D) = P x_X D is the pullback of L(R a) and L(W) over L(R b), in its
-    # order: the sides are L's tables on R a and on w, bucketed for w
-    def ra_side(ra: Mor, lra: Mor):
-        return lra.fn.table
-
-    def w_side(w: Mor, lw: Mor):
-        side = {}
-        for v, y in enumerate(lw.fn.table):
-            side.setdefault(y, []).append(v)
-        return side
-
-    def join(sa, sw):
-        return [(u, v) for u, y in enumerate(sa) for v in sw.get(y, ())]
-
     pres = AdjunctionPresentation(
         name or "bundle(|G|=%d, |X|=%d, |P|=%d)" % (alg.order, X.size, P.carrier.size),
         SliceCategory(X), ActionCategory(alg), left_obj, left_mor, right_obj, right_mor,
-        unit_at, counit_at, over_iso_at, (ra_side, w_side, join))
+        unit_at, counit_at, over_iso_at)
     pres.bundle = b
     pres.left_data = left_data
     return pres
@@ -310,14 +323,17 @@ def sigma_presentation(alg) -> AdjunctionPresentation:
         table = tuple(r % v.dom.size for r in orb.reps)
         return Mor(lrv, v, FinFn(lrv.dom, v.dom, table))
 
-    # when R a is trivial (anchored by o, arrows keep u; else no side), the
-    # orbit of (k, alpha) in D = R a x w, k = (o, u), and its legs depend on
+    # R a must be trivial (k = (o, u) anchored by o, arrows keep u), so
+    # that the orbit of (k, alpha) in D = R a x w and its legs depend on
     # (u, orbit of alpha) only; D meets each orbit first at its least point
     def ra_side(ra: Mor, lra: Mor):
         n = ra.dom.carrier.size // alg.objects.size
-        if any(o != k // n for k, o in enumerate(ra.dom.anchor.table)) or any(
-                v is not None and v % n != k % n for row in ra.dom.act for k, v in enumerate(row)):
-            return None
+        moved = next(itertools.chain(
+            (("anchor", k) for k, o in enumerate(ra.dom.anchor.table) if o != k // n),
+            ((g, k) for g, row in enumerate(ra.dom.act) for k, v in enumerate(row)
+             if v is not None and v % n != k % n)), None)
+        if moved is not None:
+            raise NotTrivial("R a is not a trivial action", moved)
         triv = sigma(ra.dom).q.table
         return [(y, k % n, triv[k]) for k, y in enumerate(ra.fn.table)]
 
@@ -410,65 +426,47 @@ def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresen
 # Frobenius checks -----------------------------------------------------------
 
 def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
-    """The comparison map from the left adjoint applied to a product with
-    a right-adjoint value, into the plain product.  Where both records
-    (_records) of the pair are open, as in a sliced presentation and in
-    check_frobenius's view of a plain one at the terminal slice, z goes to
-    (counit_A(L p1 z), L p2 z) in the pullback of a and L'w, and the Mor's
-    ends are carriers: those of L(D), D = R a x_{R b} w, and of a x_b L'w.
-    Else pres's categories build both products, checking legs and cone."""
-    records = pres.records
-    ra_rec, w_rec = (records[0](a), records[1](wobj)) if records else (None, None)
-    if ra_rec is not None and w_rec is not None:
-        (ra_side, counit, a_table), (w_side, counts, rank) = ra_rec, w_rec
-        start = list(itertools.accumulate([counts[y] for y in a_table], initial=0))
-        table = tuple([start[counit[u]] + rank[v] for u, v in records[2](ra_side, w_side)])
-        fn = FinFn(FinSet(len(table)), FinSet(start[-1]), table)
-        return Mor(fn.dom, fn.cod, fn)
-    ra = pres.right_obj(a)
-    prod_d = pres.dom.product(ra, wobj)
-    lp1 = pres.left_mor(prod_d.p1)
-    lp2 = pres.left_mor(prod_d.p2)
-    left_leg = pres.cod.compose(pres.counit_at(a), lp1)
-    prod_c = pres.cod.product(a, pres.left_obj(wobj))
-    return prod_c.mediate(left_leg, lp2)
+    """The comparison map L(R a x_{R b} w) -> a x_b L'w of a presentation
+    sliced over b (a plain one: over the terminal object, _terminal_view),
+    the join of the pair's two records (_records), each of which raises
+    its failed guard's typed error: z goes to (counit_A(L p1 z), L p2 z)
+    in the pullback of a and L'w.  The Mor's ends are carriers."""
+    records = pres.records or _terminal_view(pres).records
+    (ra_side, counit, a_table), (w_side, counts, rank) = records[0](a), records[1](wobj)
+    start = list(itertools.accumulate([counts[y] for y in a_table], initial=0))
+    table = tuple([start[counit[u]] + rank[v] for u, v in records[2](ra_side, w_side)])
+    fn = FinFn(FinSet(len(table)), FinSet(start[-1]), table)
+    return Mor(fn.dom, fn.cod, fn)
 
 
 def _records(src: AdjunctionPresentation, b, sliced_a, sliced_w):
-    """The table route of src sliced over b, None unless the counit at b
-    is a morphism: cached records per codomain object a (R a's side, the
-    counit table at A = a.dom, a's table) and per domain object w (its
-    side, the fibre counts and ranks of L'w = counit_b . L w), and the
-    join of two sides; sliced_a and sliced_w give an object's sliced form.
-    a's record needs the counit at A to be a morphism and the counit square
-    along a to commute, w's needs L(w) to be one; a check that raises fails.
-    Then the legs are morphisms and a cone: a . counit_A . L p1 = counit_b .
-    L(R a . p1) = L'w . L p2.  No record refers to a presentation holding it."""
+    """The cached records of src sliced over b, one per codomain object a
+    (R a's side, the counit table at A = a.dom, a's table) and one per
+    domain object w (its side, the fibre counts and ranks of L'w = counit_b
+    . L w), and the join of two sides; sliced_a and sliced_w give an
+    object's sliced form.  A record raises the typed error of its first
+    failed guard: for a, the counit at b and at A are morphisms and the
+    counit square along a commutes (NotNatural); for w, L(w) is a
+    morphism.  So the legs are morphisms and a cone: a . counit_A . L p1 =
+    counit_b . L(R a . p1) = L'w . L p2.  No record refers to a
+    presentation holding it."""
     ra_side, w_side, join = src.legs_at
-    errors = (FinSetError, NotEquivariant, AnchorMismatch, ValueError)
-    try:
-        src.cod.mor(*src.counit_at(b))
-    except errors:
-        return None
 
     def ra_record(key):
-        try:
-            a = sliced_a(key)
-            counit, (lhs, rhs) = src.cod.mor(*src.counit_at(a.dom)), _counit_square(src, a)
-            ra = src.right_mor(a)
-            side = ra_side(ra, src.left_mor(ra))
-        except errors:
-            return None
-        if side is not None and lhs.fn == rhs.fn:
-            return side, counit.fn.table, a.fn.table
+        a = sliced_a(key)
+        src.cod.mor(*src.counit_at(b))
+        counit = src.cod.mor(*src.counit_at(a.dom))
+        lhs, rhs = _counit_square(src, a)
+        if lhs.fn != rhs.fn:
+            raise NotNatural("the counit square along a does not commute",
+                             _difference(lhs.fn, rhs.fn))
+        ra = src.right_mor(a)
+        return ra_side(ra, src.left_mor(ra)), counit.fn.table, a.fn.table
 
     def w_record(key):
-        try:
-            w = sliced_w(key)
-            lw = src.cod.mor(*src.left_mor(w))
-            lpw = src.cod.compose(src.counit_at(b), lw).fn
-        except errors:
-            return None
+        w = sliced_w(key)
+        lw = src.cod.mor(*src.left_mor(w))
+        lpw = src.cod.compose(src.counit_at(b), lw).fn
         counts, rank = [0] * lpw.cod.size, []
         for y in lpw.table:
             rank.append(counts[y])
@@ -515,6 +513,10 @@ def _law_report(check: str, pres: AdjunctionPresentation, failures: list,
             "passed": bool(checked) and not failures, "witnesses": failures}
 
 
+# the typed errors of the guards of a comparison map's records
+_PAIR_ERRORS = (FinSetError, NotEquivariant, AnchorMismatch, NotNatural, NotTrivial)
+
+
 def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
                     max_pairs: int = 20000, max_witnesses: int = _WITNESSES) -> dict:
     """Assert bijectivity of the canonical map on every family pair, and
@@ -522,14 +524,14 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
     names its pair and carries one of two verdicts: a comparison map that
     is not a bijection has the witness of NotBijective (the first two
     points with one image, or ("missed", y)); one that cannot even be
-    assembled (a corrupted presentation) has the name of the typed error
-    and its witness."""
+    assembled (a corrupted presentation) has the name and witness of the
+    typed error of its records' failed guard.  Any other error escapes."""
     cod_objs = list(cod_objs)
     dom_objs = list(dom_objs)
     pairs = len(cod_objs) * len(dom_objs)
     if pairs > max_pairs:
         raise FamilyTooLarge("frobenius family too large", pairs)
-    pres = _terminal_view(pres) if pres.records is None and pres.legs_at else pres
+    pres = pres if pres.records else _terminal_view(pres)
     failures = []
     for a in cod_objs:
         for wobj in dom_objs:
@@ -537,27 +539,23 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
                 m = frobenius_canonical_map(pres, a, wobj)
                 if pres.cod.is_iso(m):
                     continue
-                outcome = m.fn
-            except (FinSetError, NotEquivariant, AnchorMismatch) as exc:
-                outcome = exc
+                verdict = {"witness": _not_bijective(m.fn)}
+            except _PAIR_ERRORS as exc:
+                verdict = {"error": type(exc).__name__, "witness": exc.witness}
             if len(failures) < max_witnesses:
                 failures.append({"cod_obj": _obj_desc(a), "dom_obj": _obj_desc(wobj),
-                                 **_verdict(outcome)})
+                                 **verdict})
     return _law_report("frobenius", pres, failures, pairs,
                        family={"cod_objects": len(cod_objs), "dom_objects": len(dom_objs)},
                        pairs=pairs)
 
 
-def _verdict(outcome) -> dict:
-    """The failure verdict of a pair: the name and witness of the typed
-    error that stopped its comparison map, or the NotBijective witness of
-    a comparison map that is not a bijection."""
-    if isinstance(outcome, Exception):
-        return {"error": type(outcome).__name__, "witness": outcome.witness}
+def _not_bijective(fn: FinFn):
+    """The NotBijective witness of a map, None for a bijection."""
     try:
-        outcome.inverse()
+        fn.inverse()
     except NotBijective as exc:
-        return {"witness": exc.witness}
+        return exc.witness
 
 
 def slice_adjunction(pres: AdjunctionPresentation, b) -> AdjunctionPresentation:
@@ -588,7 +586,7 @@ def slice_adjunction(pres: AdjunctionPresentation, b) -> AdjunctionPresentation:
     sliced = AdjunctionPresentation("%s@%s" % (pres.name, _obj_desc(b)),
                                     dom2, cod2, left_obj, left_mor, pres.right_mor,
                                     right_mor, unit_at, counit_at)
-    sliced.records = _records(pres, b, lambda a: a, lambda w: w) if pres.legs_at else None
+    sliced.records = _records(pres, b, lambda a: a, lambda w: w)
     return sliced
 
 
@@ -697,7 +695,7 @@ def check_over_base(pres: AdjunctionPresentation, dom_objs, dom_mors=None) -> di
               and comp.cod == pres.dom.carrier(o) and comp.is_bijection())
         if not ok and len(failures) < _WITNESSES:
             failures.append({"at": _obj_desc(o), "reason": "not a bijection",
-                             **(_verdict(comp) or {"witness": (comp.dom, comp.cod)})})
+                             "witness": _not_bijective(comp) or (comp.dom, comp.cod)})
     dom_mors = list(dom_mors or [])
     for m in dom_mors:
         induced = sigma_mor(pres.left_obj(m.dom), pres.left_obj(m.cod), pres.left_mor(m).fn)

@@ -55,6 +55,14 @@ class Mor(NamedTuple):
     fn: FinFn
 
 
+def _check_ends(fn: FinFn, dom: FinSet, cod: FinSet):
+    """Raise DomMismatch or CodMismatch unless fn runs from dom to cod."""
+    if fn.dom != dom:
+        raise DomMismatch("map does not leave the domain object", (fn.dom, dom))
+    if fn.cod != cod:
+        raise CodMismatch("map does not land in the codomain object", (fn.cod, cod))
+
+
 def _square_witness(fn: FinFn, dom_leg: FinFn, cod_leg: FinFn):
     """None when fn then cod_leg is dom_leg, else the first point where
     the two differ (the two codomains when only those differ)."""
@@ -113,10 +121,7 @@ class SliceCategory:
         return o.dom
 
     def mor(self, dom: FinFn, cod: FinFn, fn: FinFn) -> Mor:
-        if fn.dom != dom.dom:
-            raise DomMismatch("map does not leave the domain object", (fn.dom, dom.dom))
-        if fn.cod != cod.dom:
-            raise CodMismatch("map does not land in the codomain object", (fn.cod, cod.dom))
+        _check_ends(fn, dom.dom, cod.dom)
         witness = _square_witness(fn, dom, cod)
         if witness is not None:
             raise NotAMorphism("map does not commute with the projections", witness)
@@ -160,6 +165,7 @@ class ActionCategory:
 
     def __init__(self, algebra):
         self.algebra = algebra
+        self._terminal = terminal_action(algebra)
 
     def __repr__(self):
         return "ActionCategory(%r)" % (self.algebra,)
@@ -171,6 +177,7 @@ class ActionCategory:
         return o.carrier
 
     def mor(self, dom: ActionObject, cod: ActionObject, fn: FinFn) -> Mor:
+        _check_ends(fn, dom.carrier, cod.carrier)
         witness = equivariance_witness(dom, cod, fn)
         if witness is not None:
             raise NotEquivariant("map does not commute with the actions", witness)
@@ -182,11 +189,10 @@ class ActionCategory:
     compose = staticmethod(_compose)
 
     def terminal(self) -> ActionObject:
-        return terminal_action(self.algebra)
+        return self._terminal
 
     def bang(self, o: ActionObject) -> Mor:
-        term = self.terminal()
-        return Mor(o, term, FinFn(o.carrier, term.carrier, o.anchor.table))
+        return Mor(o, self._terminal, FinFn(o.carrier, self._terminal.carrier, o.anchor.table))
 
     def is_iso(self, m: Mor) -> bool:
         return m.fn.is_bijection()

@@ -22,7 +22,6 @@ from . import clear_caches
 from .finset import (
     FinFn,
     FinSet,
-    NotBijective,
     Pullback,
     TERMINAL,
     all_functions,
@@ -62,6 +61,7 @@ from .adjunction import (
     FrobeniusFail,
     NotOverBase,
     RoundTripFail,
+    _not_bijective,
     adjunction_to_bundle,
     bundle_to_adjunction,
     check_frobenius,
@@ -127,14 +127,6 @@ def _outcome(entry: dict) -> str:
 def _subject(entry: dict) -> str:
     return next((str(entry[k]) for k in ("fixture", "group", "groupoid", "presentation", "f")
                  if k in entry), "")
-
-
-def _not_bijective(fn: FinFn):
-    """The NotBijective witness of a map that is not a bijection."""
-    try:
-        fn.inverse()
-    except NotBijective as exc:
-        return exc.witness
 
 
 def point_slice(n: int) -> FinFn:

@@ -11,6 +11,7 @@ from finbundles.finset import (
     FinSet,
     FinSetError,
     IsoCertificate,
+    NotBijective,
     TERMINAL,
     NotACone,
     NotInPullback,
@@ -43,6 +44,7 @@ from finbundles.torsor import (
     trivial_torsor,
 )
 from finbundles.adjunction import (
+    _PAIR_ERRORS,
     AdjunctionError,
     AdjunctionPresentation,
     FrobeniusFail,
@@ -700,12 +702,16 @@ def test_z4_mod_z2_passes_until_the_family_reaches_four_points():
 # Frobenius checks ------------------------------------------------------------
 
 def test_canonical_map_for_identity_basechange_is_identity():
+    # a plain presentation's map, asked for directly, is read through its
+    # slice over the terminal object; the product oracle agrees
     f = FinFn.identity(FinSet(2))
     pres = pullback_presentation(f)
+    guard = plain_guard(pres)
     for v in slice_family(FinSet(2), 2):
         for w in slice_family(FinSet(2), 2):
             m = frobenius_canonical_map(pres, v, w)
             assert m.fn.is_bijection()
+            assert outcome(frobenius_canonical_map, pres, v, w) == oracle_outcome(pres, guard, v, w)
 
 
 def test_basechange_presentation_stably_frobenius():
@@ -755,8 +761,9 @@ def test_corrupted_counit_detected():
 
 def test_check_frobenius_gives_three_verdicts():
     # a corrupted counit sliced at the trivial action on the base: some
-    # comparison maps cannot be assembled (the legs are not a cone), others
-    # are assembled but send two points to one
+    # comparison maps cannot be assembled (a counit is not a morphism, or
+    # a counit square does not commute), others are assembled but send two
+    # points to one
     z2, x = GROUPS["z2"], FinSet(2)
     bad = slice_adjunction(corrupt_counit(bundle_to_adjunction(trivial_torsor(z2, x)), 1),
                            trivial_action(z2, x))
@@ -770,7 +777,7 @@ def test_check_frobenius_gives_three_verdicts():
         for w in dom_fam:
             try:
                 m = frobenius_canonical_map(bad, a, w)
-            except (FinSetError, NotEquivariant) as exc:
+            except _PAIR_ERRORS as exc:
                 failing.append((a, w, exc))
             else:
                 if not m.fn.is_bijection():
@@ -783,14 +790,14 @@ def test_check_frobenius_gives_three_verdicts():
                                                           outcome.witness)
         else:
             assert "error" not in entry
-    cone = next(e for e in rep["witnesses"] if e.get("error") == "NotACone")
-    z, fu, gv = cone["witness"]
-    assert fu != gv
+    square = next(e for e in rep["witnesses"] if e.get("error") == "NotNatural")
+    z, lhs, rhs = square["witness"]
+    assert lhs != rhs
     k, (i, j) = next((k, e["witness"]) for k, e in enumerate(rep["witnesses"])
                      if "error" not in e and e["witness"][0] != "missed")
     table = failing[k][2].table
     assert i < j and table[i] == table[j]
-    assert {e.get("error") for e in rep["witnesses"]} == {None, "NotACone",
+    assert {e.get("error") for e in rep["witnesses"]} == {None, "NotNatural",
                                                            "NotEquivariant"}
 
 
@@ -811,41 +818,102 @@ def test_triangle_and_naturality_failures_name_a_point():
                      "cod": "action(carrier=2)", "witness": (0, 1, 0)}
 
 
-def category_route(sliced):
-    """The sliced presentation's own components without its records, so
-    that frobenius_canonical_map builds its comparison maps through
-    SliceOverCategory.product."""
-    return AdjunctionPresentation(
-        sliced.name, sliced.dom, sliced.cod, sliced.left_obj, sliced.left_mor,
-        sliced.right_obj, sliced.right_mor, sliced.unit_at, sliced.counit_at)
+def product_oracle(pres, a, w):
+    """The comparison map of the pair (a, w) built by pres's own
+    categories: the product R a x w, its projections under L, the counit
+    at a and the product a x L w, whose mediate checks the legs' cone.
+    For a sliced presentation these products are pullbacks over R b and
+    over b."""
+    prod_d = pres.dom.product(pres.right_obj(a), w)
+    lp1, lp2 = pres.left_mor(prod_d.p1), pres.left_mor(prod_d.p2)
+    left_leg = pres.cod.compose(pres.counit_at(a), lp1)
+    return pres.cod.product(a, pres.left_obj(w)).mediate(left_leg, lp2)
 
 
-def canonical_map_outcome(pres, a, w):
+def outcome(build, pres, a, w):
+    """("map", (table, size of the codomain)) of the comparison map that
+    build makes for the pair, or (name, witness) of the typed error it
+    raises."""
     try:
-        return frobenius_canonical_map(pres, a, w).fn.table
-    except (FinSetError, NotEquivariant, AnchorMismatch) as exc:
-        return type(exc).__name__
+        fn = build(pres, a, w).fn
+    except _PAIR_ERRORS as exc:
+        return type(exc).__name__, exc.witness
+    return "map", (fn.table, fn.cod.size)
 
 
-def counting_legs(pres):
-    """Wrap pres's legs component so that it counts the comparison maps
-    that take the table route; the list it returns receives one entry per
-    call."""
-    calls, (ra_side, w_side, join) = [], pres.legs_at
+def guard_failure(src, b, a, w):
+    """(name, witness) of the first guard of src's records over b that
+    fails on the sliced pair (a, w), or None when both records hold: the
+    counit at b and at A = a.dom are morphisms, the counit square along a
+    commutes (else the first point where its sides differ, with both
+    images), and L(w) is a morphism."""
+    try:
+        src.cod.mor(*src.counit_at(b))
+        src.cod.mor(*src.counit_at(a.dom))
+        lhs = src.counit_at(a.dom).fn.then(a.fn)
+        rhs = src.left_mor(src.right_mor(a)).fn.then(src.counit_at(b).fn)
+        if lhs != rhs:
+            z = next(z for z in range(lhs.dom.size) if lhs.table[z] != rhs.table[z])
+            return "NotNatural", (z, lhs.table[z], rhs.table[z])
+        src.cod.mor(*src.left_mor(w))
+    except (FinSetError, NotEquivariant) as exc:
+        return type(exc).__name__, exc.witness
+    return None
 
-    def counted(sa, sw):
-        calls.append(sw)
-        return join(sa, sw)
 
-    pres.legs_at = (ra_side, w_side, counted)
-    return calls
+def plain_guard(pres):
+    """guard_failure on a plain presentation's pairs, read in its slice
+    over the terminal object: a becomes a -> 1 and w the unique w -> R 1."""
+    term = pres.cod.terminal()
+    r1 = pres.right_obj(term)
+
+    def guard(a, w):
+        return guard_failure(pres, term, Mor(a, term, pres.cod.bang(a).fn),
+                             Mor(w, r1, pres.dom.bang(w).fn.then(pres.dom.bang(r1).fn.inverse())))
+
+    return guard
+
+
+def oracle_outcome(pres, guard, a, w):
+    """What the pair's comparison map must be: the failing guard's typed
+    error, else the product oracle's map, which the guards make a map."""
+    failed = guard(a, w)
+    if failed:
+        return failed
+    want = outcome(product_oracle, pres, a, w)
+    assert want[0] == "map", (pres.name, a, w, want)
+    return want
+
+
+def oracle_report(pres, guard, cod_objs, dom_objs) -> dict:
+    """check_frobenius's report as the oracle sees it: a failure entry per
+    failing pair in family order, with the failing guard's typed error or
+    the NotBijective witness of the oracle's map."""
+    witnesses = []
+    for a in cod_objs:
+        for w in dom_objs:
+            name, value = oracle_outcome(pres, guard, a, w)
+            if name != "map":
+                verdict = {"error": name, "witness": value}
+            else:
+                table, n = value
+                try:
+                    FinFn(FinSet(len(table)), FinSet(n), table).inverse()
+                    continue
+                except NotBijective as exc:
+                    verdict = {"witness": exc.witness}
+            witnesses.append({"cod_obj": _obj_desc(a), "dom_obj": _obj_desc(w), **verdict})
+    pairs = len(cod_objs) * len(dom_objs)
+    return {"check": "frobenius", "presentation": pres.name,
+            "family": {"cod_objects": len(cod_objs), "dom_objects": len(dom_objs)},
+            "pairs": pairs, "passed": bool(pairs) and not witnesses, "witnesses": witnesses}
 
 
 def test_sliced_canonical_map_matches_the_category_route():
-    # a sliced presentation reads each comparison map off its source's
-    # tables where both of the pair's records are open, and builds it
-    # through the sliced categories' products otherwise; those products
-    # are the oracle of the table route, on the families theorem runs
+    # a sliced presentation reads every comparison map off its source's
+    # tables; the sliced categories' products are the oracle of each pair
+    # whose records hold, and the guards' typed errors that of every
+    # other pair, on the families theorem runs
     from finbundles.suites import point_slice
 
     cases = []  # (presentation, slicing objects, dom family, cod family)
@@ -869,42 +937,44 @@ def test_sliced_canonical_map_matches_the_category_route():
     cases.append((fixedpoints(GROUPS["z2"]), stable_slice_objects(GROUPS["z2"], TERMINAL),
                   slice_family(TERMINAL, 2), action_family(GROUPS["z2"], 2)))
     outcomes = set()
-    routes = []  # (presentation, its pairs, its pairs on the table route)
+    counts = []  # (presentation, its pairs, its pairs with a map)
     for pres, slicing, dom_objs, cod_objs in cases:
-        calls = counting_legs(pres) if pres.legs_at is not None else []
-        pairs = 0
+        pairs = maps = 0
         for b in slicing:
             sliced = slice_adjunction(pres, b)
-            assert pres.legs_at is not None or sliced.records is None
-            oracle = category_route(sliced)
             dom_fam = list(sliced.dom.objects_over(dom_objs))
             cod_fam = list(sliced.cod.objects_over(cod_objs))
+
+            def guard(a, w):
+                return guard_failure(pres, b, a, w)
+
             for a in cod_fam:
                 for w in dom_fam:
-                    got = canonical_map_outcome(sliced, a, w)
-                    assert got == canonical_map_outcome(oracle, a, w), (sliced.name, a, w)
-                    outcomes.add(got if isinstance(got, str) else
-                                 len(set(got)) == len(got))
+                    name, value = outcome(frobenius_canonical_map, sliced, a, w)
+                    assert (name, value) == oracle_outcome(sliced, guard, a, w), (sliced.name, a, w)
+                    outcomes.add(name if name != "map" else len(set(value[0])) == len(value[0]))
                     pairs += 1
-        routes.append((pres.name, pairs, len(calls)))
-    # every verdict is exercised: bijections, non-injective maps and both
-    # typed errors of a malformed comparison map
-    assert outcomes == {True, False, "NotACone", "NotEquivariant"}
-    # every genuine presentation with legs takes the table route on every
-    # pair; each corrupted one sends some pairs to the category route, and
-    # a presentation without legs sends all of them there
-    for name, pairs, table in routes:
+                    maps += name == "map"
+        counts.append((pres.name, pairs, maps))
+    # every verdict is exercised: bijections, non-injective maps and the
+    # typed errors of two guards
+    assert outcomes == {True, False, "NotNatural", "NotEquivariant"}
+    # every genuine presentation has a map on every pair; each corrupted
+    # one fails some pairs' guards and passes others
+    for name, pairs, maps in counts:
         assert pairs > 0
         if "!corrupt" in name:
-            assert 0 < table < pairs, name
+            assert 0 < maps < pairs, name
         else:
-            assert table == (0 if name.startswith("basechange") else pairs), name
-    assert len(routes) == 19 and sum(pairs for _, pairs, _ in routes) > 6000
+            assert maps == pairs, name
+    assert len(counts) == 19 and sum(pairs for _, pairs, _ in counts) > 6000
 
 
 def test_corrupted_counit_reports_match_the_category_route():
-    # the table route reads every component through the presentation, so
-    # a corrupted copy's counit is the one its checks and tables use
+    # the records read every component through the presentation, so a
+    # corrupted copy's counit is the one its guards and tables use; every
+    # sliced report is the oracle's, witnesses included
+    stable = []
     for alg, x in ((GROUPS["z2"], FinSet(2)), (GROUPS["z3"], TERMINAL)):
         pres = bundle_to_adjunction(trivial_torsor(alg, x))
         for style in range(1, 6):
@@ -914,24 +984,19 @@ def test_corrupted_counit_reports_match_the_category_route():
                 dom_fam = list(sliced.dom.objects_over(slice_family(x, 2)))
                 cod_fam = list(sliced.cod.objects_over(action_family(alg, 2)))
                 got = check_frobenius(sliced, cod_fam, dom_fam, max_witnesses=10 ** 6)
-                want = check_frobenius(category_route(sliced), cod_fam, dom_fam,
-                                       max_witnesses=10 ** 6)
+                want = oracle_report(sliced, lambda a, w: guard_failure(bad, b, a, w),
+                                     cod_fam, dom_fam)
                 assert got == want, (sliced.name, style)
-
-
-def product_route(pres):
-    """A copy of a plain presentation without legs, so that its comparison
-    maps are built from the two products."""
-    oracle = copy.copy(pres)
-    oracle.legs_at = None
-    return oracle
+            stable.append(check_stably_frobenius(bad, stable_slice_objects(alg, x),
+                                                 slice_family(x, 2), action_family(alg, 2)))
+    assert len(stable) == 10 and not any(rep["passed"] for rep in stable)
 
 
 def test_plain_map_through_the_terminal_slice_matches_the_product_route():
     # check_frobenius reads a plain comparison map off the tables of the
     # slice over the terminal object; the product route is its oracle,
-    # table for table, and every genuine presentation takes the table
-    # route on every pair
+    # table for table, and every genuine presentation, base change
+    # included, has a map on every pair
     cases = []  # (presentation, dom family, cod family)
     for alg, nx in itertools.product([GROUPS[n] for n in ("z2", "z3", "z4", "v4")]
                                      + [GROUPOIDS["pair2"], GROUPOIDS["z2_loop"]], (1, 2)):
@@ -942,25 +1007,26 @@ def test_plain_map_through_the_terminal_slice_matches_the_product_route():
             cases.append((bundle_to_adjunction(w), slice_family(x, 2), action_family(alg, 3)))
     for alg in (GROUPS["z2"], GROUPOIDS["pair2"]):
         cases.append((sigma_presentation(alg), action_family(alg, 3), slice_family(TERMINAL, 3)))
+    for table, nd, nc in (((0, 1), 2, 2), ((0, 0, 1), 3, 2), ((1, 0), 2, 3)):
+        f = FinFn(FinSet(nd), FinSet(nc), table)
+        cases.append((pullback_presentation(f), slice_family(f.dom, 2), slice_family(f.cod, 2)))
     pairs = 0
     for pres, dom_objs, cod_objs in cases:
-        calls = counting_legs(pres)
-        view, oracle = _terminal_view(pres), product_route(pres)
+        view, guard = _terminal_view(pres), plain_guard(pres)
         for a in cod_objs:
             for w in dom_objs:
-                got = canonical_map_outcome(view, a, w)
-                assert got == canonical_map_outcome(oracle, a, w), (pres.name, a, w)
+                got = outcome(frobenius_canonical_map, view, a, w)
+                assert got[0] == "map" and got == oracle_outcome(pres, guard, a, w), \
+                    (pres.name, a, w)
                 pairs += 1
-        assert len(calls) == len(cod_objs) * len(dom_objs), pres.name
         assert check_frobenius(pres, cod_objs, dom_objs)["passed"], pres.name
-    assert len(cases) == 24 and pairs > 900
+    assert len(cases) == 27 and pairs > 1000
 
 
 def test_plain_reports_match_the_product_route():
     # the fixed-points presentations fail on the same pairs with the same
-    # NotBijective witnesses; a corrupted counit closes the table route
-    # on some pairs or all, which then take the product route, and its
-    # whole report, witnesses included, is the product route's
+    # NotBijective witnesses; a corrupted counit fails some pairs' guards,
+    # and its whole report, witnesses included, is the oracle's
     reports = []
     for g in (GROUPS["z2"], GROUPS["z3"]):
         reports.append((fixedpoints(g), slice_family(TERMINAL, 2), action_family(g, g.order)))
@@ -970,17 +1036,15 @@ def test_plain_reports_match_the_product_route():
         pres = bundle_to_adjunction(w)
         reports += [(corrupt_counit(pres, style), slice_family(x, 2), action_family(alg, 2))
                     for style in range(1, 6)]
-    verdicts, routes = set(), set()
+    verdicts = set()
     for pres, dom_objs, cod_objs in reports:
-        calls = counting_legs(pres)
         got = check_frobenius(pres, cod_objs, dom_objs, max_witnesses=10 ** 6)
-        want = check_frobenius(product_route(pres), cod_objs, dom_objs, max_witnesses=10 ** 6)
+        want = oracle_report(pres, plain_guard(pres), cod_objs, dom_objs)
         assert got == want and not got["passed"], pres.name
         verdicts.update(e.get("error") for e in got["witnesses"])
-        routes.update(["table"] * bool(calls) + ["product"] * (len(calls) < got["pairs"]))
-    # NotBijective witnesses from both routes, and NotACone from the
-    # product route where pair2's corrupted counit at 1 closes the table
-    assert verdicts == {None, "NotACone"} and routes == {"table", "product"}
+    # NotBijective witnesses, and the typed errors of the guards where a
+    # corrupted counit is not a morphism
+    assert verdicts == {None, "NotEquivariant"}
 
 
 def test_checks_leave_no_cycle_through_the_presentation():
@@ -1003,11 +1067,11 @@ def test_checks_leave_no_cycle_through_the_presentation():
         gc.enable()
 
 
-def test_a_counit_corrupted_only_at_the_slicing_object_keeps_the_category_route():
+def test_a_counit_corrupted_only_at_the_slicing_object_fails_every_pair():
     # z2 over a point, sliced over b = the arrows action plus a fixed point
     # 2; one point q of L(R b) that no L(R a) of the family reaches is sent
     # to 2, so every counit square along the family still commutes and
-    # only the check of the counit at b keeps the pairs off the table route
+    # only the guard of the counit at b fails, on every pair
     z2 = GROUPS["z2"]
     pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
     b = validate_action(z2, FinSet(3), ((0, 1, 2), (1, 0, 2)))
@@ -1029,13 +1093,65 @@ def test_a_counit_corrupted_only_at_the_slicing_object_keeps_the_category_route(
     for a in cod_fam:
         assert (bad.counit_at(a.dom).fn.then(a.fn)
                 == bad.left_mor(bad.right_mor(a)).fn.then(bad.counit_at(b).fn))
+    with pytest.raises(NotEquivariant) as at_b:
+        bad.cod.mor(*bad.counit_at(b))
     sliced = slice_adjunction(bad, b)
     got = check_frobenius(sliced, cod_fam, dom_fam, max_witnesses=10 ** 6)
-    want = check_frobenius(category_route(sliced), cod_fam, dom_fam, max_witnesses=10 ** 6)
+    want = oracle_report(sliced, lambda a, w: guard_failure(bad, b, a, w), cod_fam, dom_fam)
     assert got == want and not got["passed"]
-    assert len(got["witnesses"]) == 6
-    assert all(e["error"] == "NotEquivariant" for e in got["witnesses"])
-    assert got["witnesses"][0]["witness"] == (1, (0, 0))
+    assert len(got["witnesses"]) == got["pairs"] == 26
+    assert all(e["error"] == "NotEquivariant" and e["witness"] == at_b.value.witness
+               for e in got["witnesses"])
+
+
+def test_a_counit_with_the_wrong_endpoints_gives_failed_pairs():
+    # a hand-built presentation whose counit lands in a set one point too
+    # large: every pair fails the guard of the counit at the terminal
+    # action with the typed CodMismatch and its two sets, and nothing
+    # raises out of the check
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+
+    def counit_at(a):
+        m = pres.counit_at(a)
+        return Mor(m.dom, m.cod, FinFn(m.fn.dom, FinSet(m.fn.cod.size + 1), m.fn.table))
+
+    bad = AdjunctionPresentation(
+        "wrong ends", pres.dom, pres.cod, pres.left_obj, pres.left_mor,
+        pres.right_obj, pres.right_mor, pres.unit_at, counit_at)
+    rep = check_frobenius(bad, action_family(z2, 2), slice_family(TERMINAL, 2),
+                          max_witnesses=10 ** 6)
+    assert not rep["passed"] and len(rep["witnesses"]) == rep["pairs"] > 0
+    assert all(e["error"] == "CodMismatch" and e["witness"] == (FinSet(2), FinSet(1))
+               for e in rep["witnesses"])
+
+
+
+
+def test_a_left_functor_off_its_morphisms_fails_the_pairs_of_that_object():
+    # a hand-built copy of z2's torsor presentation whose L sends every
+    # morphism out of the three-point slice to a constant map, which is
+    # not equivariant: the pairs of that slice fail the guard that L(w) is
+    # a morphism, with its witness, and every other pair keeps its map
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    three = FinFn.constant(FinSet(3), TERMINAL, 0)
+
+    def left_mor(m):
+        lm = pres.left_mor(m)
+        if m.dom != three:
+            return lm
+        return Mor(lm.dom, lm.cod, FinFn.constant(lm.fn.dom, lm.fn.cod, 0))
+
+    bad = AdjunctionPresentation(
+        "constant L", pres.dom, pres.cod, pres.left_obj, left_mor,
+        pres.right_obj, pres.right_mor, pres.unit_at, pres.counit_at)
+    cod_objs, dom_objs = action_family(z2, 2), slice_family(TERMINAL, 3)
+    rep = check_frobenius(bad, cod_objs, dom_objs, max_witnesses=10 ** 6)
+    assert rep == oracle_report(bad, plain_guard(bad), cod_objs, dom_objs)
+    assert len(rep["witnesses"]) == len(cod_objs)
+    assert all(e["dom_obj"] == _obj_desc(three) and e["error"] == "NotEquivariant"
+               for e in rep["witnesses"])
 
 
 def test_corollary_agreement_positive_and_negative():

@@ -372,7 +372,8 @@ def report_digest(report: dict) -> str:
 # sha256 of each report over fixtures/, without elapsed_s: the first three
 # at default bounds, as recorded before groups were run as one-object
 # groupoids; verify at base 3 holds psi_laws' one skip entry; glue at
-# base 3 is perfbench's glue-base3 report, which reads no fixture.
+# base 3 is perfbench's glue-base3 report, which reads no fixture, and
+# theorem at default bounds is its theorem-default report.
 GOLDEN_REPORTS = {
     "verify": (run_verify, Bounds(),
                "a425f2f4b1d90fd88638cdb5e5c881649a10e030cba50baee74020563f4f93b7"),
@@ -386,6 +387,8 @@ GOLDEN_REPORTS = {
     "glue --bound-base 3": (
         run_glue, Bounds(base=3),
         "bfc708a4e8791aeb223e7596c43a2f530405a6b3261822bfd23303264c1c53c4"),
+    "theorem": (run_theorem_suite, Bounds(),
+                "6d08a334fc0a9dc4fd8194eb4df519b17781d41fd4dea7f30a6016382b9f8e34"),
 }
 
 
@@ -413,7 +416,7 @@ def test_theorem_under_python_O_matches_in_process_report():
     in_process.pop("elapsed_s")
     assert optimised == in_process
     # the theorem report at these bounds, pinned byte for byte; the
-    # default-bound report is pinned by perfbench's theorem-default digest
+    # default-bound report is pinned in GOLDEN_REPORTS
     assert report_digest(in_process) == \
         "3ac0a291a4e276edaadfd74f0b6c1b89ca9d0a436df54c97b58c8759d82859a6"
     controls = [c for c in optimised["checks"]

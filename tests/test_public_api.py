@@ -106,11 +106,12 @@ def test_public_functions_are_reached_or_listed():
     # the scan sees the checks a subcommand runs and the names README
     # lists, so an empty scan cannot pass by accident
     assert {"adjunction.check_frobenius", "adjunction.presentation",
-            "torsor.glue_descent_data", "categories.SliceCategory.pullback",
-            "categories.SliceOverCategory.product",
+            "torsor.glue_descent_data", "categories.ActionCategory.mor",
+            "categories.SliceOverCategory.objects_over",
             "finbundles.clear_caches"} <= {functions[c] for c in called if c in functions}
     assert {"adjunction.check_naturality", "finset.coequalizer",
-            "categories.ActionCategory.product"} <= listed
+            "categories.ActionCategory.product", "categories.SliceCategory.pullback",
+            "categories.SliceOverCategory.product"} <= listed
     unlisted = sorted(name for code, name in functions.items()
                       if code not in called and name not in listed)
     listed_but_called = sorted(name for name in listed

@@ -121,9 +121,10 @@ def test_iso_certificate_names_the_moved_point():
         IsoCertificate(f, FinFn(FinSet(2), FinSet(1), (0, 0)))
 
 
-def test_sigma_frobenius_failure_names_the_missed_point(monkeypatch):
+def test_sigma_frobenius_failure_names_the_moved_point(monkeypatch):
     # a "trivial" action on two points that z2 actually swaps: the orbits
-    # of X x A are then fewer than X x orbits(A)
+    # of X x A would be fewer than X x orbits(A), and the record of R X
+    # fails first, naming the arrow and the point it moves
     real = adjunction.trivial_action
 
     def twisted(g, x):
@@ -135,10 +136,12 @@ def test_sigma_frobenius_failure_names_the_missed_point(monkeypatch):
     rep = sigma_frobenius_check({"z2": Z2}, max_order=2, max_x=2, max_carrier=1)
     assert not rep["passed"]
     assert rep["cases"] == 6
-    # A empty maps bijectively; A = one point has one orbit against two
+    # the twisted X fails with every A, the empty one included: the arrow
+    # 1 moves the point 0
     assert rep["witnesses"] == [{"group": "z2", "cod_obj": "slice(total=2,proj=[0, 0])",
-                                 "dom_obj": "action(carrier=1)",
-                                 "witness": ("missed", 1)}]
+                                 "dom_obj": "action(carrier=%d)" % n,
+                                 "error": "NotTrivial", "witness": (1, 0)} for n in (0, 1)]
+    assert rep["error"] == "NotTrivial"
 
 
 def test_tensor_self_iso_checks_the_base():
