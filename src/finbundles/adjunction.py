@@ -239,7 +239,7 @@ def presentation(P: ActionObject, proj: FinFn, name: str | None = None
     def left_mor(m: Mor):
         lo, pbo = left_data(m.dom)
         lc, pbc = left_data(m.cod)
-        table = tuple(pbc.index(p, m.fn.table[wv]) for (p, wv) in pbo.pairs)
+        table = tuple([pbc.indices[p, m.fn.table[wv]] for p, wv in pbo.pairs])
         return Mor(lo, lc, FinFn(lo.carrier, lc.carrier, table))
 
     def right_obj(a):
@@ -425,37 +425,45 @@ def corrupt_counit(pres: AdjunctionPresentation, style: int) -> AdjunctionPresen
 
 # Frobenius checks -----------------------------------------------------------
 
-def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj) -> Mor:
+def frobenius_canonical_map(pres: AdjunctionPresentation, a, wobj,
+                            a_record=None, w_record=None) -> Mor:
     """The comparison map L(R a x_{R b} w) -> a x_b L'w of a presentation
     sliced over b (a plain one: over the terminal object, _terminal_view),
-    the join of the pair's two records (_records), each of which raises
-    its failed guard's typed error: z goes to (counit_A(L p1 z), L p2 z)
-    in the pullback of a and L'w.  The Mor's ends are carriers."""
+    the join of the pair's two records (_records, unless the caller holds
+    them), each of which raises its failed guard's typed error, a's first:
+    z goes to (counit_A(L p1 z), L p2 z) in the pullback of a and L'w."""
     records = pres.records or _terminal_view(pres).records
-    (ra_side, counit, a_table), (w_side, counts, rank) = records[0](a), records[1](wobj)
-    start = list(itertools.accumulate([counts[y] for y in a_table], initial=0))
+    ra_side, counit, a_table = a_record or records[0](a)
+    w_side, counts, rank = w_record or records[1](wobj)
+    if not rank:  # L(w) is empty, and so is L(R a x_{R b} w)
+        return _EMPTY_MAP
+    start = list(itertools.accumulate(map(counts.__getitem__, a_table), initial=0))
     table = tuple([start[counit[u]] + rank[v] for u, v in records[2](ra_side, w_side)])
     fn = FinFn(FinSet(len(table)), FinSet(start[-1]), table)
     return Mor(fn.dom, fn.cod, fn)
 
 
+_EMPTY_MAP = Mor(FinSet(0), FinSet(0), FinFn.identity(FinSet(0)))
+
+
 def _records(src: AdjunctionPresentation, b, sliced_a, sliced_w):
     """The cached records of src sliced over b, one per codomain object a
     (R a's side, the counit table at A = a.dom, a's table) and one per
-    domain object w (its side, the fibre counts and ranks of L'w = counit_b
-    . L w), and the join of two sides; sliced_a and sliced_w give an
-    object's sliced form.  A record raises the typed error of its first
-    failed guard: for a, the counit at b and at A are morphisms and the
-    counit square along a commutes (NotNatural); for w, L(w) is a
-    morphism.  So the legs are morphisms and a cone: a . counit_A . L p1 =
-    counit_b . L(R a . p1) = L'w . L p2.  No record refers to a
-    presentation holding it."""
+    domain object w (its side, L'w = counit_b . L w's fibre counts and
+    ranks, read off both tables), and the join of two sides; sliced_a and
+    sliced_w give an object's sliced form.  A record raises the typed error
+    of its first failed guard: for a, the counits at b and at A (each
+    checked once) are morphisms and the counit square along a commutes
+    (NotNatural); for w, L(w) is a morphism into counit_b's domain.  So the
+    legs are morphisms and a cone: a . counit_A . L p1 = counit_b . L(R a .
+    p1) = L'w . L p2.  No record refers to a presentation holding it."""
     ra_side, w_side, join = src.legs_at
+    counit_at = cache(lambda o: src.cod.mor(*src.counit_at(o)))
 
     def ra_record(key):
         a = sliced_a(key)
-        src.cod.mor(*src.counit_at(b))
-        counit = src.cod.mor(*src.counit_at(a.dom))
+        counit_at(b)
+        counit = counit_at(a.dom)
         lhs, rhs = _counit_square(src, a)
         if lhs.fn != rhs.fn:
             raise NotNatural("the counit square along a does not commute",
@@ -465,15 +473,25 @@ def _records(src: AdjunctionPresentation, b, sliced_a, sliced_w):
 
     def w_record(key):
         w = sliced_w(key)
-        lw = src.cod.mor(*src.left_mor(w))
-        lpw = src.cod.compose(src.counit_at(b), lw).fn
-        counts, rank = [0] * lpw.cod.size, []
-        for y in lpw.table:
+        lw, eb = src.cod.mor(*src.left_mor(w)), src.counit_at(b)
+        if lw.cod != eb.dom:
+            raise CodMismatch("composition mismatch", (lw.cod, eb.dom))
+        counts, rank = [0] * eb.fn.cod.size, []
+        for y in map(eb.fn.table.__getitem__, lw.fn.table):
             rank.append(counts[y])
             counts[y] += 1
         return w_side(w, lw), counts, rank
 
     return cache(ra_record), cache(w_record), join
+
+
+def _held(record, key):
+    """record(key), or None when a guard fails: each of its pairs then
+    builds it again and raises the guard's typed error."""
+    try:
+        return record(key)
+    except _PAIR_ERRORS:
+        return None
 
 
 def _terminal_view(pres: AdjunctionPresentation) -> AdjunctionPresentation:
@@ -526,17 +544,18 @@ def check_frobenius(pres: AdjunctionPresentation, cod_objs, dom_objs,
     points with one image, or ("missed", y)); one that cannot even be
     assembled (a corrupted presentation) has the name and witness of the
     typed error of its records' failed guard.  Any other error escapes."""
-    cod_objs = list(cod_objs)
-    dom_objs = list(dom_objs)
+    cod_objs, dom_objs = list(cod_objs), list(dom_objs)
     pairs = len(cod_objs) * len(dom_objs)
     if pairs > max_pairs:
         raise FamilyTooLarge("frobenius family too large", pairs)
     pres = pres if pres.records else _terminal_view(pres)
     failures = []
-    for a in cod_objs:
-        for wobj in dom_objs:
+    rows = [(a, _held(pres.records[0], a)) for a in cod_objs]
+    cols = [(w, _held(pres.records[1], w)) for w in dom_objs]
+    for a, row in rows:
+        for wobj, col in cols:
             try:
-                m = frobenius_canonical_map(pres, a, wobj)
+                m = frobenius_canonical_map(pres, a, wobj, row, col)
                 if pres.cod.is_iso(m):
                     continue
                 verdict = {"witness": _not_bijective(m.fn)}

@@ -349,16 +349,13 @@ def equivariance_witness(a: ActionObject, b: ActionObject, fn: FinFn):
         raise AlgebraMismatch("objects live over different algebras")
     if fn.dom != a.carrier or fn.cod != b.carrier:
         raise ValueError("map endpoints do not match the carriers")
-    a_anchor, b_anchor = a.anchor.table, b.anchor.table
-    for p, v in enumerate(fn.table):
-        if b_anchor[v] != a_anchor[p]:
+    f, b_anchor = fn.table, b.anchor.table
+    for p, o in enumerate(a.anchor.table):
+        if b_anchor[f[p]] != o:
             return ("anchor", p)
-    for g in range(a.algebra.order):
-        row = a.act[g]
-        for p in range(a.carrier.size):
-            if row[p] is None:
-                continue
-            if fn.table[row[p]] != b.act[g][fn.table[p]]:
+    for g, (row, image) in enumerate(zip(a.act, b.act)):
+        for p, v in enumerate(row):
+            if v is not None and f[v] != image[f[p]]:
                 return (g, p)
     return None
 

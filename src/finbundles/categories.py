@@ -11,6 +11,7 @@ exactly when that map is a bijection.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
@@ -151,9 +152,11 @@ class SliceCategory:
         return _cat_pullback(pb.p1.then(m1.dom), m1.dom, m2.dom, pb)
 
     def homs(self, a: FinFn, b: FinFn):
-        for fn in all_functions(a.dom, b.dom):
-            if fn.then(b) == a:
-                yield Mor(a, b, fn)
+        # the product of b's fibres over a's points, in all_functions' order
+        if a.cod == b.cod:
+            fibres = [[v for v, y in enumerate(b.table) if y == x] for x in a.cod]
+            for table in itertools.product(*(fibres[x] for x in a.table)):
+                yield Mor(a, b, FinFn(a.dom, b.dom, table))
 
     def objects_upto(self, max_total: int):
         for n in range(max_total + 1):

@@ -339,23 +339,23 @@ def stable_slice_objects(alg, x: FinSet) -> list[ActionObject]:
     return [trivial_action(alg, x), arrows_action(alg)]
 
 
-def theorem_torsor_checks(w, bounds: Bounds) -> dict:
+def theorem_torsor_checks(w, bounds: Bounds, families=None) -> dict:
     """The full per-torsor theorem instance: triangle identities,
     over-base comparison, round trip, stable reciprocity and the two
     tensor identities.  A failed instance has its first failing sub-check,
     in that order, as error and that sub-check's witness; a family too
     large to check fails it with its size.  The over-base comparison is
     the round trip's first check, so its verdict is read off the round
-    trip's NotOverBase witness.  The module caches are scoped to the
-    instance: they are emptied when it returns or raises, since their
-    keys are this torsor's actions."""
+    trip's NotOverBase witness.  families, if given, are its (slices,
+    actions).  The module caches are scoped to the instance and emptied
+    when it returns or raises, since their keys are this torsor's actions."""
     try:
         b = w.bundle
         alg = b.action.algebra
         x = b.base
         pres = bundle_to_adjunction(w)
-        dom_objs = slice_family(x, bounds.family_total)
-        cod_objs = action_family(alg, bounds.family_carrier)
+        dom_objs, cod_objs = families or (slice_family(x, bounds.family_total),
+                                          action_family(alg, bounds.family_carrier))
         tri = check_triangles(pres, dom_objs, cod_objs)
         over = roundtrip = None
         try:
@@ -447,7 +447,8 @@ def theorem_checks(groups, groupoids, bounds: Bounds) -> list[dict]:
                 checks.append(_failed("theorem_suite_group", exc, group=name, base=nx,
                                       torsors=0))
                 continue
-            per = [theorem_torsor_checks(w, bounds) for w in enum.witnesses]
+            fams = slice_family(x, bounds.family_total), action_family(g, bounds.family_carrier)
+            per = [theorem_torsor_checks(w, bounds, fams) for w in enum.witnesses]
             # the first failing torsor, by its index in enumeration order
             i = next((i for i, c in enumerate(per) if not c["passed"]), None)
             checks.append(
@@ -578,11 +579,11 @@ def negative_control_check(groups, bounds: Bounds) -> dict:
         cases += 1
         pres = presentation(trivial_action(g, TERMINAL), FinFn.identity(TERMINAL),
                             "trivial-dashv-fixed(|G|=%d)" % g.order)
-        dom_objs = slice_family(TERMINAL, bounds.family_total + 1)
-        # the family must reach the group's own carrier size so that a
-        # non-fixed point is in scope
-        cod_objs = action_family(g, max(bounds.family_carrier + 1, g.order))
         try:
+            dom_objs = slice_family(TERMINAL, bounds.family_total + 1)
+            # the family must reach the group's own carrier size so that a
+            # non-fixed point is in scope
+            cod_objs = action_family(g, max(bounds.family_carrier + 1, g.order))
             adjunction_to_bundle(pres, dom_objs, cod_objs)
             failures.append({"group": name})
         except FrobeniusFail:

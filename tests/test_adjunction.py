@@ -33,6 +33,7 @@ from finbundles.categories import (
     ActionCategory,
     Mor,
     SliceCategory,
+    SliceOverCategory,
     action_family,
     slice_family,
 )
@@ -846,7 +847,7 @@ def guard_failure(src, b, a, w):
     fails on the sliced pair (a, w), or None when both records hold: the
     counit at b and at A = a.dom are morphisms, the counit square along a
     commutes (else the first point where its sides differ, with both
-    images), and L(w) is a morphism."""
+    images), and L(w) is a morphism into the counit's domain."""
     try:
         src.cod.mor(*src.counit_at(b))
         src.cod.mor(*src.counit_at(a.dom))
@@ -855,7 +856,7 @@ def guard_failure(src, b, a, w):
         if lhs != rhs:
             z = next(z for z in range(lhs.dom.size) if lhs.table[z] != rhs.table[z])
             return "NotNatural", (z, lhs.table[z], rhs.table[z])
-        src.cod.mor(*src.left_mor(w))
+        src.cod.compose(src.counit_at(b), src.cod.mor(*src.left_mor(w)))
     except (FinSetError, NotEquivariant) as exc:
         return type(exc).__name__, exc.witness
     return None
@@ -1154,6 +1155,35 @@ def test_a_left_functor_off_its_morphisms_fails_the_pairs_of_that_object():
                for e in rep["witnesses"])
 
 
+def test_a_left_functor_beside_the_counit_fails_the_pairs_of_that_object():
+    # a hand-built copy of z2's torsor presentation whose L sends the
+    # morphisms out of the three-point slice, by a constant map, into the
+    # trivial action on two points: L(w) is a morphism, but not into the
+    # domain of the counit at 1, so the pairs of that slice fail with
+    # CodMismatch and the two objects, and every other pair keeps its map
+    z2 = GROUPS["z2"]
+    pres = bundle_to_adjunction(trivial_torsor(z2, TERMINAL))
+    three = FinFn.constant(FinSet(3), TERMINAL, 0)
+    triv = trivial_action(z2, FinSet(2))
+
+    def left_mor(m):
+        lm = pres.left_mor(m)
+        if m.dom != three:
+            return lm
+        return Mor(lm.dom, triv, FinFn.constant(lm.fn.dom, triv.carrier, 0))
+
+    bad = AdjunctionPresentation(
+        "L beside the counit", pres.dom, pres.cod, pres.left_obj, left_mor,
+        pres.right_obj, pres.right_mor, pres.unit_at, pres.counit_at)
+    cod_objs, dom_objs = action_family(z2, 2), slice_family(TERMINAL, 3)
+    rep = check_frobenius(bad, cod_objs, dom_objs, max_witnesses=10 ** 6)
+    assert rep == oracle_report(bad, plain_guard(bad), cod_objs, dom_objs)
+    l_r1 = pres.counit_at(pres.cod.terminal()).dom
+    assert len(rep["witnesses"]) == len(cod_objs)
+    assert all(e["dom_obj"] == _obj_desc(three) and e["error"] == "CodMismatch"
+               and e["witness"] == (triv, l_r1) for e in rep["witnesses"])
+
+
 def test_corollary_agreement_positive_and_negative():
     z3 = GROUPS["z3"]
     w = trivial_torsor(z3, FinSet(2))
@@ -1338,6 +1368,43 @@ def test_family_too_large_guard():
     sliced = slice_adjunction(pres, arrows_action(z2))
     with pytest.raises(FamilyTooLarge):
         list(sliced.dom.objects_over(dom_objs, hom_cap=0))
+
+
+def filtered_homs(a, b):
+    # the oracle: every map of carriers, kept when it commutes with the
+    # projections, in all_functions' lexicographic order
+    return [Mor(a, b, fn) for fn in all_functions(a.dom, b.dom) if fn.then(b) == a]
+
+
+def test_slice_homs_are_the_maps_over_the_base_in_order():
+    # every pair of slices with at most 3 points over bases of 1 and 2
+    # points, the empty slice, empty fibres and pairs over different bases
+    # included: the fibrewise hom set is the oracle's, map for map
+    objs = [o for n in (1, 2) for o in SliceCategory(FinSet(n)).objects_upto(3)]
+    assert any(o.dom.size and len(set(o.table)) < o.cod.size for o in objs)
+    for a in objs:
+        for b in objs:
+            assert list(SliceCategory(a.cod).homs(a, b)) == filtered_homs(a, b), (a, b)
+
+
+def test_slice_families_refuse_at_the_same_count():
+    # objects_over yields the oracle's homs in the oracle's order and
+    # raises FamilyTooLarge exactly when their count passes the cap
+    from finbundles.categories import FamilyTooLarge
+
+    x = FinSet(2)
+    cat = SliceCategory(x)
+    objs = list(cat.objects_upto(3))
+    for anchor in objs:
+        want = [m for o in objs for m in filtered_homs(o, anchor)]
+        for cap in sorted({0, 1, len(want) // 2, max(len(want) - 1, 0), len(want)}):
+            got, refused = [], None
+            try:
+                got.extend(SliceOverCategory(cat, anchor).objects_over(objs, cap))
+            except FamilyTooLarge as exc:
+                refused = exc.witness
+            assert got == want[:cap + 1], (anchor, cap)
+            assert refused == (cap if len(want) > cap else None), (anchor, cap)
 
 
 # Morphism-level functoriality ------------------------------------------------

@@ -389,6 +389,9 @@ GOLDEN_REPORTS = {
         "bfc708a4e8791aeb223e7596c43a2f530405a6b3261822bfd23303264c1c53c4"),
     "theorem": (run_theorem_suite, Bounds(),
                 "6d08a334fc0a9dc4fd8194eb4df519b17781d41fd4dea7f30a6016382b9f8e34"),
+    "enumerate --bound-group 7 --bound-carrier 7 --bound-base 3": (
+        run_enumerate, Bounds(group_order=7, carrier=7, base=3),
+        "8c5cf07afb8d9ab883a35455f1df0b111f029b6919c1783edf07531b910c4a77"),
 }
 
 

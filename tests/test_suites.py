@@ -14,6 +14,7 @@ from finbundles.finset import FinFn, FinSet, IsoCertificate, NotInverse
 from finbundles.algebra import all_actions, arrows_action, untwist_iso
 from finbundles.torsor import DivisionLawFail, division_map, enumerate_torsors, trivial_torsor
 from finbundles.adjunction import corrupt_counit, tensor
+from finbundles.categories import FamilyTooLarge
 from finbundles.cli import main
 from finbundles.suites import (
     Bounds,
@@ -50,6 +51,18 @@ def test_fixed_points_family_too_large_is_a_failed_entry():
     rep = suites.negative_control_check({"z2": Z2}, Bounds(family_carrier=7, family_total=17))
     assert rep == {"check": "fixedpoints_rejected", "group": "z2",
                    "error": "FamilyTooLarge", "witness": 21204, "passed": False}
+
+
+def test_fixed_points_family_too_large_to_list_is_a_failed_entry(monkeypatch):
+    # a family refused while it is listed fails the entry with its size,
+    # as one too large to check does
+    def refuse(algebra, max_carrier):
+        raise FamilyTooLarge("family too large to list", 172368)
+
+    monkeypatch.setattr(suites, "action_family", refuse)
+    rep = suites.negative_control_check({"z2": Z2}, Bounds())
+    assert rep == {"check": "fixedpoints_rejected", "group": "z2",
+                   "error": "FamilyTooLarge", "witness": 172368, "passed": False}
 
 
 def test_torsor_instance_family_too_large_is_a_failed_entry():
